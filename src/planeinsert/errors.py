@@ -50,7 +50,8 @@ class SchemaError(PlaneInsertError):
 
 
 class NonPlaneCoordinates(SchemaError):
-    """Supplied straight-line coordinates make two graph edges cross."""
+    """Supplied straight-line coordinates make two graph edges cross, or
+    order some vertex's neighbors differently from its rotation."""
 
 
 class FNotInComplement(PlaneInsertError):

@@ -29,6 +29,7 @@ from .errors import (
     LayoutInfeasible,
     SchemaError,
 )
+from .geometry import angle_cmp, scale_to_integers
 from .instance_io import CrossingEvent, Instance, Route, Solution, make_instance
 from .plane_graph import build_from_rotation
 
@@ -278,19 +279,6 @@ class GadgetAtlas:
 # --- exact-geometry builder -----------------------------------------------------
 
 
-def _angle_cmp(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> int:
-    def half(v):
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    ha, hb = half(a), half(b)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    cross = a[0] * b[1] - a[1] * b[0]
-    if cross == 0:
-        raise LayoutInfeasible("overlapping edge directions at a vertex")
-    return -1 if cross > 0 else 1
-
-
 class GeometryBuilder:
     """Vertices with exact coordinates; rotations from angular order."""
 
@@ -315,18 +303,19 @@ class GeometryBuilder:
         return key
 
     def rotation(self) -> list[list[int]]:
+        pts = scale_to_integers(self.coords)
         rot = []
-        for v in range(len(self.coords)):
-            vx, vy = self.coords[v]
+        for v, (vx, vy) in enumerate(pts):
+            dirs = {w: (pts[w][0] - vx, pts[w][1] - vy) for w in self.adj[v]}
 
-            def key(w):
-                wx, wy = self.coords[w]
-                return (wx - vx, wy - vy)
+            def cmp(p, q):
+                c = angle_cmp(dirs[p], dirs[q])
+                if c == 0:
+                    raise LayoutInfeasible(
+                        "overlapping edge directions at a vertex")
+                return c
 
-            ordered = sorted(self.adj[v],
-                             key=functools.cmp_to_key(
-                                 lambda p, q: _angle_cmp(key(p), key(q))))
-            rot.append(ordered)
+            rot.append(sorted(self.adj[v], key=functools.cmp_to_key(cmp)))
         return rot
 
     def plus_block(self, pole_a: int, pole_b: int, k: int,

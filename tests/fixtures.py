@@ -15,6 +15,9 @@ OCTA_ROTATION = [
     [1, 2, 3, 4],
 ]
 
+# Straight-line placement of the octahedron with outer face (1, 4, 5).
+OCTA_COORDS = [(10, 4), (0, 0), (7, 8), (13, 8), (20, 0), (10, 17)]
+
 # 5-vertex bipyramid = K5 minus (0, 4): poles 0 and 4, triangle 1-2-3.
 BIPYR5_ROTATION = [
     [1, 3, 2],

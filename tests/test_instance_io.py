@@ -34,7 +34,7 @@ from planeinsert.plane_graph import (
     sample_complement_edges,
 )
 
-from fixtures import OCTA_ROTATION, octahedron
+from fixtures import OCTA_COORDS, OCTA_ROTATION, octahedron
 
 K4_COORDS = [(0, 0), (4, 0), (2, 4), (2, 1)]
 
@@ -81,6 +81,14 @@ class TestInstance:
         with pytest.raises(NonPlaneCoordinates):
             make_instance(k4(), [], coords=bad)
         make_instance(k4(), [], coords=K4_COORDS)
+
+    def test_coords_must_match_rotation(self):
+        mirrored = [list(reversed(row)) for row in K4_ROTATION]
+        with pytest.raises(NonPlaneCoordinates, match="vertex 0"):
+            make_instance(build_from_rotation(4, mirrored), [],
+                          coords=K4_COORDS)
+        make_instance(k4(), [], coords=K4_COORDS)
+        make_instance(octahedron(), [], coords=OCTA_COORDS)
 
     def test_vertex_on_edge_rejected(self):
         bad = [(0, 0), (4, 0), (2, 4), (2, 0)]  # vertex 3 on edge (0,1)
@@ -129,10 +137,6 @@ class TestSolution:
     def test_route_order_enforced(self):
         with pytest.raises(SchemaError):
             parse_solution('{"routes":[{"f_edge":1,"events":[]}]}')
-
-
-# Straight-line placement with outer face (1, 4, 5).
-OCTA_COORDS = [(10, 4), (0, 0), (7, 8), (13, 8), (20, 0), (10, 17)]
 
 
 class TestRender:
