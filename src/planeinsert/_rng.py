@@ -40,14 +40,3 @@ class Lcg64:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def sample_indices(self, count: int, bound: int) -> list[int]:
-        """count distinct indices below bound (bound must be >= count)."""
-        picked: set[int] = set()
-        out: list[int] = []
-        while len(out) < count:
-            x = self.below(bound)
-            if x not in picked:
-                picked.add(x)
-                out.append(x)
-        return out

@@ -98,7 +98,3 @@ class InvalidFormula(PlaneInsertError):
 
 class LayoutInfeasible(PlaneInsertError):
     """Clause legs cannot be nested without crossings on the layered grid."""
-
-
-class AssignmentDoesNotSatisfy(PlaneInsertError):
-    """Certificate construction needs a satisfying assignment."""

@@ -18,7 +18,7 @@ from itertools import product
 from typing import Iterator
 
 from ._rng import Lcg64
-from .errors import KNotOne, NotTriangulation, SearchSpaceTooLarge
+from .errors import SearchSpaceTooLarge
 from .instance_io import CrossingEvent, Instance, Route, Solution
 from .tri_insert import compute_clashes, enumerate_options
 from .verdicts import Verdict

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ._rng import Lcg64
@@ -33,25 +32,6 @@ from .errors import (
 
 # A plane rotation of K4: faces (0,1,2), (0,2,3), (0,3,1) and outer (2,1,3).
 K4_ROTATION: list[list[int]] = [[1, 3, 2], [0, 2, 3], [1, 0, 3], [2, 0, 1]]
-
-
-@dataclass(frozen=True)
-class Dart:
-    """One directed side of an edge."""
-
-    id: int
-    tail: int
-    head: int
-    twin: int
-    next: int  # next dart counterclockwise around the tail
-    edge: int
-
-
-@dataclass(frozen=True)
-class FaceRecord:
-    id: int
-    boundary: tuple[int, ...]  # dart cycle under next(twin(.))
-    degree: int
 
 
 class PlaneGraph:
@@ -123,10 +103,6 @@ class PlaneGraph:
     def face_of(self, d: int) -> int:
         return self._face[d]
 
-    def dart(self, d: int) -> Dart:
-        return Dart(d, self._tail[d], self._head[d], self._twin[d],
-                    self.next(d), self._edge[d])
-
     # -- vertices ------------------------------------------------------------
 
     def degree(self, v: int) -> int:
@@ -189,10 +165,6 @@ class PlaneGraph:
 
     def face_vertices(self, f: int) -> list[int]:
         return [self._tail[d] for d in self.face_boundary(f)]
-
-    def face(self, f: int) -> FaceRecord:
-        b = tuple(self.face_boundary(f))
-        return FaceRecord(f, b, len(b))
 
     def with_outer_face(self, f: int) -> "PlaneGraph":
         g = PlaneGraph(self._offsets, self._head, self._tail, self._twin,

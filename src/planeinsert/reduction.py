@@ -1,13 +1,14 @@
 """Compiling monotone rectilinear 3-SAT formulas into insertion instances.
 
+Only the crossing budget k = 1 is built; any other k raises ``KNotOne``.
 The construction lives on a layered integer grid.  Variables sit on layer
 0 as chains of grid-with-poles blocks ("plus blocks"); clauses sit on
 layer >= 2 above the axis when positive, below when negative; the two
 layers adjacent to the axis stay empty.  Truth values travel along
 vertical literal-edge columns; a variable is true exactly when its
-downward literal edges are crossed.  For budget k the construction also
-carries (k-1)x(k-1) grids ("minus blocks") and lane edges giving every
-literal edge k-1 forced crossings; at k = 1 those vanish.
+downward literal edges are crossed.  The paper's construction for k >= 2
+adds (k-1)x(k-1) grids and lane edges that give every literal edge k-1
+forced crossings; those are not built here.
 
 Geometry is exact: joints at integer positions, block internals at small
 fractions, rotations derived by exact angular sorting, so every compiled
@@ -24,16 +25,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
-    AssignmentDoesNotSatisfy,
     InvalidFormula,
+    KNotOne,
     LayoutInfeasible,
     SchemaError,
+    StructureMismatch,
 )
 from .geometry import angle_cmp, scale_to_integers
-from .instance_io import CrossingEvent, Instance, Route, Solution, make_instance
+from .instance_io import Instance, make_instance
 from .plane_graph import build_from_rotation
-
-HALF = Fraction(1, 2)
 
 
 # --- formulas ----------------------------------------------------------------
@@ -117,147 +117,28 @@ def write_formula(f: MonotoneFormula) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-# --- gadget shape descriptions -------------------------------------------------
+# --- gadget insertion edges ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlusBlockShape:
-    """One (k+1)x(k+1) grid with a pole fanned to each vertical side."""
-
-    k: int
-
-    @property
-    def grid_vertices(self) -> int:
-        return (self.k + 1) ** 2
-
-    @property
-    def vertices(self) -> int:
-        return self.grid_vertices + 2
-
-    @property
-    def grid_edges(self) -> int:
-        return 2 * self.k * (self.k + 1)
-
-    @property
-    def fan_edges(self) -> int:
-        return 2 * (self.k + 1)
+def _variable_f(a: int):
+    """Insertion edges of a chain of 4a+1 plus blocks, as (joint-offset
+    pair, role, group) along the walk u_{4i+1}, u_{4i+4}, u_{4i+3},
+    u_{4i+6}, u_{4i+5} (last vertex of the final group omitted).  The
+    3-spanning edges are the literal blockers ("vblock") and the forcing
+    edges ("vforce"); the 1-spanning edges link them ("vlink")."""
+    for i in range(a):
+        b = 4 * i
+        yield (b, b + 3), "vblock", i
+        yield (b + 3, b + 2), "vlink", i
+        yield (b + 2, b + 5), "vforce", i
+        if i != a - 1:
+            yield (b + 5, b + 4), "vlink", i
 
 
-def build_hplus(k: int) -> PlusBlockShape:
-    if k < 1:
-        raise ValueError("k >= 1")
-    return PlusBlockShape(k)
-
-
-@dataclass(frozen=True)
-class MinusBlockShape:
-    """(k-1)x(k-1) grid; the empty block at k = 1."""
-
-    k: int
-
-    @property
-    def vertices(self) -> int:
-        return (self.k - 1) ** 2
-
-    @property
-    def grid_edges(self) -> int:
-        m = self.k - 1
-        return 2 * m * (m - 1) if m else 0
-
-
-def build_hminus(k: int) -> MinusBlockShape:
-    if k < 1:
-        raise ValueError("k >= 1")
-    return MinusBlockShape(k)
-
-
-@dataclass(frozen=True)
-class VariableGadgetPlan:
-    """Chain of 4a+1 plus blocks with alternating 3- and 1-spanning edges."""
-
-    a: int
-    k: int
-
-    @property
-    def copies(self) -> int:
-        return 4 * self.a + 1
-
-    @property
-    def joints(self) -> int:
-        return self.copies + 1
-
-    def endpoint_offsets(self) -> list[int]:
-        """Joint offsets (0-based) of the variable endpoints u_{4i+3}."""
-        return [4 * i + 2 for i in range(self.a)]
-
-    def f_pattern(self) -> list[tuple[int, int]]:
-        """Insertion edges as joint-offset pairs along the walk
-        u_{4i+1}, u_{4i+4}, u_{4i+3}, u_{4i+6}, u_{4i+5} (last vertex of the
-        final group omitted)."""
-        out = []
-        for i in range(self.a):
-            b = 4 * i
-            out.append((b, b + 3))
-            out.append((b + 3, b + 2))
-            out.append((b + 2, b + 5))
-            if i != self.a - 1:
-                out.append((b + 5, b + 4))
-        return out
-
-    def blocker_offsets(self) -> list[tuple[int, int]]:
-        return [(4 * i, 4 * i + 3) for i in range(self.a)]
-
-    def forcing_offsets(self) -> list[tuple[int, int]]:
-        return [(4 * i + 2, 4 * i + 5) for i in range(self.a)]
-
-    def minus_block_positions(self) -> list[int]:
-        """Block positions (1-based copy index 4i+2) carrying a minus block
-        above and below; empty at k = 1."""
-        if self.k == 1:
-            return []
-        return [4 * i + 2 for i in range(self.a)]
-
-
-def build_variable_gadget(a: int, k: int) -> VariableGadgetPlan:
-    if a < 1 or k < 1:
-        raise ValueError("a >= 1 and k >= 1")
-    return VariableGadgetPlan(a, k)
-
-
-@dataclass(frozen=True)
-class ClauseGadgetPlan:
-    """Two plus blocks, two plain edges, two more plus blocks; legs at the
-    block-pair middles and at the shared vertex of the plain edges."""
-
-    k: int
-
-    @property
-    def joint_count(self) -> int:
-        return 7  # p0..p6
-
-    def unit_types(self) -> list[str]:
-        return ["copy", "copy", "edge", "edge", "copy", "copy"]
-
-    def leg_joints(self) -> list[int]:
-        return [1, 3, 5]
-
-    def f_pattern(self) -> list[tuple[int, int]]:
-        """Edges e1..e5 along the walk p0, p2, p1, p5, p4, p6."""
-        return [(0, 2), (2, 1), (1, 5), (5, 4), (4, 6)]
-
-    def blocker_indices(self) -> list[int]:
-        """Positions of e1, e3, e5 in f_pattern (the literal blockers)."""
-        return [0, 2, 4]
-
-    def minus_blocks(self) -> tuple[int, int]:
-        """(top, bottom) minus-block counts; zero size at k = 1."""
-        return (3, 2)
-
-
-def build_clause_gadget(k: int) -> ClauseGadgetPlan:
-    if k < 1:
-        raise ValueError("k >= 1")
-    return ClauseGadgetPlan(k)
+# Clause edges e1..e5 as joint-index pairs along the walk p0, p2, p1, p5,
+# p4, p6: two plus blocks, two plain edges, two more plus blocks, with legs
+# at p1, p3 and p5.  e1, e3 and e5 block the literal legs.
+_CLAUSE_F = ((0, 2), (2, 1), (1, 5), (5, 4), (4, 6))
 
 
 # --- atlas ---------------------------------------------------------------------
@@ -266,7 +147,6 @@ def build_clause_gadget(k: int) -> ClauseGadgetPlan:
 @dataclass
 class GadgetAtlas:
     plus_blocks: list[dict] = field(default_factory=list)
-    minus_blocks: list[dict] = field(default_factory=list)
     variable_gadgets: list[dict] = field(default_factory=list)
     clause_gadgets: list[dict] = field(default_factory=list)
     columns: list[dict] = field(default_factory=list)
@@ -294,9 +174,11 @@ class GeometryBuilder:
         return len(self.coords) - 1
 
     def edge(self, u: int, v: int) -> tuple[int, int]:
+        if u == v:
+            raise LayoutInfeasible(f"loop at vertex {u}")
         key = (u, v) if u < v else (v, u)
-        assert key not in self.edge_set, f"duplicate edge {key}"
-        assert u != v
+        if key in self.edge_set:
+            raise LayoutInfeasible(f"duplicate edge {key}")
         self.edge_set.add(key)
         self.adj[u].append(v)
         self.adj[v].append(u)
@@ -352,31 +234,6 @@ class GeometryBuilder:
             atlas.plus_blocks.append({
                 "poles": (pole_a, pole_b), "grid": ids, "k": k})
         return [v for col in grid for v in col]
-
-    def minus_block(self, cx, cy, k: int, atlas: GadgetAtlas | None = None,
-                    tag_extra=()) -> list[list[int]]:
-        """(k-1)^2 grid centered at (cx, cy); rows bottom to top."""
-        m = k - 1
-        rows: list[list[int]] = []
-        for row in range(m):
-            r = []
-            for col in range(m):
-                offx = Fraction(2 * col - (m - 1), 8)
-                offy = Fraction(2 * row - (m - 1), 8)
-                r.append(self.vertex(Fraction(cx) + offx, Fraction(cy) + offy,
-                                     ("minus_grid", *tag_extra, col, row)))
-            rows.append(r)
-        for row in range(m):
-            for col in range(m):
-                if col + 1 < m:
-                    self.edge(rows[row][col], rows[row][col + 1])
-                if row + 1 < m:
-                    self.edge(rows[row][col], rows[row + 1][col])
-        if atlas is not None:
-            atlas.minus_blocks.append({
-                "center": (Fraction(cx), Fraction(cy)),
-                "grid": [v for r in rows for v in r], "k": k})
-        return rows
 
     def build_instance(self, F, k: int, f_structure: str,
                        validate: bool = True) -> Instance:
@@ -437,15 +294,13 @@ def _layout(formula: MonotoneFormula) -> _Layout:
     for (v, _), legs in occ.items():
         a[v] = max(a[v], len(legs))
 
-    bases = []
     x = 0
     pos_of = {v: i for i, v in enumerate(formula.order)}
-    order_base: list[int] = [0] * n
+    bases = [0] * n
     for v in formula.order:
-        order_base[v] = x
+        bases[v] = x
         x += 4 * a[v] + 2
     width = x - 1  # drop the trailing link unit after the last gadget
-    bases = order_base
 
     def slot_x(v: int, j: int) -> int:
         return bases[v] + 4 * j + 2
@@ -531,11 +386,9 @@ def compile_formula(formula: MonotoneFormula, k: int = 1,
     """Build the full insertion instance (and its atlas) for a formula."""
     validate_formula(formula)
     if variant not in ("path", "matching"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if k < 1:
-        raise ValueError("k >= 1")
-    if k > 3:
-        raise ValueError("lane construction implemented for k <= 3")
+        raise StructureMismatch(f"unknown variant {variant!r}")
+    if k != 1:
+        raise KNotOne(f"the compiler builds k = 1 only, not k={k}")
     lay = _layout(formula)
     b = GeometryBuilder()
     atlas = GadgetAtlas()
@@ -555,7 +408,6 @@ def compile_formula(formula: MonotoneFormula, k: int = 1,
             crossing[col.side * j].append(col)
 
     joints: dict[tuple[int, int], int] = {}
-    unit_kind: dict[tuple[int, int], str] = {}  # (layer, left x) -> copy|edge
 
     for layer in signed_layers:
         body_cover: dict[int, _Placement] = {}
@@ -571,27 +423,21 @@ def compile_formula(formula: MonotoneFormula, k: int = 1,
             joints[(layer, x_)] = b.vertex(x_, layer, ("joint", layer, x_))
         for i in range(len(ordered) - 1):
             x1, x2 = ordered[i], ordered[i + 1]
-            kind = "copy"
+            va, vb = joints[(layer, x1)], joints[(layer, x2)]
             pl = body_cover.get(x1)
             if pl is not None and x1 in (pl.p[2], pl.p[3]) and x2 in (
                     pl.p[3], pl.p[4]):
-                kind = "edge"
-            unit_kind[(layer, x1)] = kind
-            va, vb = joints[(layer, x1)], joints[(layer, x2)]
-            if kind == "edge":
-                b.edge(va, vb)
+                b.edge(va, vb)  # the clause body's two plain edges
             else:
                 b.plus_block(va, vb, k, atlas)
 
     # Variable gadget bookkeeping.
     for v in range(formula.variables):
-        plan = build_variable_gadget(lay.a[v], k)
-        base = lay.bases[v]
-        endpoints = [joints[(0, base + off)]
-                     for off in plan.endpoint_offsets()]
+        base, a = lay.bases[v], lay.a[v]
+        endpoints = [joints[(0, base + 4 * i + 2)] for i in range(a)]
         atlas.variable_gadgets.append({
-            "variable": v, "base": base, "a": lay.a[v],
-            "joint_span": (base, base + plan.copies),
+            "variable": v, "base": base, "a": a,
+            "joint_span": (base, base + 4 * a + 1),
             "endpoints": endpoints, "blockers": [], "gadget_f": []})
 
     # Clause gadget bookkeeping.
@@ -602,7 +448,6 @@ def compile_formula(formula: MonotoneFormula, k: int = 1,
             "p_x": list(pl.p), "legs": list(pl.legs), "e": [None] * 5})
 
     # Literal edge columns.
-    col_records = []
     for col in lay.columns:
         v_end = joints[(0, col.x)]
         chain = [v_end]
@@ -616,17 +461,11 @@ def compile_formula(formula: MonotoneFormula, k: int = 1,
         rec = {"var": col.var, "side": col.side, "slot": col.slot,
                "x": col.x, "clause": col.clause, "leg": col.leg,
                "top": col.top, "literal_edges": edges, "blockers": []}
-        col_records.append(rec)
         atlas.columns.append(rec)
         atlas.literal_edges.extend(edges)
 
-    # Lane structures give every literal edge k-1 crossings (k >= 2).
-    lane_f: list[tuple[tuple[int, int], list]] = []
-    if k >= 2:
-        lane_f = _build_lanes(b, atlas, lay, joints, k, col_records)
-
     # Vertical connectors and ties between consecutive layers.
-    gap_records = []
+    connectors: list[tuple[int, int]] = []
     for i in range(len(signed_layers) - 1):
         low, high = signed_layers[i], signed_layers[i + 1]
         snake_right = i % 2 == 0
@@ -635,46 +474,27 @@ def compile_formula(formula: MonotoneFormula, k: int = 1,
         pa, pb = joints[(low, end)], joints[(high, end)]
         if variant == "path":
             b.plus_block(pa, pb, k, atlas, perp=(1, 0))
-            connector_f = (pa, pb)
         else:
             b.edge(pa, pb)
-            connector_f = None
         b.edge(joints[(low, other)], joints[(high, other)])  # tie
-        gap_records.append({"low": low, "high": high, "end_x": end,
-                            "connector_f": connector_f})
+        connectors.append((pa, pb))
 
     # --- assemble F --------------------------------------------------------
 
     fpairs: list[tuple[int, int]] = []
-    f_meta: list[tuple] = []
-
-    def add_f(uv: tuple[int, int], meta: tuple) -> int:
-        fpairs.append(uv)
-        f_meta.append(meta)
-        return len(fpairs) - 1
 
     def layer_edges(layer: int) -> list[tuple[tuple[int, int], tuple]]:
         """Layer subpath, left to right, as ((u, v), meta) records."""
         out = []
         if layer == 0:
             for v in formula.order:
-                plan = build_variable_gadget(lay.a[v], k)
                 base = lay.bases[v]
-                blockers = {t: i for i, t in enumerate(plan.blocker_offsets())}
-                forcing = set(plan.forcing_offsets())
-                for (o1, o2) in plan.f_pattern():
-                    key = (min(o1, o2), max(o1, o2))
-                    if key in blockers:
-                        meta = ("vblock", v, blockers[key])
-                    elif key in forcing:
-                        meta = ("vforce", v)
-                    else:
-                        meta = ("vlink", v)
-                        if variant == "matching":
-                            continue
+                for (o1, o2), role, i in _variable_f(lay.a[v]):
+                    if role == "vlink" and variant == "matching":
+                        continue
                     out.append(((joints[(0, base + o1)],
-                                 joints[(0, base + o2)]), meta))
-                end = base + plan.copies
+                                 joints[(0, base + o2)]), (role, v, i)))
+                end = base + 4 * lay.a[v] + 1
                 if end < W and variant == "path":
                     out.append(((joints[(0, end)], joints[(0, end + 1)]),
                                 ("link",)))
@@ -685,8 +505,7 @@ def compile_formula(formula: MonotoneFormula, k: int = 1,
         while cur < W:
             pl = bodies.get(cur)
             if pl is not None:
-                pattern = build_clause_gadget(k).f_pattern()
-                for ei, (o1, o2) in enumerate(pattern):
+                for ei, (o1, o2) in enumerate(_CLAUSE_F):
                     if ei in (1, 3) and variant == "matching":
                         continue
                     out.append(((joints[(layer, pl.p[o1])],
@@ -704,31 +523,21 @@ def compile_formula(formula: MonotoneFormula, k: int = 1,
                 cur += 1
         return out
 
-    lane_by_gap: dict[int, list] = defaultdict(list)
-    for uv, meta in lane_f:
-        lane_by_gap[meta[1]].append((uv, meta))
-
     for i, layer in enumerate(signed_layers):
         edges = layer_edges(layer)
         if i % 2 == 1:
             edges = [((vv, uu), meta) for ((uu, vv), meta) in reversed(edges)]
         for uv, meta in edges:
-            idx = add_f(uv, meta)
-            _record_f(atlas, meta, idx)
-        if i < len(signed_layers) - 1:
-            gp = gap_records[i]
-            if variant == "path" and gp["connector_f"] is not None:
-                add_f(gp["connector_f"], ("connector", i))
-            for uv, meta in lane_by_gap.get(i, ()):
-                idx = add_f(uv, meta)
-                _record_f(atlas, meta, idx)
+            _record_f(atlas, meta, len(fpairs))
+            fpairs.append(uv)
+        if i < len(signed_layers) - 1 and variant == "path":
+            fpairs.append(connectors[i])
 
     atlas.f_order = list(fpairs)
     atlas.joints = joints
     atlas.vertex_tags = list(b.tags)
 
-    structure = variant
-    inst = b.build_instance(fpairs, k, f_structure=structure,
+    inst = b.build_instance(fpairs, k, f_structure=variant,
                             validate=validate)
     return inst, atlas
 
@@ -748,6 +557,5 @@ def _record_f(atlas: GadgetAtlas, meta: tuple, idx: int) -> None:
         for rec in atlas.columns:
             if rec["clause"] is not None and rec["x"] == x and \
                     rec["side"] * abs(layer) == layer and \
-                    rec["side"] == (1 if layer > 0 else -1) and \
                     abs(layer) < rec["top"]:
                 rec["blockers"].append((abs(layer), idx))

@@ -70,9 +70,6 @@ class OptionCatalog:
     def alive_options(self, f_edge: int) -> list[int]:
         return [o for o in self.f_options[f_edge] if self.alive[o]]
 
-    def total_alive(self) -> int:
-        return sum(self.alive)
-
 
 class ClashGraph:
     def __init__(self, n_options: int):

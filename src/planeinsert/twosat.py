@@ -43,10 +43,6 @@ class TwoSatFormula:
         self._packed.append(_code(a))
         self._packed.append(_code(b))
 
-    def add_implication(self, a: Literal, b: Literal) -> None:
-        """a -> b, i.e. the clause (not a) or b."""
-        self.add_clause((a[0], not a[1]), b)
-
     def packed_codes(self) -> array:
         if len(self._packed) != 2 * len(self.clauses):
             repacked = array("q")

@@ -204,7 +204,11 @@ class PlanarizedDrawing:
             if pinned is not None and depth == len(pinned):
                 return
             want = pinned[depth] if pinned is not None else None
-            cand = cycle if rng is None else _shuffled(cycle, rng)
+            if rng is None:
+                cand = cycle
+            else:
+                cand = list(cycle)
+                rng.shuffle(cand)
             for d in cand:
                 L = owner[d >> 1]
                 if want is not None:
@@ -222,7 +226,7 @@ class PlanarizedDrawing:
 
         start_positions = list(range(len(self.rot[u])))
         if rng is not None:
-            _shuffle_inplace(start_positions, rng)
+            rng.shuffle(start_positions)
         for p in start_positions:
             before = len(results)
             stage(self.rot[u][p], 0, [], set())
@@ -314,18 +318,6 @@ class PlanarizedDrawing:
             assert len(self.rot[m]) in (2, 4), f"dummy {m} degree"
         for logical, segs in enumerate(self.segments):
             assert len(segs) == self.count[logical] + 1 or not segs
-
-
-def _shuffled(items: list[int], rng: Lcg64) -> list[int]:
-    out = list(items)
-    _shuffle_inplace(out, rng)
-    return out
-
-
-def _shuffle_inplace(items: list[int], rng: Lcg64) -> None:
-    for i in range(len(items) - 1, 0, -1):
-        j = rng.below(i + 1)
-        items[i], items[j] = items[j], items[i]
 
 
 def planarize_insert(pd: PlanarizedDrawing, f_edge: tuple[int, int],
