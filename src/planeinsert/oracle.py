@@ -7,19 +7,21 @@ joint assignment is double-checked against the verifier).
 exact_solve_general searches face-walk realizations in the evolving
 planarization for any k, in input order with canonical branching, and is
 complete within its node budget: Infeasible is only reported after the
-whole space is exhausted.
+whole space is exhausted.  Budgets count search nodes (realizations
+inserted) only, never wall-clock time, so a seeded verdict does not depend
+on the machine.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
 from ._rng import Lcg64
-from .errors import SearchSpaceTooLarge
+from .errors import SearchBudgetExceeded, SearchSpaceTooLarge
 from .instance_io import CrossingEvent, Instance, Route, Solution
+from .search import backtrack
 from .tri_insert import compute_clashes, enumerate_options
 from .verdicts import Verdict
 from .verifier import PlanarizedDrawing, verify
@@ -28,7 +30,6 @@ from .verifier import PlanarizedDrawing, verify
 @dataclass(frozen=True)
 class SearchLimits:
     node_budget: int = 10_000_000
-    seconds: float | None = None
 
 
 def exact_solve_triangulation(inst: Instance, guard: int = 10_000_000,
@@ -58,7 +59,7 @@ def exact_solve_triangulation(inst: Instance, guard: int = 10_000_000,
             assert clash_free == accepted, (
                 f"clash rule disagrees with verifier on {assignment}")
 
-    first = _first_clash_free(catalog, clashes, option_lists)
+    first = _first_clash_free(clashes, option_lists)
     if first is None:
         return Verdict.INFEASIBLE
     sol = _assignment_solution(inst, catalog, first)
@@ -77,23 +78,17 @@ def _clash_free(catalog, clashes, assignment) -> bool:
     return True
 
 
-def _first_clash_free(catalog, clashes, option_lists):
-    m = len(option_lists)
+def _first_clash_free(clashes, option_lists) -> list[int] | None:
     chosen: list[int] = []
 
-    def go(i: int) -> bool:
-        if i == m:
-            return True
-        for o in option_lists[i]:
-            if any(o in clashes.adj[c] for c in chosen):
-                continue
-            chosen.append(o)
-            if go(i + 1):
-                return True
-            chosen.pop()
-        return False
+    def choices(i: int):
+        return (o for o in option_lists[i]
+                if not any(o in clashes.adj[c] for c in chosen))
 
-    return tuple(chosen) if go(0) else None
+    for _ in backtrack(len(option_lists), choices,
+                       lambda i, o: chosen.append(o), lambda i: chosen.pop()):
+        return chosen
+    return None
 
 
 def _assignment_solution(inst, catalog, assignment) -> Solution:
@@ -107,26 +102,6 @@ def _assignment_solution(inst, catalog, assignment) -> Solution:
 
 
 # --- general search ----------------------------------------------------------
-
-
-class _Budget:
-    def __init__(self, limits: SearchLimits):
-        self.nodes = 0
-        self.limit = limits.node_budget
-        self.deadline = (time.monotonic() + limits.seconds
-                         if limits.seconds else None)
-        self.exhausted = False
-
-    def tick(self) -> bool:
-        self.nodes += 1
-        if self.nodes > self.limit:
-            self.exhausted = True
-            return False
-        if self.deadline is not None and not (self.nodes & 0xFFF):
-            if time.monotonic() > self.deadline:
-                self.exhausted = True
-                return False
-        return True
 
 
 def _route_of(pd: PlanarizedDrawing, inst: Instance, f: int,
@@ -144,42 +119,47 @@ def _route_of(pd: PlanarizedDrawing, inst: Instance, f: int,
     return Route(f, tuple(events))
 
 
+def _search(inst: Instance, limits: SearchLimits,
+            rng: Lcg64 | None = None) -> Iterator[list[Route]]:
+    """Routes of every complete realization, depth-first in input order;
+    raises SearchBudgetExceeded past limits.node_budget insertions."""
+    pd = PlanarizedDrawing(inst)
+    routes: list[Route] = []
+    tokens: list[int] = []
+
+    def choices(i: int):
+        u, v = inst.F[i]
+        return pd.enumerate_realizations(u, v, None, inst.k, rng=rng)
+
+    def enter(i: int, real) -> None:
+        tokens.append(pd.insert(*inst.F[i], real))
+        routes.append(_route_of(pd, inst, i, real.crossings))
+
+    def leave(i: int) -> None:
+        routes.pop()
+        pd.undo(tokens.pop())
+
+    for _ in backtrack(len(inst.F), choices, enter, leave,
+                       limits.node_budget):
+        yield routes
+
+
 def exact_solve_general(inst: Instance,
                         limits: SearchLimits = SearchLimits(),
                         seed: int | None = None
                         ) -> Solution | Verdict:
     """Complete search for any k on small instances."""
-    m = len(inst.F)
-    pd = PlanarizedDrawing(inst)
-    budget = _Budget(limits)
     rng = Lcg64(seed) if seed is not None else None
-    routes: list[Route] = []
-
-    def go(i: int) -> bool:
-        if i == m:
-            return True
-        u, v = inst.F[i]
-        reals = pd.enumerate_realizations(u, v, None, inst.k, rng=rng)
-        for real in reals:
-            if not budget.tick():
-                return False
-            tok = pd.insert(u, v, real)
-            routes.append(_route_of(pd, inst, i, real.crossings))
-            if go(i + 1):
-                return True
-            routes.pop()
-            pd.undo(tok)
-        return False
-
-    found = go(0)
-    if found:
-        sol = Solution(tuple(routes))
-        check = verify(inst, sol)
-        assert check.accepted, f"general oracle emitted rejected: {check}"
-        return sol
-    if budget.exhausted:
+    try:
+        routes = next(_search(inst, limits, rng), None)
+    except SearchBudgetExceeded:
         return Verdict.BUDGET_EXCEEDED
-    return Verdict.INFEASIBLE
+    if routes is None:
+        return Verdict.INFEASIBLE
+    sol = Solution(tuple(routes))
+    check = verify(inst, sol)
+    assert check.accepted, f"general oracle emitted rejected: {check}"
+    return sol
 
 
 def iter_solutions(inst: Instance,
@@ -190,32 +170,16 @@ def iter_solutions(inst: Instance,
     space is exhausted, so callers never mistake a truncated enumeration
     for a complete one.
     """
-    m = len(inst.F)
-    pd = PlanarizedDrawing(inst)
-    budget = _Budget(limits)
-    routes: list[Route] = []
     seen: set[tuple] = set()
     out: list[Solution] = []
-
-    def go(i: int) -> None:
-        if i == m:
+    try:
+        for routes in _search(inst, limits):
             sig = tuple(tuple((ev.kind, ev.target) for ev in r.events)
                         for r in routes)
             if sig not in seen:
                 seen.add(sig)
                 out.append(Solution(tuple(routes)))
-            return
-        u, v = inst.F[i]
-        reals = pd.enumerate_realizations(u, v, None, inst.k)
-        for real in reals:
-            if not budget.tick():
-                raise SearchSpaceTooLarge(
-                    f"enumeration exceeded {limits.node_budget} nodes")
-            tok = pd.insert(u, v, real)
-            routes.append(_route_of(pd, inst, i, real.crossings))
-            go(i + 1)
-            routes.pop()
-            pd.undo(tok)
-
-    go(0)
+    except SearchBudgetExceeded as exc:
+        raise SearchSpaceTooLarge(
+            f"enumeration exceeded {limits.node_budget} nodes") from exc
     return iter(out)

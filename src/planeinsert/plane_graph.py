@@ -29,6 +29,7 @@ from .errors import (
     NotPlanarEmbedding,
     NotTriangle,
 )
+from .search import backtrack
 
 # A plane rotation of K4: faces (0,1,2), (0,2,3), (0,3,1) and outer (2,1,3).
 K4_ROTATION: list[list[int]] = [[1, 3, 2], [0, 2, 3], [1, 0, 3], [2, 0, 1]]
@@ -345,12 +346,13 @@ def generate_stacked_triangulation(n: int, seed: int) -> PlaneGraph:
     # Inner faces in orbit order; the outer face (2,1,3) is never stacked.
     faces: list[tuple[int, int, int]] = [(0, 1, 2), (0, 2, 3), (0, 3, 1)]
     for x in range(4, n):
-        a, b, c = faces[rng.below(len(faces))]
+        i = rng.below(len(faces))
+        a, b, c = faces[i]
         rot[a].insert(rot[a].index(c) + 1, x)
         rot[b].insert(rot[b].index(a) + 1, x)
         rot[c].insert(rot[c].index(b) + 1, x)
         rot.append([c, b, a])
-        faces[faces.index((a, b, c))] = (a, b, x)
+        faces[i] = (a, b, x)
         faces.append((b, c, x))
         faces.append((c, a, x))
     g = build_from_rotation(n, rot)
@@ -387,6 +389,10 @@ def sample_complement_edges(g: PlaneGraph, m: int, seed: int,
         return []
     rng = Lcg64(seed)
     n = g.vertex_count
+    if (structure == "matching" and 2 * m > n
+            or structure == "path" and m + 1 > n):
+        raise InsufficientComplementPairs(
+            f"no {structure} of size {m} in the complement")
 
     if n <= 1024:
         pool = complement_pairs(g)
@@ -399,7 +405,7 @@ def sample_complement_edges(g: PlaneGraph, m: int, seed: int,
         if structure == "matching":
             result = _matching_backtrack(pool, m)
         else:
-            result = _path_backtrack(pool, m, n)
+            result = _path_backtrack(pool, m)
         if result is None:
             raise InsufficientComplementPairs(
                 f"no {structure} of size {m} in the complement")
@@ -412,68 +418,54 @@ def sample_complement_edges(g: PlaneGraph, m: int, seed: int,
 
 def _matching_backtrack(pool: list[tuple[int, int]],
                         m: int) -> list[tuple[int, int]] | None:
-    chosen: list[tuple[int, int]] = []
+    picked: list[int] = []  # pool indices, increasing
     used: set[int] = set()
 
-    def go(start: int) -> bool:
-        if len(chosen) == m:
-            return True
-        if m - len(chosen) > len(pool) - start:
-            return False
-        for i in range(start, len(pool)):
-            u, v = pool[i]
-            if u in used or v in used:
-                continue
-            chosen.append((u, v))
-            used.add(u)
-            used.add(v)
-            if go(i + 1):
-                return True
-            chosen.pop()
-            used.discard(u)
-            used.discard(v)
-        return False
+    def choices(i: int):
+        start = picked[-1] + 1 if picked else 0
+        if m - i > len(pool) - start:
+            return ()
+        return (j for j in range(start, len(pool))
+                if pool[j][0] not in used and pool[j][1] not in used)
 
-    return chosen if go(0) else None
+    def enter(i: int, j: int) -> None:
+        picked.append(j)
+        used.update(pool[j])
+
+    def leave(i: int) -> None:
+        used.difference_update(pool[picked.pop()])
+
+    for _ in backtrack(m, choices, enter, leave):
+        return [pool[j] for j in picked]
+    return None
 
 
-def _path_backtrack(pool: list[tuple[int, int]], m: int,
-                    n: int) -> list[tuple[int, int]] | None:
-    # Adjacency of the complement restricted to the shuffled pool order.
+def _path_backtrack(pool: list[tuple[int, int]],
+                    m: int) -> list[tuple[int, int]] | None:
+    # Complement adjacency in shuffled pool order; its keys, in order of
+    # first appearance, are the start vertices tried at level 0.
     nbr: dict[int, list[int]] = {}
-    starts: list[int] = []
-    seen_start: set[int] = set()
     for u, v in pool:
         nbr.setdefault(u, []).append(v)
         nbr.setdefault(v, []).append(u)
-        for w in (u, v):
-            if w not in seen_start:
-                seen_start.add(w)
-                starts.append(w)
 
     path: list[int] = []
     on_path: set[int] = set()
 
-    def extend() -> bool:
-        if len(path) == m + 1:
-            return True
-        cur = path[-1]
-        for w in nbr.get(cur, ()):
-            if w in on_path:
-                continue
-            path.append(w)
-            on_path.add(w)
-            if extend():
-                return True
-            path.pop()
-            on_path.discard(w)
-        return False
+    def choices(i: int):
+        if i == 0:
+            return nbr
+        return (w for w in nbr.get(path[-1], ()) if w not in on_path)
 
-    for s in starts:
-        path = [s]
-        on_path = {s}
-        if extend():
-            return [(path[i], path[i + 1]) for i in range(m)]
+    def enter(i: int, w: int) -> None:
+        path.append(w)
+        on_path.add(w)
+
+    def leave(i: int) -> None:
+        on_path.discard(path.pop())
+
+    for _ in backtrack(m + 1, choices, enter, leave):
+        return [(path[i], path[i + 1]) for i in range(m)]
     return None
 
 

@@ -18,12 +18,13 @@ table is maintained, and every mutation is journaled for exact undo.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._rng import Lcg64
-from .errors import InvalidRealization, SearchBudgetExceeded
+from .errors import InvalidRealization
 from .instance_io import Instance, Solution
 from .plane_graph import PlaneGraph
+from .search import backtrack
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,8 @@ class PlanarizedDrawing:
         self.graph_edges = g.edge_count
         self.segments: list[list[int]] = []
         self.count: list[int] = []
-        self.log_ends: list[tuple[int, int]] = []
+        # Logical edges at each original vertex, in creation order.
+        self.incident: list[list[int]] = [[] for _ in range(g.vertex_count)]
         self.journal: list[tuple] = []
 
         for e in range(g.edge_count):
@@ -69,7 +71,8 @@ class PlanarizedDrawing:
             self.owner.append(e)
             self.segments.append([2 * e])
             self.count.append(0)
-            self.log_ends.append((a, b))
+            self.incident[a].append(e)
+            self.incident[b].append(e)
         for v in range(g.vertex_count):
             row = []
             for d in g.darts_at(v):
@@ -160,7 +163,8 @@ class PlanarizedDrawing:
             elif tag == "lg":
                 self.segments.pop()
                 self.count.pop()
-                self.log_ends.pop()
+                self.incident[op[1]].pop()
+                self.incident[op[2]].pop()
             else:  # pragma: no cover
                 raise AssertionError(tag)
 
@@ -168,11 +172,7 @@ class PlanarizedDrawing:
 
     def adjacent_logicals(self, u: int, v: int) -> set[int]:
         """Logical edges sharing an endpoint with (u, v): never crossable."""
-        out = set()
-        for L, (a, b) in enumerate(self.log_ends):
-            if a in (u, v) or b in (u, v):
-                out.add(L)
-        return out
+        return {*self.incident[u], *self.incident[v]}
 
     def enumerate_realizations(self, u: int, v: int,
                                pinned: Sequence[int] | None,
@@ -246,8 +246,9 @@ class PlanarizedDrawing:
         logical = len(self.segments)
         self.segments.append([])
         self.count.append(0)
-        self.log_ends.append((u, v))
-        self.journal.append(("lg",))
+        self.incident[u].append(logical)
+        self.incident[v].append(logical)
+        self.journal.append(("lg", u, v))
 
         entry_corner: list[int] = []
         exit_corner: list[int] = []
@@ -359,7 +360,8 @@ def _check_realization(pd: PlanarizedDrawing, u: int, v: int,
 def verify(inst: Instance, sol: Solution, seed: int | None = None,
            node_budget: int = 2_000_000) -> VerifyResult:
     """Replay a solution; Accepted iff some joint realization of all routes
-    exists and every edge ends with at most k crossings."""
+    exists and every edge ends with at most k crossings.  Raises
+    SearchBudgetExceeded past node_budget inserted realizations."""
     if len(sol.routes) != len(inst.F):
         return VerifyResult(False, "no_realization", None,
                             f"{len(sol.routes)} routes for {len(inst.F)} edges")
@@ -415,28 +417,23 @@ def verify(inst: Instance, sol: Solution, seed: int | None = None,
 
     pd = PlanarizedDrawing(inst)
     rng = Lcg64(seed) if seed is not None else None
-    nodes = 0
+    tokens: list[int] = []
     deepest = 0
 
-    def go(i: int) -> bool:
-        nonlocal nodes, deepest
-        if i == m:
-            return True
+    def choices(i: int) -> list[Realization]:
+        nonlocal deepest
         deepest = max(deepest, i)
         u, v = inst.F[i]
-        reals = pd.enumerate_realizations(u, v, pinned_all[i],
-                                          len(pinned_all[i]), rng=rng)
-        for real in reals:
-            nodes += 1
-            if nodes > node_budget:
-                raise SearchBudgetExceeded(f"verify exceeded {node_budget}")
-            tok = pd.insert(u, v, real)
-            if go(i + 1):
-                return True
-            pd.undo(tok)
-        return False
+        return pd.enumerate_realizations(u, v, pinned_all[i],
+                                         len(pinned_all[i]), rng=rng)
 
-    if go(0):
+    def enter(i: int, real: Realization) -> None:
+        tokens.append(pd.insert(*inst.F[i], real))
+
+    def leave(i: int) -> None:
+        pd.undo(tokens.pop())
+
+    for _ in backtrack(m, choices, enter, leave, node_budget):
         assert all(c <= k for c in pd.count)
         return VerifyResult(True)
     return VerifyResult(False, "no_realization", deepest,

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from planeinsert._rng import Lcg64
 from planeinsert.errors import InsufficientComplementPairs
 from planeinsert.instance_io import Instance, make_instance
 from planeinsert.plane_graph import (
+    PlaneGraph,
+    apex_pair,
     generate_stacked_triangulation,
     sample_complement_edges,
 )
@@ -39,3 +42,44 @@ def instance_stream(count: int, start_seed: int = 0, **kw):
             continue
         produced += 1
         yield inst
+
+
+def planted_single_options(g: PlaneGraph, seed: int) -> list[tuple[int, int]]:
+    """Non-edges of a triangulation with exactly one single-crossing option
+    each, whose options pairwise do not clash, so the instance is feasible
+    for k = 1.
+
+    Pair (u, v) has an option through graph edge e when the two faces of e
+    have apexes u and v; two options clash when one crosses a boundary edge
+    of the other's quadrilateral.  Pairs are tried in seeded order and kept
+    only when neither their option nor any kept one crosses the other's
+    quadrilateral.
+    """
+    options: dict[tuple[int, int], list[int]] = {}
+    for e in range(g.edge_count):
+        pair = tuple(sorted(apex_pair(g, e)))
+        if not g.has_edge(*pair):
+            options.setdefault(pair, []).append(e)
+    pairs = sorted(p for p, es in options.items() if len(es) == 1)
+    Lcg64(seed).shuffle(pairs)
+    crossed: set[int] = set()
+    on_quad: set[int] = set()
+    F = []
+    for pair in pairs:
+        e = options[pair][0]
+        x, w = g.edge_endpoints(e)
+        a1, a2 = apex_pair(g, e)
+        quad = {g.edge_between(a, b)
+                for a, b in ((a1, x), (x, a2), (a2, w), (w, a1))}
+        if e in on_quad or crossed & quad:
+            continue
+        crossed.add(e)
+        on_quad |= quad
+        F.append(pair)
+    return F
+
+
+def planted_instance(n: int, seed: int) -> Instance:
+    """Seeded stacked triangulation with its planted single-option F."""
+    g = generate_stacked_triangulation(n, seed)
+    return make_instance(g, planted_single_options(g, seed))

@@ -12,11 +12,12 @@ from planeinsert.oracle import (
     exact_solve_triangulation,
     iter_solutions,
 )
+from planeinsert.tri_insert import solve
 from planeinsert.verdicts import Verdict
 from planeinsert.verifier import verify
 
 from fixtures import apollonian7, cube, octahedron
-from instance_gen import instance_stream
+from instance_gen import instance_stream, planted_instance
 
 
 class TestTriangulationOracle:
@@ -39,6 +40,12 @@ class TestTriangulationOracle:
         inst = make_instance(octahedron(), [(0, 5), (1, 3), (2, 4)])
         with pytest.raises(SearchSpaceTooLarge):
             exact_solve_triangulation(inst, guard=10)
+
+    def test_past_recursion_depth(self):
+        # Every edge has one option, so the only assignment is the solver's.
+        inst = planted_instance(3000, 1)
+        assert len(inst.F) >= 1100
+        assert exact_solve_triangulation(inst) == solve(inst)
 
     def test_lexicographic_first(self):
         inst = make_instance(octahedron(), [(0, 5), (1, 3), (2, 4)])
@@ -96,3 +103,8 @@ class TestGeneralOracle:
             assert verify(inst, s).accepted
         # Feasible pairs of options: 4x4 minus clashing pairs (2 per option).
         assert len(sols) == 8
+
+    def test_iter_solutions_budget(self):
+        inst = make_instance(octahedron(), [(0, 5), (1, 3)])
+        with pytest.raises(SearchSpaceTooLarge):
+            list(iter_solutions(inst, SearchLimits(1)))

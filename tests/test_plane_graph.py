@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,6 +171,16 @@ class TestStackedGenerator:
         with pytest.raises(ValueError):
             generate_stacked_triangulation(3, 0)
 
+    def test_seeded_output_is_pinned(self):
+        # Seeded instances must stay byte-identical across refactors.
+        h = hashlib.sha256()
+        for seed in range(201):
+            for n in (4, 5, 17, 300):
+                g = generate_stacked_triangulation(n, seed)
+                h.update(repr(g.rotation()).encode())
+        assert h.hexdigest() == ("cfa37b3c271f686766a672991d5fd9cf"
+                                 "7035e33237e1ed0784b2ef0abdaf0429")
+
     def test_outer_face_is_triangle(self):
         g = generate_stacked_triangulation(25, 5)
         assert g.face_degree(g.outer_face) == 3
@@ -196,6 +208,25 @@ class TestComplementSampler:
         assert complement_pairs(g) == [(0, 5), (1, 3), (2, 4)]
         got = sample_complement_edges(g, 3, 17, structure="matching")
         assert sorted(got) == [(0, 5), (1, 3), (2, 4)]
+
+    def test_impossible_structures_rejected_by_count(self):
+        # Too few vertices: rejected by counting, before any search.
+        g = generate_stacked_triangulation(17, 0)
+        with pytest.raises(InsufficientComplementPairs,
+                           match="no matching of size 9"):
+            sample_complement_edges(g, 9, 0, structure="matching")
+        g = generate_stacked_triangulation(12, 0)
+        with pytest.raises(InsufficientComplementPairs,
+                           match="no path of size 12"):
+            sample_complement_edges(g, 12, 0, structure="path")
+
+    def test_path_past_recursion_depth(self):
+        g = generate_stacked_triangulation(1024, 5)
+        pairs = sample_complement_edges(g, 1000, 5, structure="path")
+        verts = [pairs[0][0]] + [v for _, v in pairs]
+        assert all(pairs[i][1] == pairs[i + 1][0] for i in range(999))
+        assert len(set(verts)) == 1001
+        assert not any(g.has_edge(u, v) for u, v in pairs)
 
     def test_deterministic(self):
         g = generate_stacked_triangulation(14, 2)

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from planeinsert.errors import InvalidRealization, SchemaError
+from planeinsert.errors import (
+    InvalidRealization,
+    SchemaError,
+    SearchBudgetExceeded,
+)
 from planeinsert.instance_io import (
     CrossingEvent,
     Route,
@@ -12,6 +16,7 @@ from planeinsert.instance_io import (
     make_instance,
     parse_solution,
 )
+from planeinsert.tri_insert import solve
 from planeinsert.verifier import (
     PlanarizedDrawing,
     Realization,
@@ -20,6 +25,7 @@ from planeinsert.verifier import (
 )
 
 from fixtures import cube, octahedron
+from instance_gen import planted_instance
 
 
 def route(i, *pairs):
@@ -120,6 +126,21 @@ class TestVerify:
             assert verify(inst, good, seed=seed).accepted
             assert not verify(inst, bad, seed=seed).accepted
 
+    def test_node_budget_raises(self):
+        inst = octa_instance()
+        good = Solution((route(0, (1, 2)), route(1, (0, 4)), route(2, (5, 3))))
+        with pytest.raises(SearchBudgetExceeded):
+            verify(inst, good, node_budget=1)
+
+    def test_solver_certificate_past_recursion_depth(self):
+        # One route per search level: more than Python's default recursion
+        # limit of 1,000 levels.
+        inst = planted_instance(3000, 1)
+        assert len(inst.F) >= 1100
+        sol = solve(inst)
+        assert isinstance(sol, Solution)
+        assert verify(inst, sol).accepted
+
     def test_inserted_edge_crossing(self):
         # Cube with two crossing diagonals of one face needs k >= 1 on both;
         # the second route crosses the first inserted edge.
@@ -189,3 +210,32 @@ class TestEngine:
         pd.undo(tok)
         assert [list(r) for r in pd.rot] == snapshot
         assert pd.count == [0] * len(pd.count)
+
+    def test_adjacent_logicals_tracks_inserts_and_undos(self):
+        inst = make_instance(cube(), [(0, 2), (1, 3), (4, 6)], k=1)
+        pd = PlanarizedDrawing(inst)
+        g = inst.graph
+        ends = [g.edge_endpoints(e) for e in range(g.edge_count)]
+
+        def check(inserted):
+            for u in range(g.vertex_count):
+                for v in range(u + 1, g.vertex_count):
+                    want = {L for L, (a, b) in
+                            enumerate(ends + list(inst.F[:inserted]))
+                            if {a, b} & {u, v}}
+                    assert pd.adjacent_logicals(u, v) == want
+
+        check(0)
+        tokens = []
+        for i, (u, v) in enumerate(inst.F):
+            real = pd.enumerate_realizations(u, v, None, 1)[0]
+            tokens.append(pd.insert(u, v, real))
+            check(i + 1)
+        pd.undo(tokens.pop())
+        check(2)
+        pd.undo(tokens[0])
+        check(0)
+        real = pd.enumerate_realizations(4, 6, None, 1)[0]
+        pd.insert(4, 6, real)  # reuses logical id E, freed by the undo
+        assert g.edge_count in pd.adjacent_logicals(4, 5)
+        assert g.edge_count not in pd.adjacent_logicals(0, 1)
