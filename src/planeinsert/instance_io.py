@@ -92,10 +92,6 @@ class Instance:
     k: int
     f_structure: str = "none"
 
-    def f_index(self) -> dict[tuple[int, int], int]:
-        """Keyed lookup from normalized endpoint pair to F position."""
-        return {_norm(p): i for i, p in enumerate(self.F)}
-
 
 def _norm(pair) -> tuple[int, int]:
     u, v = pair

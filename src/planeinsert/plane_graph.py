@@ -10,14 +10,28 @@ zero, which is the planarity criterion used here.
 
 Vertices, darts, edges and faces are dense integer indices.  Dart ``d``
 of vertex ``v`` occupies slot ``d - offset(v)`` of ``v``'s rotation, so
-rotation-next is index arithmetic and needs no stored pointer.
+rotation-next is index arithmetic and needs no stored pointer.  The
+numbering is fixed:
+
+- darts follow the rotation, vertex by vertex;
+- the twin of dart u -> v is the dart v -> u.  build_from_rotation pairs
+  them with one stable sort of the undirected key
+  ``min(u,v)*n + max(u,v)``: every key must occur exactly twice, with two
+  different tails;
+- edge e is the e-th dart u -> v with u < v, in dart order, and its
+  endpoints are (u, v);
+- faces are numbered by their least dart: face f is the orbit whose least
+  dart is the f-th smallest of all orbit minima.  build_from_rotation finds
+  each dart's orbit minimum by pointer doubling over succ.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, NoReturn, Sequence
+
+import numpy as np
 
 from ._rng import Lcg64
 from .errors import (
@@ -104,6 +118,13 @@ class PlaneGraph:
     def face_of(self, d: int) -> int:
         return self._face[d]
 
+    def table(self, name: str) -> np.ndarray:
+        """Read-only int64 view of a dart or edge table ("head", "twin",
+        "edge", "edge_dart", "eu", ...), for whole-array kernels."""
+        view = np.frombuffer(getattr(self, "_" + name), dtype=np.int64)
+        view.flags.writeable = False
+        return view
+
     # -- vertices ------------------------------------------------------------
 
     def degree(self, v: int) -> int:
@@ -129,11 +150,22 @@ class PlaneGraph:
         return d, self._twin[d]
 
     def dart_between(self, u: int, v: int) -> int | None:
-        """Dart from u to v, or None when (u, v) is not an edge."""
-        for d in self.darts_at(u):
-            if self._head[d] == v:
-                return d
-        return None
+        """Dart from u to v, or None when (u, v) is not an edge, also when
+        u or v is no vertex.
+
+        Scans the row of the endpoint with the lower degree, so the cost
+        is O(min(deg u, deg v)).
+        """
+        n = self.vertex_count
+        if not (0 <= u < n and 0 <= v < n):
+            return None
+        off = self._offsets
+        try:
+            if off[v + 1] - off[v] < off[u + 1] - off[u]:
+                return self._twin[self._head.index(u, off[v], off[v + 1])]
+            return self._head.index(v, off[u], off[u + 1])
+        except ValueError:
+            return None
 
     def edge_between(self, u: int, v: int) -> int | None:
         d = self.dart_between(u, v)
@@ -179,15 +211,108 @@ def build_from_rotation(vertex_count: int, rotation: Sequence[Sequence[int]]) ->
 
     Raises InvalidRotation for malformed lists, AsymmetricAdjacency when the
     lists are not symmetric, Disconnected for a disconnected graph, and
-    NotPlanarEmbedding when the face count violates Euler's formula.
+    NotPlanarEmbedding when the face count violates Euler's formula.  A
+    neighbor may be any integer, including an object with ``__index__``.
     """
     n = vertex_count
     if n < 2:
         raise InvalidRotation("need at least 2 vertices")
     if len(rotation) != n:
         raise InvalidRotation(f"rotation has {len(rotation)} rows, expected {n}")
+    try:
+        head = array("q", chain.from_iterable(rotation))
+    except (TypeError, OverflowError):
+        _raise_rotation_error(n, rotation)
+    m2 = len(head)  # number of darts = 2E
+    offsets, off = _zeros(n + 1)
+    np.cumsum(np.fromiter(map(len, rotation), np.int64, n), out=off[1:])
+    hd = np.frombuffer(head, dtype=np.int64)
+    tail, tl = _zeros(m2)
+    tl[:] = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
+    if (m2 == 0 or m2 % 2 or hd.min() < 0 or hd.max() >= n
+            or (hd == tl).any()):
+        _raise_rotation_error(n, rotation)
 
-    offsets = array("q", bytes(8 * (n + 1)))
+    # Twins: each undirected key min*n + max must occur exactly twice, with
+    # two different tails.  Sorted keys then come in twin pairs.  The
+    # stable sort is a little slower here than the default one, but it
+    # touches less of numpy's code: the first call costs less memory.
+    key = np.minimum(hd, tl)
+    key *= n
+    key += np.maximum(hd, tl)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    a, b = order[0::2], order[1::2]
+    if not ((key[0::2] == key[1::2]).all()
+            and (key[1:-1:2] != key[2::2]).all()
+            and (tl[a] != tl[b]).all()):
+        _raise_rotation_error(n, rotation)
+    del key
+    twin, tw = _zeros(m2)
+    tw[a] = b
+    tw[b] = a
+    del order, a, b
+
+    # Connectivity (BFS over vertices).
+    seen_v = bytearray(n)
+    seen_v[0] = 1
+    queue = [0]
+    for v in queue:
+        for w in head[offsets[v]:offsets[v + 1]]:
+            if not seen_v[w]:
+                seen_v[w] = 1
+                queue.append(w)
+    if len(queue) != n:
+        raise Disconnected(f"reached {len(queue)} of {n} vertices")
+
+    # Face orbits under succ.  Pointer doubling gives each dart the least
+    # dart of its orbit; faces are numbered in order of that dart.
+    succ = _succ(off, tw)
+    lab = np.arange(m2, dtype=np.int64)
+    jump = succ
+    while True:
+        np.minimum(lab, lab[jump], out=lab)
+        if (lab == lab[succ]).all():
+            break
+        jump = jump[jump]
+    del succ, jump
+    firsts = np.flatnonzero(lab == np.arange(m2, dtype=np.int64))
+    n_edges = m2 // 2
+    n_faces = len(firsts)
+    if n - n_edges + n_faces != 2:
+        raise NotPlanarEmbedding(
+            f"V - E + F = {n} - {n_edges} + {n_faces} != 2")
+    face_dart, fd = _zeros(n_faces)
+    fd[:] = firsts
+    face, fc = _zeros(m2)
+    fc[firsts] = np.arange(n_faces, dtype=np.int64)
+    fc[:] = fc[lab]
+    del firsts, lab
+
+    # Edge e is the e-th u < v dart in dart order.
+    edge_dart, ed = _zeros(n_edges)
+    ed[:] = np.flatnonzero(tl < hd)
+    eu, view = _zeros(n_edges)
+    np.take(tl, ed, out=view)
+    ev, view = _zeros(n_edges)
+    np.take(hd, ed, out=view)
+    edge, eg = _zeros(m2)
+    eg[ed] = eg[tw[ed]] = np.arange(n_edges, dtype=np.int64)
+
+    return PlaneGraph(offsets, head, tail, twin, edge, face, eu, ev,
+                      edge_dart, face_dart)
+
+
+def _zeros(count: int) -> tuple[array, np.ndarray]:
+    """A zero-filled array("q") and a writable int64 view of it."""
+    buf = array("q", [0]) * count
+    return buf, np.frombuffer(buf, dtype=np.int64)
+
+
+def _raise_rotation_error(n: int, rotation) -> NoReturn:
+    """Raise the error of the first defect of a rotation that failed a
+    vector check: a bad, looping or repeated neighbor in the first such
+    row, then an empty or odd dart set, then a dart with no reverse."""
     for v, row in enumerate(rotation):
         seen: set[int] = set()
         for w in row:
@@ -198,100 +323,28 @@ def build_from_rotation(vertex_count: int, rotation: Sequence[Sequence[int]]) ->
             if w in seen:
                 raise InvalidRotation(f"vertex {v}: duplicate neighbor {w}")
             seen.add(w)
-        offsets[v + 1] = offsets[v] + len(row)
-
-    m2 = offsets[n]  # number of darts = 2E
-    if m2 == 0:
+    darts = [(v, w) for v, row in enumerate(rotation) for w in row]
+    if not darts:
         raise InvalidRotation("graph has no edges")
-    if m2 % 2:
+    if len(darts) % 2:
         raise AsymmetricAdjacency("odd number of darts")
-
-    head = array("q", bytes(8 * m2))
-    tail = array("q", bytes(8 * m2))
-    for v, row in enumerate(rotation):
-        base = offsets[v]
-        for i, w in enumerate(row):
-            head[base + i] = w
-            tail[base + i] = v
-
-    twin = array("q", bytes(8 * m2))
-    edge = array("q", bytes(8 * m2))
-    eu = array("q")
-    ev = array("q")
-    edge_dart = array("q")
-
-    # Pair twins without a global hash map: for a dart u->v with u < v, scan
-    # v's slots for the reverse dart.
-    paired = 0
-    for d in range(m2):
-        u = tail[d]
-        v = head[d]
-        if u > v:
-            continue
-        partner = -1
-        for d2 in range(offsets[v], offsets[v + 1]):
-            if head[d2] == u:
-                partner = d2
-                break
-        if partner < 0:
+    present = set(darts)
+    for u, v in darts:
+        if u < v and (v, u) not in present:
             raise AsymmetricAdjacency(f"{u} lists {v} but {v} does not list {u}")
-        e = len(eu)
-        eu.append(u)
-        ev.append(v)
-        edge_dart.append(d)
-        twin[d] = partner
-        twin[partner] = d
-        edge[d] = e
-        edge[partner] = e
-        paired += 2
-    if paired != m2:
-        raise AsymmetricAdjacency("unpaired dart (asymmetric neighbor lists)")
+    raise AsymmetricAdjacency("unpaired dart (asymmetric neighbor lists)")
 
-    # Connectivity (BFS over vertices).
-    seen_v = bytearray(n)
-    seen_v[0] = 1
-    queue = deque([0])
-    reached = 1
-    while queue:
-        v = queue.popleft()
-        for d in range(offsets[v], offsets[v + 1]):
-            w = head[d]
-            if not seen_v[w]:
-                seen_v[w] = 1
-                reached += 1
-                queue.append(w)
-    if reached != n:
-        raise Disconnected(f"reached {reached} of {n} vertices")
 
-    # Face orbits under next(twin(.)).
-    face = array("q", bytes(8 * m2))
-    visited = bytearray(m2)
-    face_dart = array("q")
-    for d0 in range(m2):
-        if visited[d0]:
-            continue
-        f = len(face_dart)
-        face_dart.append(d0)
-        d = d0
-        while True:
-            face[d] = f
-            visited[d] = 1
-            t = twin[d]
-            tt = tail[t]
-            base = offsets[tt]
-            deg = offsets[tt + 1] - base
-            d = base + (t - base + 1) % deg
-            if d == d0:
-                break
+def _succ(offsets: np.ndarray, twin: np.ndarray) -> np.ndarray:
+    """succ(d) = next(twin(d)) for every dart; every degree must be >= 1."""
+    nxt = np.arange(1, len(twin) + 1, dtype=np.int64)
+    nxt[offsets[1:] - 1] = offsets[:-1]
+    return nxt[twin]
 
-    n_edges = m2 // 2
-    n_faces = len(face_dart)
-    if n - n_edges + n_faces != 2:
-        raise NotPlanarEmbedding(
-            f"V - E + F = {n} - {n_edges} + {n_faces} != 2")
 
-    return PlaneGraph(offsets, head, tail, twin, edge, face, eu, ev,
-                      edge_dart, face_dart)
+def succ_array(g: PlaneGraph) -> np.ndarray:
+    """succ(d) for every dart of g, as a transient int64 array."""
+    return _succ(g.table("offsets"), g.table("twin"))
 
 
 def is_triangulation(g: PlaneGraph) -> bool:
@@ -300,12 +353,9 @@ def is_triangulation(g: PlaneGraph) -> bool:
         return False
     if g.edge_count != 3 * g.vertex_count - 6:
         return False
-    # Cheap length-3 orbit test per face, without materializing boundaries.
-    for f in range(g.face_count):
-        d0 = g._face_dart[f]
-        if g.succ(g.succ(g.succ(d0))) != d0 or g.succ(d0) == d0:
-            return False
-    return True
+    # succ has no fixed point, so succ^3 = id means all orbits have length 3.
+    succ = succ_array(g)
+    return bool((succ[succ[succ]] == np.arange(len(succ))).all())
 
 
 def apex(g: PlaneGraph, e: int, f: int) -> int:

@@ -19,6 +19,13 @@ option clashes with at most four others.
 Two options of the same insertion edge are consecutive exactly when their
 crossed edges share a vertex; option sets therefore decompose into paths
 and cycles, which drives the case analysis in reduce_instance.
+
+Options and clashes are found with whole-array kernels over the dart
+tables and need no endpoint lookup.  For crossed edge (x, w) with dart
+d = x -> w and twin t, the apexes are u = head(succ(d)) and
+v = head(succ(t)), and the quad edges are the edges of face darts:
+(u, x) of succ^2(d), (x, v) of succ(t), (v, w) of succ^2(t) and (w, u) of
+succ(d).
 """
 
 from __future__ import annotations
@@ -27,9 +34,11 @@ import itertools
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
+import numpy as np
+
 from .errors import KNotOne, NotTriangulation
 from .instance_io import CrossingEvent, Instance, Route, Solution
-from .plane_graph import PlaneGraph, is_triangulation
+from .plane_graph import is_triangulation, succ_array
 from .twosat import TwoSatFormula
 from .twosat import solve as twosat_solve
 from .verdicts import Verdict
@@ -63,6 +72,8 @@ class OptionCatalog:
         self.f_options[f_edge].append(oid)
         self.alive.append(1)
         self.live_count[f_edge] += 1
+        # Internal invariant: F is duplicate-free in a simple
+        # triangulation, so a graph edge has one apex pair and one option.
         assert crossed not in self.option_of_edge, \
             "graph edge serves two insertion edges"
         self.option_of_edge[crossed] = oid
@@ -92,12 +103,6 @@ class OptionClassification:
     cycles: list[list[int]] = field(default_factory=list)
 
 
-def _edge_id(g: PlaneGraph, u: int, v: int) -> int:
-    e = g.edge_between(u, v)
-    assert e is not None, f"quad edge ({u},{v}) missing"
-    return e
-
-
 def enumerate_options(inst: Instance) -> OptionCatalog:
     """All single-crossing drawings per insertion edge, O(V) total."""
     if inst.k != 1:
@@ -106,37 +111,72 @@ def enumerate_options(inst: Instance) -> OptionCatalog:
     if not is_triangulation(g):
         raise NotTriangulation("instance graph is not a triangulation")
     catalog = OptionCatalog(inst)
-    findex = inst.f_index()
-    head = g.head
-    succ = g.succ
-    for e in range(g.edge_count):
-        d, t = g.edge_darts(e)
-        a1 = head(succ(d))
-        a2 = head(succ(t))
-        key = (a1, a2) if a1 < a2 else (a2, a1)
-        f = findex.get(key)
-        if f is None:
-            continue
-        x, w = g.edge_endpoints(e)
-        catalog.add(f, e, (a1, x, a2, w))
+    if not inst.F:
+        return catalog
+    n = g.vertex_count
+    succ = succ_array(g)
+    head = g.table("head")
+    d = g.table("edge_dart")
+    a1 = head[succ[d]]
+    a2 = head[succ[g.table("twin")[d]]]
+    del succ, d
+    code = np.minimum(a1, a2)
+    code *= n
+    code += np.maximum(a1, a2)
+    # F is duplicate-free: match apex pairs against its sorted codes.
+    fpairs = np.fromiter(itertools.chain.from_iterable(inst.F),
+                         np.int64, 2 * len(inst.F)).reshape(-1, 2)
+    fcode = fpairs.min(axis=1) * n + fpairs.max(axis=1)
+    forder = np.argsort(fcode)
+    fcode = fcode[forder]
+    pos = np.searchsorted(fcode, code)
+    np.minimum(pos, len(fcode) - 1, out=pos)
+    es = np.flatnonzero(fcode[pos] == code)
+    del code, fcode
+    eu = g.table("eu")
+    ev = g.table("ev")
+    for e, f, u, x, v, w in zip(es.tolist(), forder[pos[es]].tolist(),
+                                a1[es].tolist(), eu[es].tolist(),
+                                a2[es].tolist(), ev[es].tolist()):
+        catalog.add(f, e, (u, x, v, w))
     return catalog
 
 
 def compute_clashes(catalog: OptionCatalog) -> ClashGraph:
     """Pairs of options of distinct insertion edges that cannot coexist."""
+    options = catalog.options
+    k = len(options)
+    clashes = ClashGraph(k)
     g = catalog.instance.graph
-    clashes = ClashGraph(len(catalog.options))
-    for opt in catalog.options:
-        u, x, v, w = opt.quad
-        for (a, b) in ((u, x), (x, v), (v, w), (w, u)):
-            other = catalog.option_of_edge.get(_edge_id(g, a, b))
-            if other is None or other <= opt.id:
-                continue  # pairs added once, from the smaller id
-            if catalog.options[other].f_edge == opt.f_edge:
-                continue
-            clashes.add_pair(opt.id, other)
-    for opt in catalog.options:
-        assert clashes.degree(opt.id) <= 4, "clash degree exceeds 4"
+    succ = succ_array(g)
+    edge = g.table("edge")
+    crossed = np.fromiter((o.crossed for o in options), np.int64, k)
+    f_edge = np.fromiter((o.f_edge for o in options), np.int64, k)
+    # Quad edges (u,x), (x,v), (v,w), (w,u) from face darts, as in the
+    # module docstring.
+    d = g.table("edge_dart")[crossed]
+    sd = succ[d]
+    st = succ[g.table("twin")[d]]
+    quad = np.empty((k, 4), dtype=np.int64)
+    quad[:, 0] = edge[succ[sd]]
+    quad[:, 1] = edge[st]
+    quad[:, 2] = edge[succ[st]]
+    quad[:, 3] = edge[sd]
+    del succ, d, sd, st
+    option_of_edge = np.full(g.edge_count, -1, dtype=np.int64)
+    option_of_edge[crossed] = np.arange(k, dtype=np.int64)
+    other = option_of_edge[quad]
+    del quad, option_of_edge
+    # Each pair is added once, from the smaller id, in (id, quad position)
+    # order; that order fixes every adjacency list.
+    hit = other > np.arange(k, dtype=np.int64)[:, None]
+    hit &= f_edge[other] != f_edge[:, None]
+    rows, cols = np.nonzero(hit)
+    for a, b in zip(rows.tolist(), other[rows, cols].tolist()):
+        clashes.add_pair(a, b)
+    # Internal invariant: F is duplicate-free in a simple triangulation, so
+    # each quad edge hosts at most one option.
+    assert all(len(adj) <= 4 for adj in clashes.adj), "clash degree exceeds 4"
     return clashes
 
 

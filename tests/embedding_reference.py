@@ -1,0 +1,194 @@
+"""The embedding layer as it was before its array kernels: a per-row check
+and a per-dart twin scan in build_from_rotation, a first-unvisited face
+walk, and per-option loops in enumerate_options and compute_clashes that
+look quad edges up by endpoints.  Kept unchanged as the reference that
+test_embedding_kernels.py compares the kernels with, outputs and error
+messages alike."""
+
+from __future__ import annotations
+
+from array import array
+from collections import deque
+from typing import Sequence
+
+from planeinsert.errors import (
+    AsymmetricAdjacency,
+    Disconnected,
+    InvalidRotation,
+    KNotOne,
+    NotPlanarEmbedding,
+    NotTriangulation,
+)
+from planeinsert.instance_io import Instance
+from planeinsert.plane_graph import PlaneGraph
+from planeinsert.tri_insert import ClashGraph, OptionCatalog
+
+
+def build_from_rotation(vertex_count: int,
+                        rotation: Sequence[Sequence[int]]) -> PlaneGraph:
+    n = vertex_count
+    if n < 2:
+        raise InvalidRotation("need at least 2 vertices")
+    if len(rotation) != n:
+        raise InvalidRotation(f"rotation has {len(rotation)} rows, expected {n}")
+
+    offsets = array("q", bytes(8 * (n + 1)))
+    for v, row in enumerate(rotation):
+        seen: set[int] = set()
+        for w in row:
+            if not isinstance(w, int) or w < 0 or w >= n:
+                raise InvalidRotation(f"vertex {v}: bad neighbor {w!r}")
+            if w == v:
+                raise InvalidRotation(f"vertex {v}: loop")
+            if w in seen:
+                raise InvalidRotation(f"vertex {v}: duplicate neighbor {w}")
+            seen.add(w)
+        offsets[v + 1] = offsets[v] + len(row)
+
+    m2 = offsets[n]  # number of darts = 2E
+    if m2 == 0:
+        raise InvalidRotation("graph has no edges")
+    if m2 % 2:
+        raise AsymmetricAdjacency("odd number of darts")
+
+    head = array("q", bytes(8 * m2))
+    tail = array("q", bytes(8 * m2))
+    for v, row in enumerate(rotation):
+        base = offsets[v]
+        for i, w in enumerate(row):
+            head[base + i] = w
+            tail[base + i] = v
+
+    twin = array("q", bytes(8 * m2))
+    edge = array("q", bytes(8 * m2))
+    eu = array("q")
+    ev = array("q")
+    edge_dart = array("q")
+
+    # For a dart u->v with u < v, scan v's slots for the reverse dart.
+    paired = 0
+    for d in range(m2):
+        u = tail[d]
+        v = head[d]
+        if u > v:
+            continue
+        partner = -1
+        for d2 in range(offsets[v], offsets[v + 1]):
+            if head[d2] == u:
+                partner = d2
+                break
+        if partner < 0:
+            raise AsymmetricAdjacency(f"{u} lists {v} but {v} does not list {u}")
+        e = len(eu)
+        eu.append(u)
+        ev.append(v)
+        edge_dart.append(d)
+        twin[d] = partner
+        twin[partner] = d
+        edge[d] = e
+        edge[partner] = e
+        paired += 2
+    if paired != m2:
+        raise AsymmetricAdjacency("unpaired dart (asymmetric neighbor lists)")
+
+    seen_v = bytearray(n)
+    seen_v[0] = 1
+    queue = deque([0])
+    reached = 1
+    while queue:
+        v = queue.popleft()
+        for d in range(offsets[v], offsets[v + 1]):
+            w = head[d]
+            if not seen_v[w]:
+                seen_v[w] = 1
+                reached += 1
+                queue.append(w)
+    if reached != n:
+        raise Disconnected(f"reached {reached} of {n} vertices")
+
+    # Face orbits under next(twin(.)), numbered by first unvisited dart.
+    face = array("q", bytes(8 * m2))
+    visited = bytearray(m2)
+    face_dart = array("q")
+    for d0 in range(m2):
+        if visited[d0]:
+            continue
+        f = len(face_dart)
+        face_dart.append(d0)
+        d = d0
+        while True:
+            face[d] = f
+            visited[d] = 1
+            t = twin[d]
+            tt = tail[t]
+            base = offsets[tt]
+            deg = offsets[tt + 1] - base
+            d = base + (t - base + 1) % deg
+            if d == d0:
+                break
+
+    n_edges = m2 // 2
+    n_faces = len(face_dart)
+    if n - n_edges + n_faces != 2:
+        raise NotPlanarEmbedding(
+            f"V - E + F = {n} - {n_edges} + {n_faces} != 2")
+
+    return PlaneGraph(offsets, head, tail, twin, edge, face, eu, ev,
+                      edge_dart, face_dart)
+
+
+def is_triangulation(g: PlaneGraph) -> bool:
+    if g.vertex_count < 4:
+        return False
+    if g.edge_count != 3 * g.vertex_count - 6:
+        return False
+    for f in range(g.face_count):
+        d0 = g._face_dart[f]
+        if g.succ(g.succ(g.succ(d0))) != d0 or g.succ(d0) == d0:
+            return False
+    return True
+
+
+def _edge_id(g: PlaneGraph, u: int, v: int) -> int:
+    for d in g.darts_at(u):
+        if g.head(d) == v:
+            return g.edge_of(d)
+    raise AssertionError(f"quad edge ({u},{v}) missing")
+
+
+def enumerate_options(inst: Instance) -> OptionCatalog:
+    if inst.k != 1:
+        raise KNotOne(f"k={inst.k}")
+    g = inst.graph
+    if not is_triangulation(g):
+        raise NotTriangulation("instance graph is not a triangulation")
+    catalog = OptionCatalog(inst)
+    findex = {(min(p), max(p)): i for i, p in enumerate(inst.F)}
+    head = g.head
+    succ = g.succ
+    for e in range(g.edge_count):
+        d, t = g.edge_darts(e)
+        a1 = head(succ(d))
+        a2 = head(succ(t))
+        key = (a1, a2) if a1 < a2 else (a2, a1)
+        f = findex.get(key)
+        if f is None:
+            continue
+        x, w = g.edge_endpoints(e)
+        catalog.add(f, e, (a1, x, a2, w))
+    return catalog
+
+
+def compute_clashes(catalog: OptionCatalog) -> ClashGraph:
+    g = catalog.instance.graph
+    clashes = ClashGraph(len(catalog.options))
+    for opt in catalog.options:
+        u, x, v, w = opt.quad
+        for (a, b) in ((u, x), (x, v), (v, w), (w, u)):
+            other = catalog.option_of_edge.get(_edge_id(g, a, b))
+            if other is None or other <= opt.id:
+                continue
+            if catalog.options[other].f_edge == opt.f_edge:
+                continue
+            clashes.add_pair(opt.id, other)
+    return clashes

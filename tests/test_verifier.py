@@ -87,9 +87,11 @@ class TestVerify:
 
     def test_unknown_graph_edge_rejected(self):
         inst = octa_instance(F=[(0, 5)])
-        sol = Solution((route(0, (0, 5)),))
-        res = verify(inst, sol)
-        assert not res.accepted
+        # (0, 5) is a non-edge; -1, 6 and 7 are not vertices.
+        for pair in ((0, 5), (2, 7), (6, 7), (-1, 2)):
+            res = verify(inst, Solution((route(0, pair),)))
+            assert not res.accepted
+            assert res.reason == "no_realization"
 
     def test_adjacent_crossing_rejected(self):
         inst = octa_instance(F=[(0, 5)])
