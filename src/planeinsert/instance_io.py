@@ -29,8 +29,14 @@ generated instances are reproducible across implementations.
 from __future__ import annotations
 
 import json
+import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from typing import NoReturn
+
+import numpy as np
 
 from .errors import (
     FNotInComplement,
@@ -107,21 +113,7 @@ def make_instance(graph: PlaneGraph, F, k: int = 1, coords=None,
         raise SchemaError("k must be a positive integer")
     if f_structure not in ("none", "path", "matching"):
         raise SchemaError(f"bad f_structure {f_structure!r}")
-    fpairs = []
-    seen = set()
-    for pair in F:
-        u, v = pair
-        if not (0 <= u < n and 0 <= v < n):
-            raise SchemaError(f"F pair {pair} out of range")
-        if u == v:
-            raise FNotInComplement(f"F pair {pair} has equal endpoints")
-        if graph.has_edge(u, v):
-            raise FNotInComplement(f"F pair {pair} is an edge of the graph")
-        key = _norm(pair)
-        if key in seen:
-            raise SchemaError(f"duplicate F pair {pair}")
-        seen.add(key)
-        fpairs.append((u, v))
+    fpairs = _f_pairs(graph, list(F))
     _check_structure(fpairs, f_structure)
     pts = None
     if coords is not None:
@@ -131,6 +123,69 @@ def make_instance(graph: PlaneGraph, F, k: int = 1, coords=None,
         if check_geometry:
             check_coords(graph, pts)
     return Instance(graph, pts, tuple(fpairs), k, f_structure)
+
+
+def _f_pairs(graph: PlaneGraph, F: list) -> list[tuple]:
+    """F as a list of pairs, checked in one vector pass: two integer
+    endpoints per pair, both vertices, distinct, not a graph edge, and no
+    pair twice.  When a check fails, _raise_f_error raises the error of
+    the first bad pair."""
+    try:
+        if F and set(map(len, F)) != {2}:
+            _raise_f_error(graph, F)
+        # array("q") rejects floats, which numpy would truncate.
+        flat = array("q", list(chain.from_iterable(F)))
+    except (TypeError, OverflowError):
+        _raise_f_error(graph, F)
+    if not F:
+        return []
+    n = graph.vertex_count
+    uv = np.frombuffer(flat, dtype=np.int64)
+    lo = np.minimum(uv[0::2], uv[1::2])
+    hi = np.maximum(uv[0::2], uv[1::2])
+    if lo.min() < 0 or hi.max() >= n or (lo == hi).any():
+        _raise_f_error(graph, F)
+    # Sorted pair codes lo*n + hi: a duplicate is two equal neighbours, and
+    # a graph edge is a code found among the sorted edge codes eu*n + ev.
+    code = lo * n + hi
+    code.sort()
+    ecode = graph.table("eu") * n
+    ecode += graph.table("ev")
+    ecode.sort()
+    pos = np.searchsorted(ecode, code)
+    np.minimum(pos, len(ecode) - 1, out=pos)
+    if (code[1:] == code[:-1]).any() or (ecode[pos] == code).any():
+        _raise_f_error(graph, F)
+    return list(map(tuple, F))
+
+
+def _raise_f_error(graph: PlaneGraph, F: list) -> NoReturn:
+    """Raise the error of the first pair of F that failed a vector check,
+    checking each pair in turn: shape, integer endpoints, range, equal
+    endpoints, graph edge, duplicate."""
+    n = graph.vertex_count
+    seen = set()
+    for pair in F:
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise SchemaError(f"F entry {pair!r} is not a pair") from None
+        try:
+            u, v = operator.index(u), operator.index(v)
+        except TypeError:
+            raise SchemaError(
+                f"F pair {pair} has a non-integer endpoint") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise SchemaError(f"F pair {pair} out of range")
+        if u == v:
+            raise FNotInComplement(f"F pair {pair} has equal endpoints")
+        if graph.has_edge(u, v):
+            raise FNotInComplement(f"F pair {pair} is an edge of the graph")
+        key = _norm((u, v))
+        if key in seen:
+            raise SchemaError(f"duplicate F pair {pair}")
+        seen.add(key)
+    raise AssertionError("F passed every per-pair check")
 
 
 def _check_structure(fpairs, f_structure: str) -> None:

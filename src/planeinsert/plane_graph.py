@@ -15,7 +15,7 @@ numbering is fixed:
 
 - darts follow the rotation, vertex by vertex;
 - the twin of dart u -> v is the dart v -> u.  build_from_rotation pairs
-  them with one stable sort of the undirected key
+  them with one sort of the undirected key
   ``min(u,v)*n + max(u,v)``: every key must occur exactly twice, with two
   different tails;
 - edge e is the e-th dart u -> v with u < v, in dart order, and its
@@ -23,6 +23,12 @@ numbering is fixed:
 - faces are numbered by their least dart: face f is the orbit whose least
   dart is the f-th smallest of all orbit minima.  build_from_rotation finds
   each dart's orbit minimum by pointer doubling over succ.
+
+build_from_rotation decides connectivity with whole-array min-label
+hooking (see _components) in the connect / shortcut / alter framework of
+Liu and Tarjan ("Simple concurrent labeling algorithms for connected
+components", SOSA 2019): at most 2*log2(n) + 1 rounds, each a pass over
+the remaining edges plus pointer jumping until every tree is a star.
 """
 
 from __future__ import annotations
@@ -234,13 +240,12 @@ def build_from_rotation(vertex_count: int, rotation: Sequence[Sequence[int]]) ->
         _raise_rotation_error(n, rotation)
 
     # Twins: each undirected key min*n + max must occur exactly twice, with
-    # two different tails.  Sorted keys then come in twin pairs.  The
-    # stable sort is a little slower here than the default one, but it
-    # touches less of numpy's code: the first call costs less memory.
+    # two different tails.  Sorted keys then come in twin pairs, in either
+    # order, so the sort need not be stable.
     key = np.minimum(hd, tl)
     key *= n
     key += np.maximum(hd, tl)
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     key = key[order]
     a, b = order[0::2], order[1::2]
     if not ((key[0::2] == key[1::2]).all()
@@ -253,17 +258,21 @@ def build_from_rotation(vertex_count: int, rotation: Sequence[Sequence[int]]) ->
     tw[b] = a
     del order, a, b
 
-    # Connectivity (BFS over vertices).
-    seen_v = bytearray(n)
-    seen_v[0] = 1
-    queue = [0]
-    for v in queue:
-        for w in head[offsets[v]:offsets[v + 1]]:
-            if not seen_v[w]:
-                seen_v[w] = 1
-                queue.append(w)
-    if len(queue) != n:
-        raise Disconnected(f"reached {len(queue)} of {n} vertices")
+    # Edge e is the e-th u < v dart in dart order.
+    n_edges = m2 // 2
+    edge_dart, ed = _zeros(n_edges)
+    ed[:] = np.flatnonzero(tl < hd)
+    eu, lo = _zeros(n_edges)
+    np.take(tl, ed, out=lo)
+    ev, hi = _zeros(n_edges)
+    np.take(hd, ed, out=hi)
+
+    # Connectivity: vertex 0's component must hold every vertex.
+    root = _components(n, lo, hi)[0]
+    reached = int(np.count_nonzero(root == root[0]))
+    if reached != n:
+        raise Disconnected(f"reached {reached} of {n} vertices")
+    del root
 
     # Face orbits under succ.  Pointer doubling gives each dart the least
     # dart of its orbit; faces are numbered in order of that dart.
@@ -277,7 +286,6 @@ def build_from_rotation(vertex_count: int, rotation: Sequence[Sequence[int]]) ->
         jump = jump[jump]
     del succ, jump
     firsts = np.flatnonzero(lab == np.arange(m2, dtype=np.int64))
-    n_edges = m2 // 2
     n_faces = len(firsts)
     if n - n_edges + n_faces != 2:
         raise NotPlanarEmbedding(
@@ -289,18 +297,56 @@ def build_from_rotation(vertex_count: int, rotation: Sequence[Sequence[int]]) ->
     fc[:] = fc[lab]
     del firsts, lab
 
-    # Edge e is the e-th u < v dart in dart order.
-    edge_dart, ed = _zeros(n_edges)
-    ed[:] = np.flatnonzero(tl < hd)
-    eu, view = _zeros(n_edges)
-    np.take(tl, ed, out=view)
-    ev, view = _zeros(n_edges)
-    np.take(hd, ed, out=view)
     edge, eg = _zeros(m2)
     eg[ed] = eg[tw[ed]] = np.arange(n_edges, dtype=np.int64)
 
     return PlaneGraph(offsets, head, tail, twin, edge, face, eu, ev,
                       edge_dart, face_dart)
+
+
+def _components(n: int, lo: np.ndarray,
+                hi: np.ndarray) -> tuple[np.ndarray, int]:
+    """Component labels of the graph on vertices 0..n-1 with edges
+    (lo[i], hi[i]), lo[i] < hi[i], and the number of hooking rounds.
+
+    Every vertex gets the least vertex of its component.  The labels form
+    a forest of parent pointers, a star (every vertex points at its root)
+    at the start of each round, and the edge list holds roots only.  A
+    round has three whole-array steps:
+
+    - connect: every root hooks onto the least root it shares an edge
+      with, when that root is smaller (np.minimum.at);
+    - shortcut: p = p[p] until nothing changes, making stars again;
+    - alter: replace both ends of every edge by their roots and drop the
+      edges inside one tree.
+
+    The loop ends when no edge is left.  Round bound: a root r that
+    survives a round had no smaller neighbour.  Either some root hooked
+    onto r, so r's tree now holds at least two roots of the round, or none
+    did: then every neighbour s of r hooked onto its least neighbour,
+    which is at most r and, not being r, smaller.  After alter r has a
+    smaller neighbour and hooks in the next round.  So every two rounds
+    at least halve the roots of each component that still has an edge:
+    at most 2*log2(n) + 1 rounds.
+    """
+    p = np.arange(n, dtype=np.int64)
+    rounds = 0
+    while len(lo):
+        rounds += 1
+        np.minimum.at(p, hi, lo)
+        while True:
+            pp = p[p]
+            if (pp == p).all():
+                break
+            p = pp
+        a = p[lo]
+        b = p[hi]
+        keep = a != b
+        a = a[keep]
+        b = b[keep]
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
+    return p, rounds
 
 
 def _zeros(count: int) -> tuple[array, np.ndarray]:

@@ -20,6 +20,14 @@ Two options of the same insertion edge are consecutive exactly when their
 crossed edges share a vertex; option sets therefore decompose into paths
 and cycles, which drives the case analysis in reduce_instance.
 
+Catalog layout.  Option ids follow crossed-edge order: option o crosses
+the o-th graph edge, in edge order, whose two apexes form a pair of F.
+OptionCatalog keeps two int64 columns, f_edge and crossed, that the array
+kernels read, and builds the rest from them in bulk: options[o] is an
+Option tuple, f_options[f] lists f's option ids in increasing order,
+live_count[f] is its length, alive holds one flag byte per option and
+option_of_edge maps a crossed edge to its option.
+
 Options and clashes are found with whole-array kernels over the dart
 tables and need no endpoint lookup.  For crossed edge (x, w) with dart
 d = x -> w and twin t, the apexes are u = head(succ(d)) and
@@ -32,11 +40,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappop, heappush
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import KNotOne, NotTriangulation
+from .errors import KNotOne, NotTriangulation, SearchSpaceTooLarge
 from .instance_io import CrossingEvent, Instance, Route, Solution
 from .plane_graph import is_triangulation, succ_array
 from .twosat import TwoSatFormula
@@ -46,37 +56,40 @@ from .verdicts import Verdict
 TraceEvent = tuple  # ("delete", opt) | ("commit", f, opt) | ("infeasible", f)
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     id: int
     f_edge: int
     crossed: int               # graph edge index
     quad: tuple[int, int, int, int]  # (u, x, v, w); crossed = (x, w)
 
 
+# Option from a 4-tuple without NamedTuple.__new__'s Python-level call.
+_option = partial(tuple.__new__, Option)
+
+
 class OptionCatalog:
-    """Per-insertion-edge options with alive flags and commitments."""
+    """Per-insertion-edge options with alive flags and commitments, built
+    in bulk from the columns of all options in id order (see the module
+    docstring for the layout)."""
 
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, f_edge: np.ndarray,
+                 crossed: np.ndarray, quads: Iterable[tuple]):
         self.instance = inst
-        self.options: list[Option] = []
-        self.f_options: list[list[int]] = [[] for _ in inst.F]
-        self.alive: bytearray = bytearray()
-        self.live_count: list[int] = [0] * len(inst.F)
+        self.f_edge = f_edge
+        self.crossed = crossed
+        k = len(crossed)
+        crossed_ids = crossed.tolist()
+        self.options: list[Option] = list(map(
+            _option, zip(range(k), f_edge.tolist(), crossed_ids, quads)))
+        counts = np.bincount(f_edge, minlength=len(inst.F))
+        ends = np.cumsum(counts).tolist()
+        by_f = np.argsort(f_edge, kind="stable").tolist()
+        self.f_options: list[list[int]] = [
+            by_f[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        self.alive: bytearray = bytearray(b"\x01") * k
+        self.live_count: list[int] = counts.tolist()
         self.committed: dict[int, int] = {}
-        self.option_of_edge: dict[int, int] = {}
-
-    def add(self, f_edge: int, crossed: int, quad) -> None:
-        oid = len(self.options)
-        self.options.append(Option(oid, f_edge, crossed, tuple(quad)))
-        self.f_options[f_edge].append(oid)
-        self.alive.append(1)
-        self.live_count[f_edge] += 1
-        # Internal invariant: F is duplicate-free in a simple
-        # triangulation, so a graph edge has one apex pair and one option.
-        assert crossed not in self.option_of_edge, \
-            "graph edge serves two insertion edges"
-        self.option_of_edge[crossed] = oid
+        self.option_of_edge: dict[int, int] = dict(zip(crossed_ids, range(k)))
 
     def alive_options(self, f_edge: int) -> list[int]:
         return [o for o in self.f_options[f_edge] if self.alive[o]]
@@ -110,9 +123,9 @@ def enumerate_options(inst: Instance) -> OptionCatalog:
     g = inst.graph
     if not is_triangulation(g):
         raise NotTriangulation("instance graph is not a triangulation")
-    catalog = OptionCatalog(inst)
     if not inst.F:
-        return catalog
+        none = np.empty(0, dtype=np.int64)
+        return OptionCatalog(inst, none, none, ())
     n = g.vertex_count
     succ = succ_array(g)
     head = g.table("head")
@@ -123,35 +136,45 @@ def enumerate_options(inst: Instance) -> OptionCatalog:
     code = np.minimum(a1, a2)
     code *= n
     code += np.maximum(a1, a2)
-    # F is duplicate-free: match apex pairs against its sorted codes.
+    # Sort both code lists; each F code then owns the run of equal apex
+    # codes between its two searchsorted bounds (sorted queries keep the
+    # probes local).  Options are those runs' edges, put in edge order.
     fpairs = np.fromiter(itertools.chain.from_iterable(inst.F),
-                         np.int64, 2 * len(inst.F)).reshape(-1, 2)
-    fcode = fpairs.min(axis=1) * n + fpairs.max(axis=1)
+                         np.int64, 2 * len(inst.F))
+    fu, fv = fpairs[0::2], fpairs[1::2]
+    fcode = np.minimum(fu, fv) * n + np.maximum(fu, fv)
+    del fpairs, fu, fv
     forder = np.argsort(fcode)
     fcode = fcode[forder]
-    pos = np.searchsorted(fcode, code)
-    np.minimum(pos, len(fcode) - 1, out=pos)
-    es = np.flatnonzero(fcode[pos] == code)
+    by_code = np.argsort(code)
+    code = code[by_code]
+    first = np.searchsorted(code, fcode)
+    count = np.searchsorted(code, fcode, side="right")
+    count -= first
     del code, fcode
-    eu = g.table("eu")
-    ev = g.table("ev")
-    for e, f, u, x, v, w in zip(es.tolist(), forder[pos[es]].tolist(),
-                                a1[es].tolist(), eu[es].tolist(),
-                                a2[es].tolist(), ev[es].tolist()):
-        catalog.add(f, e, (u, x, v, w))
-    return catalog
+    # Run r covers sorted positions first[r] .. first[r] + count[r] - 1.
+    at = np.repeat(first - (np.cumsum(count) - count), count)
+    at += np.arange(len(at), dtype=np.int64)
+    es = by_code[at]
+    del by_code, at, first
+    order = np.argsort(es)
+    es = es[order]
+    f_edge = np.repeat(forder, count)[order]
+    del order, count
+    quads = zip(a1[es].tolist(), g.table("eu")[es].tolist(),
+                a2[es].tolist(), g.table("ev")[es].tolist())
+    return OptionCatalog(inst, f_edge, es, quads)
 
 
 def compute_clashes(catalog: OptionCatalog) -> ClashGraph:
     """Pairs of options of distinct insertion edges that cannot coexist."""
-    options = catalog.options
-    k = len(options)
+    crossed = catalog.crossed
+    f_edge = catalog.f_edge
+    k = len(crossed)
     clashes = ClashGraph(k)
     g = catalog.instance.graph
     succ = succ_array(g)
     edge = g.table("edge")
-    crossed = np.fromiter((o.crossed for o in options), np.int64, k)
-    f_edge = np.fromiter((o.f_edge for o in options), np.int64, k)
     # Quad edges (u,x), (x,v), (v,w), (w,u) from face darts, as in the
     # module docstring.
     d = g.table("edge_dart")[crossed]
@@ -184,6 +207,8 @@ def classify_options(catalog: OptionCatalog, f_edge: int) -> OptionClassificatio
     """Structure of an edge's live option set: runs and cycles of
     consecutive options (crossed edges sharing a vertex)."""
     opts = catalog.alive_options(f_edge)
+    # Internal invariant: the reducer classifies edges with three or more
+    # live options only.
     assert len(opts) >= 2, "classification needs >= 2 live options"
     g = catalog.instance.graph
     at_vertex: dict[int, list[int]] = {}
@@ -193,6 +218,9 @@ def classify_options(catalog: OptionCatalog, f_edge: int) -> OptionClassificatio
         at_vertex.setdefault(w, []).append(o)
     nbr: dict[int, list[int]] = {o: [] for o in opts}
     for v, group in at_vertex.items():
+        # Internal invariant: an option of (u, v) crossing (x, w) puts w
+        # next to both u and v in x's rotation, which at most two
+        # neighbours of x can be.
         assert len(group) <= 2, "three options share a crossed-edge vertex"
         if len(group) == 2:
             a, b = group
@@ -255,15 +283,13 @@ class _Reducer:
         self.cat = catalog
         self.clashes = clashes
         self.trace = trace
-        m = len(catalog.f_options)
-        self.drain_heap: list[int] = []
-        self.case_heap: list[int] = []
-        for f in range(m):
-            self.push(f)
-        self.vertex_to_f: dict[int, list[int]] = {}
-        for f, (a, b) in enumerate(catalog.instance.F):
-            self.vertex_to_f.setdefault(a, []).append(f)
-            self.vertex_to_f.setdefault(b, []).append(f)
+        # What push(f) would give for every f in turn, nothing committed
+        # yet: an increasing list is already a heap.
+        counts = list(enumerate(catalog.live_count))
+        self.drain_heap: list[int] = [f for f, c in counts if c <= 1]
+        self.case_heap: list[int] = [f for f, c in counts if c >= 3]
+        # Built by _resolve_compact when it is first needed.
+        self.vertex_to_f: dict[int, list[int]] | None = None
 
     def push(self, f: int) -> None:
         c = self.cat.live_count[f]
@@ -280,6 +306,7 @@ class _Reducer:
 
     def delete(self, o: int) -> None:
         cat = self.cat
+        # Internal invariant: callers delete live options only.
         assert cat.alive[o]
         self.log(("delete", o))
         cat.alive[o] = 0
@@ -289,6 +316,8 @@ class _Reducer:
 
     def commit(self, f: int, o: int) -> None:
         cat = self.cat
+        # Internal invariant: callers commit a live option of an
+        # uncommitted edge only.
         assert cat.alive[o] and f not in cat.committed
         self.log(("commit", f, o))
         cat.committed[f] = o
@@ -355,6 +384,11 @@ class _Reducer:
     def _resolve_compact(self, f: int) -> Verdict | None:
         """Exhaust the octahedron-like subinstance around edge f at once."""
         cat = self.cat
+        if self.vertex_to_f is None:
+            self.vertex_to_f = {}
+            for f2, (a, b) in enumerate(cat.instance.F):
+                self.vertex_to_f.setdefault(a, []).append(f2)
+                self.vertex_to_f.setdefault(b, []).append(f2)
         u, v = cat.instance.F[f]
         core = {u, v}
         for o in cat.alive_options(f):
@@ -370,7 +404,10 @@ class _Reducer:
         product = 1
         for lst in choice_lists:
             product *= max(len(lst), 1)
-        assert product <= 1_000_000, "compact subinstance unexpectedly large"
+        if product > 1_000_000:
+            raise SearchSpaceTooLarge(
+                f"compact case around F edge {f} has {product} option "
+                "combinations, more than 1,000,000")
         for assignment in itertools.product(*choice_lists):
             ok = True
             for i in range(len(assignment)):
@@ -405,6 +442,8 @@ def reduce_instance(catalog: OptionCatalog, clashes: ClashGraph,
         return verdict
     for f in range(len(catalog.f_options)):
         if f not in catalog.committed:
+            # Internal invariant: run() returns None only once both heaps
+            # are empty, so no uncommitted edge has 0, 1 or 3+ options.
             assert catalog.live_count[f] == 2, "reduction left a big edge"
     return catalog
 
@@ -416,8 +455,26 @@ def solve(inst: Instance) -> Solution | Verdict:
     reduced = reduce_instance(catalog, clashes)
     if isinstance(reduced, Verdict):
         return reduced
+    chosen = _choose_options(catalog, clashes)
+    if chosen is None:
+        return Verdict.INFEASIBLE
+    crossed = catalog.crossed[chosen]
+    # The routes are built once the catalog is gone, in the memory it held.
+    del catalog, clashes, reduced, chosen
+    g = inst.graph
+    pairs = zip(g.table("eu")[crossed].tolist(),
+                g.table("ev")[crossed].tolist())
+    return Solution(tuple(Route(f, (CrossingEvent("graph_edge", pair),))
+                          for f, pair in enumerate(pairs)))
 
-    live = [f for f in range(len(inst.F)) if f not in catalog.committed]
+
+def _choose_options(catalog: OptionCatalog,
+                    clashes: ClashGraph) -> list[int] | None:
+    """The option of every insertion edge: the committed one, or the one
+    the canonical 2-SAT model picks among the two live ones.  None when
+    the 2-SAT formula is unsatisfiable."""
+    m = len(catalog.f_options)
+    live = [f for f in range(m) if f not in catalog.committed]
     var_of: dict[int, int] = {}
     formula = TwoSatFormula(0)
     for f in live:
@@ -434,17 +491,9 @@ def solve(inst: Instance) -> Solution | Verdict:
                 formula.add_clause((var, False), (var_of[p], False))
     model = twosat_solve(formula)
     if model is None:
-        return Verdict.INFEASIBLE
-
+        return None
     chosen: dict[int, int] = dict(catalog.committed)
     for f in live:
         a, b = catalog.alive_options(f)
         chosen[f] = a if model[var_of[a]] else b
-    g = inst.graph
-    routes = []
-    for f in range(len(inst.F)):
-        e = catalog.options[chosen[f]].crossed
-        x, w = g.edge_endpoints(e)
-        pair = (x, w) if x < w else (w, x)
-        routes.append(Route(f, (CrossingEvent("graph_edge", pair),)))
-    return Solution(tuple(routes))
+    return [chosen[f] for f in range(m)]

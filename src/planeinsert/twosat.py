@@ -75,10 +75,22 @@ def solve(formula: TwoSatFormula) -> list[bool] | None:
     lits = np.frombuffer(packed, dtype=np.int64)
     if lits.min() < 0 or lits.max() >= nodes:
         raise ValueError("clause variable out of range")
+    start, targets = _implication_csr(nodes, lits)
+    comp = np.asarray(_pearce_scc(nodes, start, targets))
+    pos = comp[0::2]
+    neg = comp[1::2]
+    if bool((pos == neg).any()):
+        return None
+    return (pos > neg).tolist()
+
+
+def _implication_csr(nodes: int,
+                     lits: np.ndarray) -> tuple[list[int], list[int]]:
+    """CSR adjacency of the implication graph of packed clause codes:
+    arcs not(a)->b and not(b)->a; node v's arcs end at
+    targets[start[v]:start[v + 1]]."""
     la = lits[0::2]
     lb = lits[1::2]
-
-    # CSR adjacency of the implication graph: arcs not(a)->b and not(b)->a.
     src = np.concatenate([la ^ 1, lb ^ 1])
     dst = np.concatenate([lb, la])
     order = np.argsort(src, kind="stable")
@@ -87,14 +99,7 @@ def solve(formula: TwoSatFormula) -> list[bool] | None:
     indptr = np.empty(nodes + 1, dtype=np.int64)
     indptr[0] = 0
     np.cumsum(counts, out=indptr[1:])
-    start = indptr.tolist()
-
-    comp = np.asarray(_pearce_scc(nodes, start, targets))
-    pos = comp[0::2]
-    neg = comp[1::2]
-    if bool((pos == neg).any()):
-        return None
-    return (pos > neg).tolist()
+    return indptr.tolist(), targets
 
 
 def _pearce_scc(nodes: int, start: list[int], targets: list[int]) -> list[int]:

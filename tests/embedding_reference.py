@@ -1,9 +1,9 @@
-"""The embedding layer as it was before its array kernels: a per-row check
-and a per-dart twin scan in build_from_rotation, a first-unvisited face
-walk, and per-option loops in enumerate_options and compute_clashes that
-look quad edges up by endpoints.  Kept unchanged as the reference that
-test_embedding_kernels.py compares the kernels with, outputs and error
-messages alike."""
+"""The embedding layer as it was before its array kernels: a per-row check,
+a per-dart twin scan and a BFS in build_from_rotation, a first-unvisited
+face walk, a per-pair F check, and per-option loops in enumerate_options
+and compute_clashes that look quad edges up by endpoints.  Kept as the
+reference that test_embedding_kernels.py compares the kernels with,
+outputs and error messages alike."""
 
 from __future__ import annotations
 
@@ -11,17 +11,21 @@ from array import array
 from collections import deque
 from typing import Sequence
 
+import numpy as np
+
 from planeinsert.errors import (
     AsymmetricAdjacency,
     Disconnected,
+    FNotInComplement,
     InvalidRotation,
     KNotOne,
     NotPlanarEmbedding,
     NotTriangulation,
+    SchemaError,
 )
 from planeinsert.instance_io import Instance
 from planeinsert.plane_graph import PlaneGraph
-from planeinsert.tri_insert import ClashGraph, OptionCatalog
+from planeinsert.tri_insert import ClashGraph, Option, OptionCatalog
 
 
 def build_from_rotation(vertex_count: int,
@@ -137,6 +141,27 @@ def build_from_rotation(vertex_count: int,
                       edge_dart, face_dart)
 
 
+def check_f(graph: PlaneGraph, F) -> list[tuple[int, int]]:
+    """make_instance's per-pair check of F; returns the pairs."""
+    n = graph.vertex_count
+    fpairs = []
+    seen = set()
+    for pair in F:
+        u, v = pair
+        if not (0 <= u < n and 0 <= v < n):
+            raise SchemaError(f"F pair {pair} out of range")
+        if u == v:
+            raise FNotInComplement(f"F pair {pair} has equal endpoints")
+        if graph.has_edge(u, v):
+            raise FNotInComplement(f"F pair {pair} is an edge of the graph")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise SchemaError(f"duplicate F pair {pair}")
+        seen.add(key)
+        fpairs.append((u, v))
+    return fpairs
+
+
 def is_triangulation(g: PlaneGraph) -> bool:
     if g.vertex_count < 4:
         return False
@@ -162,10 +187,10 @@ def enumerate_options(inst: Instance) -> OptionCatalog:
     g = inst.graph
     if not is_triangulation(g):
         raise NotTriangulation("instance graph is not a triangulation")
-    catalog = OptionCatalog(inst)
     findex = {(min(p), max(p)): i for i, p in enumerate(inst.F)}
     head = g.head
     succ = g.succ
+    options = []
     for e in range(g.edge_count):
         d, t = g.edge_darts(e)
         a1 = head(succ(d))
@@ -175,8 +200,23 @@ def enumerate_options(inst: Instance) -> OptionCatalog:
         if f is None:
             continue
         x, w = g.edge_endpoints(e)
-        catalog.add(f, e, (a1, x, a2, w))
-    return catalog
+        options.append(Option(len(options), f, e, (a1, x, a2, w)))
+    return OptionCatalog(
+        inst, np.array([o.f_edge for o in options], dtype=np.int64),
+        np.array([o.crossed for o in options], dtype=np.int64),
+        [o.quad for o in options])
+
+
+def catalog_lists(options: list[Option],
+                  m: int) -> tuple[list[list[int]], dict[int, int]]:
+    """f_options and option_of_edge, one option at a time."""
+    f_options: list[list[int]] = [[] for _ in range(m)]
+    option_of_edge: dict[int, int] = {}
+    for o in options:
+        f_options[o.f_edge].append(o.id)
+        assert o.crossed not in option_of_edge
+        option_of_edge[o.crossed] = o.id
+    return f_options, option_of_edge
 
 
 def compute_clashes(catalog: OptionCatalog) -> ClashGraph:

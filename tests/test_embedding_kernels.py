@@ -1,23 +1,29 @@
-"""The array kernels of build_from_rotation, enumerate_options and
-compute_clashes against their loop versions in embedding_reference.py:
-equal dart tables, options, clash lists (order included) and reducer
-traces, and the same exception type and message on malformed rotations,
-also under ``python -O``."""
+"""The array kernels of build_from_rotation, make_instance's F check,
+enumerate_options and compute_clashes against their loop versions in
+embedding_reference.py: equal dart tables, options, clash lists (order
+included) and reducer traces, and the same exception type and message on
+malformed rotations and malformed F, also under ``python -O``.  The
+connectivity kernel is also pinned by its round count."""
 
 from __future__ import annotations
 
+import math
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import embedding_reference as ref
+from planeinsert._rng import Lcg64
 from planeinsert.errors import NotTriangulation
 from planeinsert.instance_io import make_instance
 from planeinsert.plane_graph import (
     K4_ROTATION,
     PlaneGraph,
+    _components,
     apex_pair,
     build_from_rotation,
     generate_stacked_triangulation,
@@ -51,8 +57,15 @@ def assert_same_solver_stages(inst) -> None:
     want_cat = ref.enumerate_options(inst)
     got_cat = enumerate_options(inst)
     assert got_cat.options == want_cat.options
-    assert got_cat.f_options == want_cat.f_options
-    assert got_cat.option_of_edge == want_cat.option_of_edge
+    f_options, option_of_edge = ref.catalog_lists(want_cat.options,
+                                                  len(inst.F))
+    assert got_cat.f_options == f_options
+    assert got_cat.option_of_edge == option_of_edge
+    assert got_cat.live_count == [len(os) for os in f_options]
+    assert got_cat.alive == bytearray([1] * len(want_cat.options))
+    for column in ("f_edge", "crossed"):
+        assert (getattr(got_cat, column).tolist()
+                == [getattr(o, column) for o in want_cat.options])
     want_cl = ref.compute_clashes(want_cat)
     got_cl = compute_clashes(got_cat)
     assert got_cl.adj == want_cl.adj
@@ -136,6 +149,11 @@ ERROR_CASES = {
     "odd dart count": (3, [[1, 2], [0], [0, 1]]),
     "edgeless": (2, [[], []]),
     "disconnected": (4, [[1], [0], [3], [2]]),
+    # V - E + F = 8 - 12 + (4 + 2) = 2: only connectivity rejects it.
+    "plane K4 plus toroidal K4": (8, K4_ROTATION + [
+        [w + 4 for w in row] for row in
+        [list(reversed(K4_ROTATION[0]))] + K4_ROTATION[1:]]),
+    "disconnected, vertex 0 isolated": (3, [[], [2], [1]]),
     "genus 1": (4, [list(reversed(K4_ROTATION[0]))] + K4_ROTATION[1:]),
     "K5": (5, K5_ROTATION),
     "row not iterable": (2, [[1], 0]),
@@ -152,6 +170,34 @@ def raised(build, n, rotation) -> tuple[str, str]:
     return "no error", ""
 
 
+def f_error_cases() -> tuple[PlaneGraph, dict[str, list]]:
+    """Malformed F on a stacked graph with n = 12: each defect alone
+    (first and last among good pairs) and mixed with the others."""
+    g = generate_stacked_triangulation(12, 3)
+    good = apex_pairs(g)[:4]
+    u, v = good[0]
+    x, w = g.edge_endpoints(5)
+    defects = {
+        "out of range": (3, 12),
+        "negative": (-1, 4),
+        "huge": (2**70, 1),
+        "equal endpoints": (7, 7),
+        "graph edge": (x, w),
+        "reversed graph edge": (w, x),
+        "duplicate": (u, v),
+        "reversed duplicate": (v, u),
+    }
+    cases = {}
+    for name, pair in defects.items():
+        cases[f"{name} first"] = [pair] + good
+        cases[f"{name} last"] = good + [pair]
+    cases["range then edge"] = good[:2] + [(0, 99), (x, w), (v, u)]
+    cases["edge then duplicate"] = good + [(w, x), (v, u), (5, 5)]
+    cases["duplicate then equal"] = good + [(u, v), (4, 4), (x, w)]
+    cases["equal then range"] = [(9, 9)] + good + [(12, 0)]
+    return g, cases
+
+
 def error_mismatches() -> list[str]:
     out = []
     for name, (n, rotation) in ERROR_CASES.items():
@@ -159,6 +205,12 @@ def error_mismatches() -> list[str]:
         got = raised(build_from_rotation, n, rotation)
         if want[0] == "no error" or got != want:
             out.append(f"{name}: got {got}, reference {want}")
+    g, cases = f_error_cases()
+    for name, F in cases.items():
+        want = raised(ref.check_f, g, F)
+        got = raised(make_instance, g, F)
+        if want[0] == "no error" or got != want:
+            out.append(f"F {name}: got {got}, reference {want}")
     return out
 
 
@@ -177,3 +229,94 @@ def test_errors_match_reference_without_asserts():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split("\n", 1) == ["False", "ok\n"]
+
+
+# --- connectivity kernel ----------------------------------------------------
+
+
+def component_minima(n: int, edges) -> list[int]:
+    """Least vertex of every vertex's component, by BFS."""
+    nbr: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        nbr[u].append(v)
+        nbr[v].append(u)
+    label = [-1] * n
+    for s in range(n):
+        if label[s] < 0:
+            label[s] = s
+            queue = deque([s])
+            while queue:
+                for w in nbr[queue.popleft()]:
+                    if label[w] < 0:
+                        label[w] = s
+                        queue.append(w)
+    return label
+
+
+def components(n: int, edges) -> tuple[list[int], int]:
+    e = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    root, rounds = _components(n, e.min(axis=1), e.max(axis=1))
+    return root.tolist(), rounds
+
+
+def test_components_match_bfs():
+    rng = Lcg64(11)
+    for trial in range(300):
+        n = 1 + rng.below(60)
+        m = rng.below(2 * n)
+        edges = [(u, v) for u, v in ((rng.below(n), rng.below(n))
+                                     for _ in range(m)) if u != v]
+        root, rounds = components(n, edges)
+        assert root == component_minima(n, edges), (n, edges)
+        assert rounds <= 2 * math.log2(n) + 1
+
+
+def relabelled(n: int, edges: list[tuple[int, int]],
+               seed: int) -> list[tuple[int, int]]:
+    perm = list(range(n))
+    Lcg64(seed).shuffle(perm)
+    return [(perm[u], perm[v]) for u, v in edges]
+
+
+def nested_triangles(t: int) -> list[tuple[int, int]]:
+    """t nested triangles, corner j of each joined to corner j of the
+    next one."""
+    edges = []
+    for i in range(t):
+        for j in range(3):
+            edges.append((3 * i + j, 3 * i + (j + 1) % 3))
+            if i + 1 < t:
+                edges.append((3 * i + j, 3 * i + 3 + j))
+    return edges
+
+
+def stacked_edges(n: int, seed: int) -> list[tuple[int, int]]:
+    """Edges of a random stacked triangulation: K4, then each new vertex
+    joined to the corners of a random face."""
+    rng = Lcg64(seed)
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    faces = [(0, 1, 2), (0, 2, 3), (0, 3, 1)]
+    for x in range(4, n):
+        i = rng.below(len(faces))
+        a, b, c = faces[i]
+        edges += [(a, x), (b, x), (c, x)]
+        faces[i] = (a, b, x)
+        faces += [(b, c, x), (c, a, x)]
+    return edges
+
+
+@pytest.mark.parametrize("family", ["path", "nested triangles", "stacked"])
+def test_connectivity_rounds_on_relabelled_graphs(family):
+    # Long shortcut chains and many local minima, at n = 10^5; the proven
+    # bound is 2*log2(n) + 1 = 34 rounds.
+    n = 100_000
+    if family == "path":
+        edges = [(v, v + 1) for v in range(n - 1)]
+    elif family == "nested triangles":
+        n -= n % 3
+        edges = nested_triangles(n // 3)
+    else:
+        edges = stacked_edges(n, 5)
+    root, rounds = components(n, relabelled(n, edges, 7))
+    assert root == [0] * n
+    assert rounds <= 12

@@ -73,6 +73,23 @@ class TestInstance:
         with pytest.raises(SchemaError):
             make_instance(octahedron(), [(0, 5), (5, 0)])
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0, "a", None])
+    def test_non_integer_f_entry_is_schema_error(self, bad):
+        # array("q") rejects floats; np.array(F, dtype=np.int64) would
+        # have read 0.5 as 0.
+        with pytest.raises(SchemaError, match="non-integer endpoint"):
+            make_instance(octahedron(), [(0, 5), (bad, 4)])
+        text = write_instance(make_instance(octahedron(), [(0, 5)]))
+        text = text.replace('"F":[[0,5]]', f'"F":[[0,5],[{bad!r},4]]')
+        text = text.replace("'", '"').replace("None", "null")
+        with pytest.raises(SchemaError, match="non-integer endpoint"):
+            parse_instance(text)
+
+    def test_malformed_f_entry_is_schema_error(self):
+        for F in ([(0, 5), 3], [(0, 5, 1)], [(0,)]):
+            with pytest.raises(SchemaError, match="is not a pair"):
+                make_instance(octahedron(), F)
+
     def test_coords_non_crossing_enforced(self):
         # Planar rotation of K4 but coordinates that force a crossing:
         # vertex 3 outside the triangle 0,1,2 makes (0,3)/(2,3)-style

@@ -8,8 +8,15 @@ from itertools import product
 
 import pytest
 
+import numpy as np
+
 from planeinsert._rng import Lcg64
-from planeinsert.twosat import TwoSatFormula, solve
+from planeinsert.twosat import (
+    TwoSatFormula,
+    _implication_csr,
+    _pearce_scc,
+    solve,
+)
 
 
 def brute_force_sat(f: TwoSatFormula) -> bool:
@@ -95,6 +102,33 @@ def timed_solve(f: TwoSatFormula) -> float:
     finally:
         gc.enable()
     return dt
+
+
+class CountingList(list):
+    """A list that counts the reads of each index."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = [0] * len(items)
+
+    def __getitem__(self, i):
+        self.reads[i] += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
+def test_scc_reads_every_arc_once(n):
+    # The work check behind the wall-clock test below: Pearce's search
+    # reads each arc of the implication graph exactly once.
+    f = chain_formula(n)
+    nodes = 2 * n
+    start, targets = _implication_csr(
+        nodes, np.frombuffer(f.packed_codes(), dtype=np.int64))
+    counted = CountingList(targets)
+    assert _pearce_scc(nodes, start, counted) == _pearce_scc(nodes, start,
+                                                             targets)
+    assert len(targets) == 4 * (n - 1)
+    assert counted.reads == [1] * len(targets)
 
 
 @pytest.mark.slow
