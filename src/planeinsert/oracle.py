@@ -1,8 +1,9 @@
 """Brute-force ground-truth solvers.
 
-exact_solve_triangulation enumerates option assignments for the k=1
-triangulation case (the clash rule decides feasibility; optionally every
-joint assignment is double-checked against the verifier).
+exact_solve_triangulation decides the k = 1 triangulation case from the
+clash rule alone: it takes the lexicographically first clash-free choice
+of one option per insertion edge, with no case reduction and no 2-SAT, and
+replays the certificate through the verifier before returning it.
 
 exact_solve_general searches face-walk realizations in the evolving
 planarization for any k, in input order with canonical branching, and is
@@ -14,91 +15,40 @@ on the machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
 from ._rng import Lcg64
 from .errors import SearchBudgetExceeded, SearchSpaceTooLarge
 from .instance_io import CrossingEvent, Instance, Route, Solution
 from .search import backtrack
-from .tri_insert import compute_clashes, enumerate_options
+from .tri_insert import (
+    certificate,
+    compute_clashes,
+    enumerate_options,
+    first_clash_free,
+)
 from .verdicts import Verdict
 from .verifier import PlanarizedDrawing, verify
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    node_budget: int = 10_000_000
-
-
-def exact_solve_triangulation(inst: Instance, guard: int = 10_000_000,
-                              validate_with_verifier: bool = False
+def exact_solve_triangulation(inst: Instance, guard: int = 10_000_000
                               ) -> Solution | Verdict:
-    """First clash-free option assignment in lexicographic order.
-
-    With validate_with_verifier, every joint assignment in a product of at
-    most 10^4 is replayed through the verifier and the clash rule must
-    agree with realizability; disagreement raises AssertionError.
-    """
+    """First clash-free option assignment in lexicographic order; raises
+    SearchSpaceTooLarge when the option product exceeds guard."""
     catalog = enumerate_options(inst)
     clashes = compute_clashes(catalog)
-    m = len(inst.F)
-    option_lists = [catalog.f_options[f] for f in range(m)]
     space = 1
-    for lst in option_lists:
+    for lst in catalog.f_options:
         space *= len(lst)
         if space > guard:
             raise SearchSpaceTooLarge(f"option product exceeds {guard}")
-
-    if validate_with_verifier and 0 < space <= 10_000:
-        for assignment in product(*option_lists):
-            clash_free = _clash_free(catalog, clashes, assignment)
-            sol = _assignment_solution(inst, catalog, assignment)
-            accepted = verify(inst, sol).accepted
-            assert clash_free == accepted, (
-                f"clash rule disagrees with verifier on {assignment}")
-
-    first = _first_clash_free(clashes, option_lists)
+    first = first_clash_free(clashes.adj, catalog.f_options)
     if first is None:
         return Verdict.INFEASIBLE
-    sol = _assignment_solution(inst, catalog, first)
+    sol = certificate(inst.graph, catalog.crossed[first])
     check = verify(inst, sol)
     assert check.accepted, f"oracle emitted a rejected solution: {check}"
     return sol
-
-
-def _clash_free(catalog, clashes, assignment) -> bool:
-    chosen = list(assignment)
-    for i, o in enumerate(chosen):
-        adj = clashes.adj[o]
-        for j in range(i + 1, len(chosen)):
-            if chosen[j] in adj:
-                return False
-    return True
-
-
-def _first_clash_free(clashes, option_lists) -> list[int] | None:
-    chosen: list[int] = []
-
-    def choices(i: int):
-        return (o for o in option_lists[i]
-                if not any(o in clashes.adj[c] for c in chosen))
-
-    for _ in backtrack(len(option_lists), choices,
-                       lambda i, o: chosen.append(o), lambda i: chosen.pop()):
-        return chosen
-    return None
-
-
-def _assignment_solution(inst, catalog, assignment) -> Solution:
-    g = inst.graph
-    routes = []
-    for f, o in enumerate(assignment):
-        x, w = g.edge_endpoints(catalog.options[o].crossed)
-        pair = (x, w) if x < w else (w, x)
-        routes.append(Route(f, (CrossingEvent("graph_edge", pair),)))
-    return Solution(tuple(routes))
 
 
 # --- general search ----------------------------------------------------------
@@ -119,10 +69,10 @@ def _route_of(pd: PlanarizedDrawing, inst: Instance, f: int,
     return Route(f, tuple(events))
 
 
-def _search(inst: Instance, limits: SearchLimits,
+def _search(inst: Instance, node_budget: int,
             rng: Lcg64 | None = None) -> Iterator[list[Route]]:
     """Routes of every complete realization, depth-first in input order;
-    raises SearchBudgetExceeded past limits.node_budget insertions."""
+    raises SearchBudgetExceeded past node_budget insertions."""
     pd = PlanarizedDrawing(inst)
     routes: list[Route] = []
     tokens: list[int] = []
@@ -139,19 +89,17 @@ def _search(inst: Instance, limits: SearchLimits,
         routes.pop()
         pd.undo(tokens.pop())
 
-    for _ in backtrack(len(inst.F), choices, enter, leave,
-                       limits.node_budget):
+    for _ in backtrack(len(inst.F), choices, enter, leave, node_budget):
         yield routes
 
 
-def exact_solve_general(inst: Instance,
-                        limits: SearchLimits = SearchLimits(),
-                        seed: int | None = None
-                        ) -> Solution | Verdict:
-    """Complete search for any k on small instances."""
+def exact_solve_general(inst: Instance, node_budget: int = 10_000_000,
+                        seed: int | None = None) -> Solution | Verdict:
+    """Complete search for any k on small instances; BUDGET_EXCEEDED past
+    node_budget inserted realizations."""
     rng = Lcg64(seed) if seed is not None else None
     try:
-        routes = next(_search(inst, limits, rng), None)
+        routes = next(_search(inst, node_budget, rng), None)
     except SearchBudgetExceeded:
         return Verdict.BUDGET_EXCEEDED
     if routes is None:
@@ -163,7 +111,7 @@ def exact_solve_general(inst: Instance,
 
 
 def iter_solutions(inst: Instance,
-                   limits: SearchLimits = SearchLimits()) -> Iterator[Solution]:
+                   node_budget: int = 10_000_000) -> Iterator[Solution]:
     """All solutions, deduplicated by route signature; complete enumeration.
 
     Raises SearchSpaceTooLarge when the node budget runs out before the
@@ -173,7 +121,7 @@ def iter_solutions(inst: Instance,
     seen: set[tuple] = set()
     out: list[Solution] = []
     try:
-        for routes in _search(inst, limits):
+        for routes in _search(inst, node_budget):
             sig = tuple(tuple((ev.kind, ev.target) for ev in r.events)
                         for r in routes)
             if sig not in seen:
@@ -181,5 +129,5 @@ def iter_solutions(inst: Instance,
                 out.append(Solution(tuple(routes)))
     except SearchBudgetExceeded as exc:
         raise SearchSpaceTooLarge(
-            f"enumeration exceeded {limits.node_budget} nodes") from exc
+            f"enumeration exceeded {node_budget} nodes") from exc
     return iter(out)

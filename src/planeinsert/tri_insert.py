@@ -23,10 +23,11 @@ and cycles, which drives the case analysis in reduce_instance.
 Catalog layout.  Option ids follow crossed-edge order: option o crosses
 the o-th graph edge, in edge order, whose two apexes form a pair of F.
 OptionCatalog keeps two int64 columns, f_edge and crossed, that the array
-kernels read, and builds the rest from them in bulk: options[o] is an
-Option tuple, f_options[f] lists f's option ids in increasing order,
-live_count[f] is its length, alive holds one flag byte per option and
-option_of_edge maps a crossed edge to its option.
+kernels read, and Python-int lists of them for scalar reads: options[o] is
+the graph edge option o crosses and f_of[o] its insertion edge.  Built in
+bulk from the columns, f_options[f] lists f's option ids in increasing
+order, live_count[f] is its length and alive holds one flag byte per
+option.
 
 Options and clashes are found with whole-array kernels over the dart
 tables and need no endpoint lookup.  For crossed edge (x, w) with dart
@@ -39,32 +40,22 @@ succ(d).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from heapq import heappop, heappush
-from typing import Iterable, NamedTuple
+from typing import Sequence
 
 import numpy as np
 
 from .errors import KNotOne, NotTriangulation, SearchSpaceTooLarge
 from .instance_io import CrossingEvent, Instance, Route, Solution
-from .plane_graph import is_triangulation, succ_array
+from .plane_graph import PlaneGraph, is_triangulation, succ_array
+from .search import backtrack
 from .twosat import TwoSatFormula
 from .twosat import solve as twosat_solve
 from .verdicts import Verdict
 
 TraceEvent = tuple  # ("delete", opt) | ("commit", f, opt) | ("infeasible", f)
-
-
-class Option(NamedTuple):
-    id: int
-    f_edge: int
-    crossed: int               # graph edge index
-    quad: tuple[int, int, int, int]  # (u, x, v, w); crossed = (x, w)
-
-
-# Option from a 4-tuple without NamedTuple.__new__'s Python-level call.
-_option = partial(tuple.__new__, Option)
 
 
 class OptionCatalog:
@@ -73,14 +64,13 @@ class OptionCatalog:
     docstring for the layout)."""
 
     def __init__(self, inst: Instance, f_edge: np.ndarray,
-                 crossed: np.ndarray, quads: Iterable[tuple]):
+                 crossed: np.ndarray):
         self.instance = inst
         self.f_edge = f_edge
         self.crossed = crossed
         k = len(crossed)
-        crossed_ids = crossed.tolist()
-        self.options: list[Option] = list(map(
-            _option, zip(range(k), f_edge.tolist(), crossed_ids, quads)))
+        self.options: list[int] = crossed.tolist()
+        self.f_of: list[int] = f_edge.tolist()
         counts = np.bincount(f_edge, minlength=len(inst.F))
         ends = np.cumsum(counts).tolist()
         by_f = np.argsort(f_edge, kind="stable").tolist()
@@ -89,7 +79,6 @@ class OptionCatalog:
         self.alive: bytearray = bytearray(b"\x01") * k
         self.live_count: list[int] = counts.tolist()
         self.committed: dict[int, int] = {}
-        self.option_of_edge: dict[int, int] = dict(zip(crossed_ids, range(k)))
 
     def alive_options(self, f_edge: int) -> list[int]:
         return [o for o in self.f_options[f_edge] if self.alive[o]]
@@ -125,7 +114,7 @@ def enumerate_options(inst: Instance) -> OptionCatalog:
         raise NotTriangulation("instance graph is not a triangulation")
     if not inst.F:
         none = np.empty(0, dtype=np.int64)
-        return OptionCatalog(inst, none, none, ())
+        return OptionCatalog(inst, none, none)
     n = g.vertex_count
     succ = succ_array(g)
     head = g.table("head")
@@ -136,6 +125,7 @@ def enumerate_options(inst: Instance) -> OptionCatalog:
     code = np.minimum(a1, a2)
     code *= n
     code += np.maximum(a1, a2)
+    del a1, a2
     # Sort both code lists; each F code then owns the run of equal apex
     # codes between its two searchsorted bounds (sorted queries keep the
     # probes local).  Options are those runs' edges, put in edge order.
@@ -161,9 +151,7 @@ def enumerate_options(inst: Instance) -> OptionCatalog:
     es = es[order]
     f_edge = np.repeat(forder, count)[order]
     del order, count
-    quads = zip(a1[es].tolist(), g.table("eu")[es].tolist(),
-                a2[es].tolist(), g.table("ev")[es].tolist())
-    return OptionCatalog(inst, f_edge, es, quads)
+    return OptionCatalog(inst, f_edge, es)
 
 
 def compute_clashes(catalog: OptionCatalog) -> ClashGraph:
@@ -186,10 +174,10 @@ def compute_clashes(catalog: OptionCatalog) -> ClashGraph:
     quad[:, 2] = edge[succ[st]]
     quad[:, 3] = edge[sd]
     del succ, d, sd, st
-    option_of_edge = np.full(g.edge_count, -1, dtype=np.int64)
-    option_of_edge[crossed] = np.arange(k, dtype=np.int64)
-    other = option_of_edge[quad]
-    del quad, option_of_edge
+    option_at = np.full(g.edge_count, -1, dtype=np.int64)
+    option_at[crossed] = np.arange(k, dtype=np.int64)
+    other = option_at[quad]
+    del quad, option_at
     # Each pair is added once, from the smaller id, in (id, quad position)
     # order; that order fixes every adjacency list.
     hit = other > np.arange(k, dtype=np.int64)[:, None]
@@ -213,7 +201,7 @@ def classify_options(catalog: OptionCatalog, f_edge: int) -> OptionClassificatio
     g = catalog.instance.graph
     at_vertex: dict[int, list[int]] = {}
     for o in opts:
-        x, w = g.edge_endpoints(catalog.options[o].crossed)
+        x, w = g.edge_endpoints(catalog.options[o])
         at_vertex.setdefault(x, []).append(o)
         at_vertex.setdefault(w, []).append(o)
     nbr: dict[int, list[int]] = {o: [] for o in opts}
@@ -310,7 +298,7 @@ class _Reducer:
         assert cat.alive[o]
         self.log(("delete", o))
         cat.alive[o] = 0
-        f = cat.options[o].f_edge
+        f = cat.f_of[o]
         cat.live_count[f] -= 1
         self.push(f)
 
@@ -392,7 +380,7 @@ class _Reducer:
         u, v = cat.instance.F[f]
         core = {u, v}
         for o in cat.alive_options(f):
-            x, w = cat.instance.graph.edge_endpoints(cat.options[o].crossed)
+            x, w = cat.instance.graph.edge_endpoints(cat.options[o])
             core.add(x)
             core.add(w)
         inside = sorted({
@@ -408,22 +396,12 @@ class _Reducer:
             raise SearchSpaceTooLarge(
                 f"compact case around F edge {f} has {product} option "
                 "combinations, more than 1,000,000")
-        for assignment in itertools.product(*choice_lists):
-            ok = True
-            for i in range(len(assignment)):
-                ai = assignment[i]
-                partners = self.clashes.adj[ai]
-                for j in range(i + 1, len(assignment)):
-                    if assignment[j] in partners:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                self.log(("case_c", f, tuple(zip(inside, assignment))))
-                for f2, o in zip(inside, assignment):
-                    self.commit(f2, o)
-                return None
+        assignment = first_clash_free(self.clashes.adj, choice_lists)
+        if assignment is not None:
+            self.log(("case_c", f, tuple(zip(inside, assignment))))
+            for f2, o in zip(inside, assignment):
+                self.commit(f2, o)
+            return None
         self.log(("infeasible", f))
         return Verdict.INFEASIBLE
 
@@ -461,11 +439,38 @@ def solve(inst: Instance) -> Solution | Verdict:
     crossed = catalog.crossed[chosen]
     # The routes are built once the catalog is gone, in the memory it held.
     del catalog, clashes, reduced, chosen
-    g = inst.graph
+    return certificate(inst.graph, crossed)
+
+
+def certificate(g: PlaneGraph, crossed: np.ndarray) -> Solution:
+    """The k = 1 solution whose route f crosses graph edge crossed[f]."""
     pairs = zip(g.table("eu")[crossed].tolist(),
                 g.table("ev")[crossed].tolist())
     return Solution(tuple(Route(f, (CrossingEvent("graph_edge", pair),))
                           for f, pair in enumerate(pairs)))
+
+
+def first_clash_free(adj: list[list[int]],
+                     choice_lists: Sequence[Sequence[int]]
+                     ) -> list[int] | None:
+    """One option from each list, no two of them clashing under adj, the
+    first such pick in itertools.product order; None when there is none."""
+    chosen: list[int] = []
+    blocked: Counter[int] = Counter()  # clash partners of chosen options
+
+    def choices(i: int):
+        return (o for o in choice_lists[i] if not blocked[o])
+
+    def enter(i: int, o: int) -> None:
+        chosen.append(o)
+        blocked.update(adj[o])
+
+    def leave(i: int) -> None:
+        blocked.subtract(adj[chosen.pop()])
+
+    for _ in backtrack(len(choice_lists), choices, enter, leave):
+        return chosen
+    return None
 
 
 def _choose_options(catalog: OptionCatalog,

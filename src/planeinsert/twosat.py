@@ -33,10 +33,12 @@ def _code(lit: Literal) -> int:
 @dataclass
 class TwoSatFormula:
     variable_count: int
-    clauses: list[tuple[Literal, Literal]] = field(default_factory=list)
-    # Packed literal codes, two per clause; kept in sync by add_clause so
-    # solve() never has to walk the tuple list for large formulas.
-    _packed: array = field(default_factory=lambda: array("q"), repr=False)
+    clauses: list[tuple[Literal, Literal]] = field(
+        init=False, default_factory=list)
+    # Packed literal codes, two per clause; add_clause is the only writer
+    # of both lists, so solve() never has to walk the tuple list.
+    _packed: array = field(
+        init=False, default_factory=lambda: array("q"), repr=False)
 
     def add_clause(self, a: Literal, b: Literal) -> None:
         self.clauses.append((a, b))
@@ -44,12 +46,6 @@ class TwoSatFormula:
         self._packed.append(_code(b))
 
     def packed_codes(self) -> array:
-        if len(self._packed) != 2 * len(self.clauses):
-            repacked = array("q")
-            for a, b in self.clauses:
-                repacked.append(_code(a))
-                repacked.append(_code(b))
-            self._packed = repacked
         return self._packed
 
     def evaluate(self, model: list[bool]) -> bool:

@@ -390,9 +390,6 @@ def verify(inst: Instance, sol: Solution, seed: int | None = None,
                 logical = e
                 la, lb = a, b
             else:
-                if not (0 <= ev.target < i):
-                    return VerifyResult(False, "route_references_later_edge",
-                                        i, f"references edge {ev.target}")
                 logical = g.edge_count + ev.target
                 la, lb = inst.F[ev.target]
             if logical in named:

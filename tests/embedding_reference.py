@@ -25,7 +25,7 @@ from planeinsert.errors import (
 )
 from planeinsert.instance_io import Instance
 from planeinsert.plane_graph import PlaneGraph
-from planeinsert.tri_insert import ClashGraph, Option, OptionCatalog
+from planeinsert.tri_insert import ClashGraph, OptionCatalog
 
 
 def build_from_rotation(vertex_count: int,
@@ -190,7 +190,8 @@ def enumerate_options(inst: Instance) -> OptionCatalog:
     findex = {(min(p), max(p)): i for i, p in enumerate(inst.F)}
     head = g.head
     succ = g.succ
-    options = []
+    f_of: list[int] = []
+    crossed: list[int] = []
     for e in range(g.edge_count):
         d, t = g.edge_darts(e)
         a1 = head(succ(d))
@@ -199,36 +200,36 @@ def enumerate_options(inst: Instance) -> OptionCatalog:
         f = findex.get(key)
         if f is None:
             continue
-        x, w = g.edge_endpoints(e)
-        options.append(Option(len(options), f, e, (a1, x, a2, w)))
-    return OptionCatalog(
-        inst, np.array([o.f_edge for o in options], dtype=np.int64),
-        np.array([o.crossed for o in options], dtype=np.int64),
-        [o.quad for o in options])
+        f_of.append(f)
+        crossed.append(e)
+    return OptionCatalog(inst, np.array(f_of, dtype=np.int64),
+                         np.array(crossed, dtype=np.int64))
 
 
-def catalog_lists(options: list[Option],
-                  m: int) -> tuple[list[list[int]], dict[int, int]]:
-    """f_options and option_of_edge, one option at a time."""
-    f_options: list[list[int]] = [[] for _ in range(m)]
-    option_of_edge: dict[int, int] = {}
-    for o in options:
-        f_options[o.f_edge].append(o.id)
-        assert o.crossed not in option_of_edge
-        option_of_edge[o.crossed] = o.id
-    return f_options, option_of_edge
+def f_options(f_of: list[int], m: int) -> list[list[int]]:
+    """The option ids of each insertion edge, one option at a time."""
+    lists: list[list[int]] = [[] for _ in range(m)]
+    for o, f in enumerate(f_of):
+        lists[f].append(o)
+    return lists
 
 
 def compute_clashes(catalog: OptionCatalog) -> ClashGraph:
     g = catalog.instance.graph
     clashes = ClashGraph(len(catalog.options))
-    for opt in catalog.options:
-        u, x, v, w = opt.quad
+    option_of_edge: dict[int, int] = {}
+    for o, e in enumerate(catalog.options):
+        assert e not in option_of_edge
+        option_of_edge[e] = o
+    for o, e in enumerate(catalog.options):
+        d, t = g.edge_darts(e)
+        u, v = g.head(g.succ(d)), g.head(g.succ(t))
+        x, w = g.edge_endpoints(e)
         for (a, b) in ((u, x), (x, v), (v, w), (w, u)):
-            other = catalog.option_of_edge.get(_edge_id(g, a, b))
-            if other is None or other <= opt.id:
+            other = option_of_edge.get(_edge_id(g, a, b))
+            if other is None or other <= o:
                 continue
-            if catalog.options[other].f_edge == opt.f_edge:
+            if catalog.f_of[other] == catalog.f_of[o]:
                 continue
-            clashes.add_pair(opt.id, other)
+            clashes.add_pair(o, other)
     return clashes

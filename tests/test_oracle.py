@@ -7,7 +7,6 @@ import pytest
 from planeinsert.errors import SearchSpaceTooLarge
 from planeinsert.instance_io import Solution, make_instance
 from planeinsert.oracle import (
-    SearchLimits,
     exact_solve_general,
     exact_solve_triangulation,
     iter_solutions,
@@ -23,7 +22,7 @@ from instance_gen import instance_stream, planted_instance
 class TestTriangulationOracle:
     def test_octahedron_with_validation(self):
         inst = make_instance(octahedron(), [(0, 5), (1, 3), (2, 4)])
-        sol = exact_solve_triangulation(inst, validate_with_verifier=True)
+        sol = exact_solve_triangulation(inst)
         assert isinstance(sol, Solution)
         assert verify(inst, sol).accepted
 
@@ -57,20 +56,20 @@ class TestTriangulationOracle:
 class TestGeneralOracle:
     def test_chord_instance(self):
         inst = make_instance(cube(), [(0, 2)], k=1)
-        sol = exact_solve_general(inst, SearchLimits(10_000))
+        sol = exact_solve_general(inst, node_budget=10_000)
         assert isinstance(sol, Solution)
         assert sol.routes[0].events == ()
 
     def test_budget_exceeded(self):
         inst = make_instance(octahedron(), [(0, 5), (1, 3), (2, 4)])
-        assert exact_solve_general(inst, SearchLimits(1)) \
+        assert exact_solve_general(inst, node_budget=1) \
             is Verdict.BUDGET_EXCEEDED
 
     def test_cross_oracle_agreement(self):
         count_feasible = 0
         for inst in instance_stream(300, n_lo=6, n_hi=12, f_hi=4):
             tri = exact_solve_triangulation(inst)
-            gen = exact_solve_general(inst, SearchLimits(500_000))
+            gen = exact_solve_general(inst, node_budget=500_000)
             assert gen is not Verdict.BUDGET_EXCEEDED
             assert isinstance(tri, Solution) == isinstance(gen, Solution), \
                 inst.F
@@ -81,19 +80,19 @@ class TestGeneralOracle:
     def test_infeasible_stable_under_seeds(self):
         seen = 0
         for inst in instance_stream(60, n_lo=6, n_hi=8, f_hi=3):
-            base = exact_solve_general(inst, SearchLimits(500_000))
+            base = exact_solve_general(inst, node_budget=500_000)
             if base is not Verdict.INFEASIBLE:
                 continue
             seen += 1
             for seed in range(5):
-                again = exact_solve_general(inst, SearchLimits(500_000),
+                again = exact_solve_general(inst, node_budget=500_000,
                                             seed=seed)
                 assert again is Verdict.INFEASIBLE
         assert seen >= 5
 
     def test_iter_solutions_dedupes_and_verifies(self):
         inst = make_instance(octahedron(), [(0, 5), (1, 3)])
-        sols = list(iter_solutions(inst, SearchLimits(200_000)))
+        sols = list(iter_solutions(inst, node_budget=200_000))
         sigs = set()
         for s in sols:
             sig = tuple(tuple((e.kind, e.target) for e in r.events)
@@ -107,4 +106,4 @@ class TestGeneralOracle:
     def test_iter_solutions_budget(self):
         inst = make_instance(octahedron(), [(0, 5), (1, 3)])
         with pytest.raises(SearchSpaceTooLarge):
-            list(iter_solutions(inst, SearchLimits(1)))
+            list(iter_solutions(inst, node_budget=1))

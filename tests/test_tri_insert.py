@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from planeinsert._rng import Lcg64
 from planeinsert.errors import KNotOne, NotTriangulation
 from planeinsert.instance_io import Solution, make_instance
 from planeinsert.oracle import exact_solve_triangulation
 from planeinsert.plane_graph import build_from_rotation
 from planeinsert.tri_insert import (
+    certificate,
     classify_options,
     compute_clashes,
     enumerate_options,
+    first_clash_free,
     reduce_instance,
     solve,
 )
@@ -28,6 +31,16 @@ def octa_inst(F):
     return make_instance(octahedron(), F)
 
 
+def clash_free(adj, pick) -> bool:
+    """No two picked options clash."""
+    return not any(b in adj[a] for a, b in combinations(pick, 2))
+
+
+def clash_free_picks(adj, choice_lists) -> list[list[int]]:
+    """Every pairwise clash-free pick, in itertools.product order."""
+    return [list(p) for p in product(*choice_lists) if clash_free(adj, p)]
+
+
 class TestEnumerate:
     def test_empty_catalog(self):
         cat = enumerate_options(octa_inst([]))
@@ -36,7 +49,7 @@ class TestEnumerate:
     def test_octahedron_antipodal_options(self):
         inst = octa_inst([(0, 5)])
         cat = enumerate_options(inst)
-        crossed = {inst.graph.edge_endpoints(cat.options[o].crossed)
+        crossed = {inst.graph.edge_endpoints(cat.options[o])
                    for o in cat.f_options[0]}
         assert crossed == {(1, 2), (2, 3), (3, 4), (1, 4)}
 
@@ -52,12 +65,12 @@ class TestEnumerate:
             if pair == {0, 5}:
                 expected.add(e)
         cat = enumerate_options(inst)
-        assert {cat.options[o].crossed for o in cat.f_options[0]} == expected
+        assert {cat.options[o] for o in cat.f_options[0]} == expected
 
     def test_bipyramid_three_options(self):
         inst = make_instance(bipyramid5(), [(0, 4)])
         cat = enumerate_options(inst)
-        crossed = {inst.graph.edge_endpoints(cat.options[o].crossed)
+        crossed = {inst.graph.edge_endpoints(cat.options[o])
                    for o in cat.f_options[0]}
         assert crossed == {(1, 2), (2, 3), (1, 3)}
 
@@ -72,8 +85,7 @@ class TestEnumerate:
     def test_option_uniqueness_on_random_instances(self):
         for inst in instance_stream(40):
             cat = enumerate_options(inst)
-            crossed = [o.crossed for o in cat.options]
-            assert len(crossed) == len(set(crossed))
+            assert len(cat.options) == len(set(cat.options))
 
 
 class TestClashes:
@@ -87,30 +99,30 @@ class TestClashes:
             assert cl.degree(o) == 2
 
     def test_clash_rule_against_realizability(self):
-        # Cross-check the quad rule on all 16 joint choices of two edges.
-        inst = octa_inst([(0, 5), (1, 3)])
-        cat = enumerate_options(inst)
-        cl = compute_clashes(cat)
-        exact_solve_triangulation(inst, validate_with_verifier=True)
-        for a in cat.f_options[0]:
-            for b in cat.f_options[1]:
-                from planeinsert.oracle import _assignment_solution
-                sol = _assignment_solution(inst, cat, (a, b))
-                assert verify(inst, sol).accepted == (b not in cl.adj[a])
+        # Cross-check the quad rule on every joint choice (16, then 64): the
+        # verifier accepts exactly the pairwise clash-free ones.
+        for F in ([(0, 5), (1, 3)], [(0, 5), (1, 3), (2, 4)]):
+            inst = octa_inst(F)
+            cat = enumerate_options(inst)
+            cl = compute_clashes(cat)
+            for pick in product(*cat.f_options):
+                sol = certificate(inst.graph, cat.crossed[list(pick)])
+                assert (verify(inst, sol).accepted
+                        == clash_free(cl.adj, pick)), (F, pick)
 
     def test_single_edge_no_clashes(self):
         cat = enumerate_options(octa_inst([(0, 5)]))
         cl = compute_clashes(cat)
-        assert all(cl.degree(o.id) == 0 for o in cat.options)
+        assert all(cl.degree(o) == 0 for o in range(len(cat.options)))
 
     def test_max_degree_bound(self):
         for inst in instance_stream(60):
             cat = enumerate_options(inst)
             cl = compute_clashes(cat)
-            assert all(cl.degree(o.id) <= 4 for o in cat.options)
-            for o in cat.options:
-                for p in cl.adj[o.id]:
-                    assert o.id in cl.adj[p]
+            for o in range(len(cat.options)):
+                assert cl.degree(o) <= 4
+                for p in cl.adj[o]:
+                    assert o in cl.adj[p]
 
 
 class TestClassify:
@@ -197,21 +209,12 @@ def _feasible(catalog, clashes, committed, alive):
             return False
         lists.append(opts)
     base = list(committed.values())
-    for pick in product(*lists):
-        chosen = base + list(pick)
-        ok = True
-        for i in range(len(chosen)):
-            adj = clashes.adj[chosen[i]]
-            if any(chosen[j] in adj for j in range(i + 1, len(chosen))):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return any(clash_free(clashes.adj, base + list(pick))
+               for pick in product(*lists))
 
 
 def _uses_option(catalog, clashes, committed, alive, o):
-    f = catalog.options[o].f_edge
+    f = catalog.f_of[o]
     forced = dict(committed)
     forced[f] = o
     return _feasible(catalog, clashes, forced, alive)
@@ -228,7 +231,7 @@ def test_reduction_deletion_soundness_and_commit_safety():
         # Replay on a fresh catalog.
         cat2 = enumerate_options(inst)
         cl2 = compute_clashes(cat2)
-        alive = {o.id for o in cat2.options}
+        alive = set(range(len(cat2.options)))
         committed: dict[int, int] = {}
         total_before = len(alive)
         for ev in trace:
@@ -254,3 +257,76 @@ def test_reduction_deletion_soundness_and_commit_safety():
             # Monotone progress: the alive set never grows.
             assert len(alive) <= total_before
     assert checked_deletes + checked_commits > 30
+
+
+# --- the compact case's search -------------------------------------------------
+
+
+def test_first_clash_free_matches_product_order():
+    assert first_clash_free([], []) == []
+    assert first_clash_free([[]], [[0], []]) is None
+    rng = Lcg64(8)
+    shapes = {"no levels": 0, "empty list": 0, "none": 0, "found": 0}
+    for _ in range(500):
+        n = 1 + rng.below(10)
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for a, b in combinations(range(n), 2):
+            if rng.below(3) == 0:
+                adj[a].append(b)
+                adj[b].append(a)
+        # Disjoint lists of 0 to 3 options, as in a catalog.
+        options = list(range(n))
+        rng.shuffle(options)
+        lists = []
+        for _ in range(rng.below(5)):
+            size = rng.below(4)
+            lists.append(options[:size])
+            del options[:size]
+        picks = clash_free_picks(adj, lists)
+        got = first_clash_free(adj, lists)
+        assert got == (picks[0] if picks else None), (adj, lists)
+        shapes["no levels"] += not lists
+        shapes["empty list"] += any(not lst for lst in lists)
+        shapes["none"] += got is None
+        shapes["found"] += len(picks) > 1
+    assert min(shapes.values()) >= 20, shapes
+
+
+@pytest.mark.parametrize("graph, F", [
+    (octahedron, [(0, 5), (1, 3)]),
+    (octahedron, [(0, 5), (1, 3), (2, 4)]),
+    (bipyramid5, [(0, 4)]),
+], ids=["octahedron-2", "octahedron-3", "bipyramid"])
+def test_case_c_commits_first_clash_free_assignment(graph, F):
+    # Replay the trace; at each case_c event rebuild the core edges and
+    # their live options, and require the first clash-free pick among
+    # several.
+    inst = make_instance(graph(), F)
+    cat = enumerate_options(inst)
+    cl = compute_clashes(cat)
+    trace: list = []
+    reduce_instance(cat, cl, trace)
+    alive = set(range(len(cat.options)))
+    committed: dict[int, int] = {}
+    case_c = 0
+    for ev in trace:
+        if ev[0] == "delete":
+            alive.discard(ev[1])
+        elif ev[0] == "commit":
+            committed[ev[1]] = ev[2]
+            alive -= set(cat.f_options[ev[1]])
+        elif ev[0] == "case_c":
+            _, f, assignment = ev
+            core = set(inst.F[f])
+            for o in cat.f_options[f]:
+                if o in alive:
+                    core.update(inst.graph.edge_endpoints(cat.options[o]))
+            inside = [f2 for f2, (a, b) in enumerate(inst.F)
+                      if f2 not in committed and a in core and b in core]
+            lists = [[o for o in cat.f_options[f2] if o in alive]
+                     for f2 in inside]
+            picks = clash_free_picks(cl.adj, lists)
+            assert len(picks) > 1
+            assert assignment == tuple(zip(inside, picks[0])), ev
+            case_c += 1
+    assert case_c == 1
