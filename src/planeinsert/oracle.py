@@ -47,6 +47,9 @@ def exact_solve_triangulation(inst: Instance, guard: int = 10_000_000
         return Verdict.INFEASIBLE
     sol = certificate(inst.graph, catalog.crossed[first])
     check = verify(inst, sol)
+    # Internal invariant: enumerate_options has already rejected inputs that
+    # are not k = 1 triangulations, and on those a clash-free choice is
+    # realizable; the replay cross-checks the clash rule, not the input.
     assert check.accepted, f"oracle emitted a rejected solution: {check}"
     return sol
 
@@ -106,6 +109,9 @@ def exact_solve_general(inst: Instance, node_budget: int = 10_000_000,
         return Verdict.INFEASIBLE
     sol = Solution(tuple(routes))
     check = verify(inst, sol)
+    # Internal invariant: the routes name the crossings of realizations that
+    # were inserted within budget, never of an adjacent or repeated edge,
+    # so the replay finds them again.
     assert check.accepted, f"general oracle emitted rejected: {check}"
     return sol
 

@@ -453,6 +453,7 @@ def generate_stacked_triangulation(n: int, seed: int) -> PlaneGraph:
         faces.append((c, a, x))
     g = build_from_rotation(n, rot)
     d = g.dart_between(2, 1)
+    # Internal invariant: (1, 2) is a K4 edge, and stacking removes none.
     assert d is not None
     return g.with_outer_face(g.face_of(d))
 

@@ -12,13 +12,29 @@ crossing becomes a degree-4 dummy vertex splitting both edges involved.
 The working drawing is dart-based: working edge ``e`` owns darts ``2e``
 (from end a) and ``2e+1`` (from end b); faces are the orbits of
 ``succ(d) = rotation-next(twin(d))`` exactly as in plane_graph, so no face
-table is maintained, and every mutation is journaled for exact undo.
+table is maintained, and every mutation is journaled for exact undo.  The
+initial drawing is laid out in bulk from the graph's dart tables: graph
+dart d becomes working dart ``2*edge(d) + (tail(d) > head(d))``, each
+rotation row is a slice of that column at the graph's row offsets, and the
+incidence lists are the edge column sorted by (tail, edge).
+
+A route of ``verify`` pins its crossed logical edges, so its search starts
+only at the corners of u that share a face with a segment of the first
+pinned edge: the faces of each segment dart and of its twin are walked, and
+the corners at u on them are tried in increasing rotation position.  No
+other corner can reach that edge, so the realizations, and their order, are
+those of a scan of every corner at u; the cost per route is
+O(segments of ``pinned[0]`` x face length) instead of O(deg u x face
+length).  Unpinned searches, and routes that cross nothing, still try every
+corner at u.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from ._rng import Lcg64
 from .errors import InvalidRealization
@@ -52,34 +68,29 @@ class PlanarizedDrawing:
 
     def __init__(self, inst: Instance):
         g: PlaneGraph = inst.graph
-        self.base_vertices = g.vertex_count
+        n = g.vertex_count
+        self.base_vertices = n
         self.k = inst.k
-        self.rot: list[list[int]] = []
-        self.ends: list[tuple[int, int]] = []
-        self.owner: list[int] = []
         # Logical edges: 0..E-1 are graph edges, E+i is inserted edge i.
         self.graph_edges = g.edge_count
-        self.segments: list[list[int]] = []
-        self.count: list[int] = []
+        self.ends: list[tuple[int, int]] = list(
+            zip(g.table("eu").tolist(), g.table("ev").tolist()))
+        self.owner: list[int] = list(range(g.edge_count))
+        self.segments: list[list[int]] = [
+            [d] for d in range(0, 2 * g.edge_count, 2)]
+        self.count: list[int] = [0] * g.edge_count
+        # Graph dart d becomes working dart 2*edge + (tail > head), since
+        # every graph edge runs from its lower end; rows keep g's rotation.
+        tail, head, edge = g.table("tail"), g.table("head"), g.table("edge")
+        off = g.table("offsets").tolist()
+        darts = (2 * edge + (tail > head)).tolist()
+        self.rot: list[list[int]] = [darts[off[v]:off[v + 1]]
+                                     for v in range(n)]
         # Logical edges at each original vertex, in creation order.
-        self.incident: list[list[int]] = [[] for _ in range(g.vertex_count)]
+        by_vertex = edge[np.lexsort((edge, tail))].tolist()
+        self.incident: list[list[int]] = [by_vertex[off[v]:off[v + 1]]
+                                          for v in range(n)]
         self.journal: list[tuple] = []
-
-        for e in range(g.edge_count):
-            a, b = g.edge_endpoints(e)
-            self.ends.append((a, b))
-            self.owner.append(e)
-            self.segments.append([2 * e])
-            self.count.append(0)
-            self.incident[a].append(e)
-            self.incident[b].append(e)
-        for v in range(g.vertex_count):
-            row = []
-            for d in g.darts_at(v):
-                e = g.edge_of(d)
-                a, _ = g.edge_endpoints(e)
-                row.append(2 * e if v == a else 2 * e + 1)
-            self.rot.append(row)
 
     # -- dart primitives ---------------------------------------------------
 
@@ -180,13 +191,15 @@ class PlanarizedDrawing:
                                rng: Lcg64 | None = None) -> list[Realization]:
         """All ways to route u -> v; `pinned` fixes the crossed logical
         edges in order, otherwise anything within budgets goes."""
-        forbidden = self.adjacent_logicals(u, v)
+        # Pinned routes cross only what they name, and verify's static pass
+        # has already rejected a named edge that shares an endpoint.
+        forbidden = self.adjacent_logicals(u, v) if pinned is None else ()
         results: list[Realization] = []
         owner = self.owner
         count = self.count
         k = self.k
 
-        def stage(corner: int, depth: int, crossed: list[int],
+        def stage(p: int, corner: int, depth: int, crossed: list[int],
                   used_logical: set[int]) -> None:
             cycle = self.face_cycle(corner)
             if pinned is not None:
@@ -197,7 +210,7 @@ class PlanarizedDrawing:
                 for d in cycle:
                     if self.tail(d) == v:
                         results.append(Realization(
-                            start_pos=-1, crossings=tuple(crossed),
+                            start_pos=p, crossings=tuple(crossed),
                             end_pos=self.rot[v].index(d)))
             if pinned is None and depth == max_crossings:
                 return
@@ -220,22 +233,33 @@ class PlanarizedDrawing:
                     continue
                 used_logical.add(L)
                 crossed.append(d)
-                stage(d ^ 1, depth + 1, crossed, used_logical)
+                stage(p, d ^ 1, depth + 1, crossed, used_logical)
                 crossed.pop()
                 used_logical.discard(L)
 
-        start_positions = list(range(len(self.rot[u])))
+        if pinned:
+            start_positions = self._start_positions(u, pinned[0])
+        else:
+            start_positions = list(range(len(self.rot[u])))
         if rng is not None:
             rng.shuffle(start_positions)
         for p in start_positions:
-            before = len(results)
-            stage(self.rot[u][p], 0, [], set())
-            for i in range(before, len(results)):
-                r = results[i]
-                results[i] = Realization(p, r.crossings, r.end_pos)
+            stage(p, self.rot[u][p], 0, [], set())
         # Canonical order prefers fewer crossings; stable within a length.
         results.sort(key=lambda r: len(r.crossings))
         return results
+
+    def _start_positions(self, u: int, logical: int) -> list[int]:
+        """Rotation positions at u, increasing, of the corners whose face
+        holds a dart of `logical`: no other corner can start a route that
+        crosses `logical` first."""
+        corners = set()
+        for s in self.segments[logical]:
+            for d in (s, s ^ 1):
+                corners.update(c for c in self.face_cycle(d)
+                               if self.tail(c) == u)
+        row = self.rot[u]
+        return sorted(row.index(c) for c in corners)
 
     # -- surgery -----------------------------------------------------------------
 
@@ -431,6 +455,8 @@ def verify(inst: Instance, sol: Solution, seed: int | None = None,
         pd.undo(tokens.pop())
 
     for _ in backtrack(m, choices, enter, leave, node_budget):
+        # Internal invariant: a pinned route bumps exactly the edges it
+        # names and itself, so the counts are the static pass's, all <= k.
         assert all(c <= k for c in pd.count)
         return VerifyResult(True)
     return VerifyResult(False, "no_realization", deepest,
