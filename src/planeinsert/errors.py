@@ -38,6 +38,11 @@ class NotTriangle(PlaneInsertError):
     """Face is not a triangle."""
 
 
+class InvalidArgument(PlaneInsertError, ValueError):
+    """A generator argument is out of its domain (too few vertices, an
+    unknown structure, a negative count)."""
+
+
 class InsufficientComplementPairs(PlaneInsertError):
     """Complement of the graph cannot supply the requested edge sample."""
 

@@ -21,6 +21,17 @@ they give (no crossings, neighbor order equal to the rotation) without
 touching floating point.  Serialization is canonical: re-serializing a
 parsed file reproduces it byte for byte.
 
+In memory a solution is a frozen Solution of Route records, each a
+NamedTuple (f_edge, events) whose events are CrossingEvent NamedTuples
+(kind, target).  Solution's constructor is the one place routes and events
+are checked, in one walk: every f_edge, kind and target, the forward
+references, and that each integer is exactly an int (so not a bool).  A
+record on its own is not checked and, being a tuple, equals a plain tuple
+of the same values.  parse_solution checks only what JSON can get wrong
+(objects, keys, integer types) before building the records; write_solution
+emits the canonical text directly, byte for byte what json.dumps with
+separators (",", ":") gives for the same routes.
+
 Seeded generators elsewhere in the package all derive randomness from the
 64-bit linear congruential generator documented in planeinsert._rng, so
 generated instances are reproducible across implementations.
@@ -34,7 +45,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -51,27 +62,15 @@ from .plane_graph import PlaneGraph, build_from_rotation
 Point = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class CrossingEvent:
+class CrossingEvent(NamedTuple):
     """One crossing along a route: a graph edge (by endpoints) or an
-    earlier inserted edge (by F index)."""
+    earlier inserted edge (by F index).  The Solution holding it checks it."""
 
     kind: str  # "graph_edge" | "inserted"
     target: tuple[int, int] | int
 
-    def __post_init__(self):
-        if self.kind == "graph_edge":
-            if not (isinstance(self.target, tuple) and len(self.target) == 2):
-                raise SchemaError("graph_edge event needs endpoint pair")
-        elif self.kind == "inserted":
-            if not isinstance(self.target, int):
-                raise SchemaError("inserted event needs an integer index")
-        else:
-            raise SchemaError(f"unknown event kind {self.kind!r}")
 
-
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     f_edge: int
     events: tuple[CrossingEvent, ...]
 
@@ -81,13 +80,27 @@ class Solution:
     routes: tuple[Route, ...]
 
     def __post_init__(self):
-        for i, route in enumerate(self.routes):
-            if route.f_edge != i:
-                raise SchemaError(f"route {i} labeled f_edge={route.f_edge}")
-            for ev in route.events:
-                if ev.kind == "inserted" and not (0 <= ev.target < i):
-                    raise SchemaError(
-                        f"route {i} references inserted edge {ev.target}")
+        # The one check of every route and event.  Integers must be exact
+        # ints: bool is an int subclass, and true must not pass as 1.
+        for i, (f_edge, events) in enumerate(self.routes):
+            if f_edge != i or type(f_edge) is not int:
+                raise SchemaError(f"route {i} labeled f_edge={f_edge}")
+            for kind, target in events:
+                if kind == "graph_edge":
+                    if not (isinstance(target, tuple) and len(target) == 2
+                            and type(target[0]) is int
+                            and type(target[1]) is int):
+                        raise SchemaError(
+                            "graph_edge event needs endpoint pair")
+                elif kind == "inserted":
+                    if type(target) is not int:
+                        raise SchemaError(
+                            "inserted event needs an integer index")
+                    if not 0 <= target < i:
+                        raise SchemaError(
+                            f"route {i} references inserted edge {target}")
+                else:
+                    raise SchemaError(f"unknown event kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -231,9 +244,10 @@ def parse_instance(text: str) -> Instance:
         raise SchemaError(f"missing keys: {sorted(missing)}")
     n = obj["n"]
     rotation = obj["rotation"]
-    if not isinstance(n, int) or not isinstance(rotation, list):
+    # A JSON integer parses to exactly int; true parses to bool.
+    if type(n) is not int or not isinstance(rotation, list):
         raise SchemaError("n must be int, rotation a list")
-    if not isinstance(obj["k"], int) or obj["k"] < 1:
+    if type(obj["k"]) is not int or obj["k"] < 1:
         raise SchemaError("k must be a positive integer")
     graph = build_from_rotation(n, rotation)
     coords = obj["coords"]
@@ -278,27 +292,34 @@ def parse_solution(text: str) -> Solution:
         raise SchemaError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict) or "routes" not in obj:
         raise SchemaError("solution must be an object with routes")
-    routes = []
     if not isinstance(obj["routes"], list):
         raise SchemaError("routes must be a list")
+    # A JSON integer parses to exactly int; true parses to bool and 1.0 to
+    # float, and neither is an index.
+    routes = []
     for i, r in enumerate(obj["routes"]):
-        if not isinstance(r, dict) or r.get("f_edge") != i:
+        f_edge = r.get("f_edge") if type(r) is dict else None
+        if type(f_edge) is not int or f_edge != i:
             raise SchemaError(f"route {i} must carry f_edge={i}")
+        evs = r.get("events", [])
+        if type(evs) is not list:
+            raise SchemaError(f"route {i} events must be a list")
         events = []
-        for ev in r.get("events", ()):
-            if not isinstance(ev, dict):
+        for ev in evs:
+            if type(ev) is not dict:
                 raise SchemaError("event must be an object")
             kind = ev.get("kind")
             if kind == "graph_edge":
-                if not (isinstance(ev.get("u"), int)
-                        and isinstance(ev.get("v"), int)):
+                u, v = ev.get("u"), ev.get("v")
+                if type(u) is not int or type(v) is not int:
                     raise SchemaError("graph_edge event needs ints u, v")
                 events.append(CrossingEvent("graph_edge",
-                                            _norm((ev["u"], ev["v"]))))
+                                            (u, v) if u < v else (v, u)))
             elif kind == "inserted":
-                if not isinstance(ev.get("index"), int):
+                index = ev.get("index")
+                if type(index) is not int:
                     raise SchemaError("inserted event needs int index")
-                events.append(CrossingEvent("inserted", ev["index"]))
+                events.append(CrossingEvent("inserted", index))
             else:
                 raise SchemaError(f"unknown event kind {kind!r}")
         routes.append(Route(i, tuple(events)))
@@ -306,17 +327,23 @@ def parse_solution(text: str) -> Solution:
 
 
 def write_solution(sol: Solution) -> str:
-    routes = []
-    for r in sol.routes:
-        events = []
-        for ev in r.events:
-            if ev.kind == "graph_edge":
-                u, v = _norm(ev.target)
-                events.append({"kind": "graph_edge", "u": u, "v": v})
+    """The canonical text: json.dumps of {"routes": [{"f_edge": i,
+    "events": [...]}, ...]} with separators (",", ":"), written directly.
+    Solution has checked that every number is an exact int and every kind
+    one of the two, so each piece is a fixed template."""
+    parts = []
+    for f_edge, events in sol.routes:
+        texts = []
+        for kind, target in events:
+            if kind == "graph_edge":
+                u, v = target
+                if v < u:
+                    u, v = v, u
+                texts.append(f'{{"kind":"graph_edge","u":{u},"v":{v}}}')
             else:
-                events.append({"kind": "inserted", "index": ev.target})
-        routes.append({"f_edge": r.f_edge, "events": events})
-    return json.dumps({"routes": routes}, separators=(",", ":")) + "\n"
+                texts.append(f'{{"kind":"inserted","index":{target}}}')
+        parts.append(f'{{"f_edge":{f_edge},"events":[{",".join(texts)}]}}')
+    return f'{{"routes":[{",".join(parts)}]}}\n'
 
 
 # --- SVG rendering -----------------------------------------------------------

@@ -128,8 +128,7 @@ def iter_solutions(inst: Instance,
     out: list[Solution] = []
     try:
         for routes in _search(inst, node_budget):
-            sig = tuple(tuple((ev.kind, ev.target) for ev in r.events)
-                        for r in routes)
+            sig = tuple(r.events for r in routes)
             if sig not in seen:
                 seen.add(sig)
                 out.append(Solution(tuple(routes)))

@@ -44,6 +44,7 @@ from .errors import (
     AsymmetricAdjacency,
     Disconnected,
     InsufficientComplementPairs,
+    InvalidArgument,
     InvalidRotation,
     NotIncident,
     NotPlanarEmbedding,
@@ -226,7 +227,9 @@ def build_from_rotation(vertex_count: int, rotation: Sequence[Sequence[int]]) ->
     if len(rotation) != n:
         raise InvalidRotation(f"rotation has {len(rotation)} rows, expected {n}")
     try:
-        head = array("q", chain.from_iterable(rotation))
+        # Filling from a list is faster than from the chain iterator, and
+        # accepts and rejects the same values.
+        head = array("q", list(chain.from_iterable(rotation)))
     except (TypeError, OverflowError):
         _raise_rotation_error(n, rotation)
     m2 = len(head)  # number of darts = 2E
@@ -433,10 +436,11 @@ def generate_stacked_triangulation(n: int, seed: int) -> PlaneGraph:
 
     Starting from K4, a uniformly random inner face (never the designated
     outer face) receives a new vertex joined to its three corners.  The
-    result is deterministic for a given (n, seed).
+    result is deterministic for a given (n, seed).  Raises InvalidArgument
+    for n < 4.
     """
     if n < 4:
-        raise ValueError("stacked triangulation needs n >= 4")
+        raise InvalidArgument("stacked triangulation needs n >= 4")
     rng = Lcg64(seed)
     rot: list[list[int]] = [list(row) for row in K4_ROTATION]
     # Inner faces in orbit order; the outer face (2,1,3) is never stacked.
@@ -475,13 +479,14 @@ def sample_complement_edges(g: PlaneGraph, m: int, seed: int,
                             structure: str = "none") -> list[tuple[int, int]]:
     """Sample m distinct non-edges, optionally as a matching or a path.
 
-    Deterministic for a given seed.  Raises InsufficientComplementPairs when
-    the complement cannot supply the requested structure.
+    Deterministic for a given seed.  Raises InvalidArgument for an unknown
+    structure or m < 0, and InsufficientComplementPairs when the complement
+    cannot supply the requested structure.
     """
     if structure not in ("none", "matching", "path"):
-        raise ValueError(f"unknown structure {structure!r}")
+        raise InvalidArgument(f"unknown structure {structure!r}")
     if m < 0:
-        raise ValueError("m must be >= 0")
+        raise InvalidArgument("m must be >= 0")
     if m == 0:
         return []
     rng = Lcg64(seed)

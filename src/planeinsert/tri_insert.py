@@ -444,10 +444,11 @@ def solve(inst: Instance) -> Solution | Verdict:
 
 def certificate(g: PlaneGraph, crossed: np.ndarray) -> Solution:
     """The k = 1 solution whose route f crosses graph edge crossed[f]."""
-    pairs = zip(g.table("eu")[crossed].tolist(),
-                g.table("ev")[crossed].tolist())
-    return Solution(tuple(Route(f, (CrossingEvent("graph_edge", pair),))
-                          for f, pair in enumerate(pairs)))
+    events = map(CrossingEvent, itertools.repeat("graph_edge"),
+                 zip(g.table("eu")[crossed].tolist(),
+                     g.table("ev")[crossed].tolist()))
+    # zip over one iterable yields 1-tuples: each route's events.
+    return Solution(tuple(map(Route, itertools.count(), zip(events))))
 
 
 def first_clash_free(adj: list[list[int]],

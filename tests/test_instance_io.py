@@ -112,6 +112,18 @@ class TestInstance:
         with pytest.raises(NonPlaneCoordinates):
             make_instance(k4(), [], coords=bad)
 
+    @pytest.mark.parametrize("key, message", [
+        ("k", "k must be a positive integer"),
+        ("n", "n must be int"),
+    ])
+    def test_json_booleans_are_not_integers(self, key, message):
+        text = write_instance(make_instance(octahedron(), [(0, 5)]))
+        value = {"k": 1, "n": 6}[key]
+        text = text.replace(f'"{key}":{value},', f'"{key}":true,')
+        assert '":true' in text
+        with pytest.raises(SchemaError, match=message):
+            parse_instance(text)
+
     def test_roundtrip_bytes(self):
         g = generate_stacked_triangulation(9, 3)
         pairs = sample_complement_edges(g, 2, 5)
@@ -154,6 +166,49 @@ class TestSolution:
     def test_route_order_enforced(self):
         with pytest.raises(SchemaError):
             parse_solution('{"routes":[{"f_edge":1,"events":[]}]}')
+
+    @pytest.mark.parametrize("route, message", [
+        ('{"kind":"graph_edge","u":true,"v":2}', "needs ints u, v"),
+        ('{"kind":"graph_edge","u":1,"v":false}', "needs ints u, v"),
+        ('{"kind":"inserted","index":false}', "needs int index"),
+    ])
+    def test_json_booleans_are_not_integers(self, route, message):
+        text = ('{"routes":[{"f_edge":0,"events":[]},'
+                f'{{"f_edge":1,"events":[{route}]}}]}}')
+        with pytest.raises(SchemaError, match=message):
+            parse_solution(text)
+
+    @pytest.mark.parametrize("f_edge", ["true", "1.0"])
+    def test_f_edge_must_be_json_integer(self, f_edge):
+        text = ('{"routes":[{"f_edge":0,"events":[]},'
+                f'{{"f_edge":{f_edge},"events":[]}}]}}')
+        with pytest.raises(SchemaError, match="must carry f_edge=1"):
+            parse_solution(text)
+
+    @pytest.mark.parametrize("events", ["5", '"ab"', '{"kind":"inserted"}'])
+    def test_events_must_be_a_list(self, events):
+        with pytest.raises(SchemaError, match="events must be a list"):
+            parse_solution(f'{{"routes":[{{"f_edge":0,"events":{events}}}]}}')
+
+    @pytest.mark.parametrize("second, message", [
+        (Route(True, ()), "labeled f_edge=True"),
+        (Route(1, (CrossingEvent("inserted", False),)),
+         "needs an integer index"),
+        (Route(1, (CrossingEvent("graph_edge", (True, 2)),)),
+         "needs endpoint pair"),
+    ])
+    def test_solution_rejects_booleans(self, second, message):
+        with pytest.raises(SchemaError, match=message):
+            Solution((Route(0, ()), second))
+
+    def test_records_compare_as_tuples(self):
+        ev = CrossingEvent("graph_edge", (1, 2))
+        assert ev == ("graph_edge", (1, 2))
+        assert Route(0, (ev,)) == (0, (("graph_edge", (1, 2)),))
+        # A record is checked only by the Solution that holds it.
+        lone = CrossingEvent("vertex", 3)
+        with pytest.raises(SchemaError, match="unknown event kind 'vertex'"):
+            Solution((Route(0, (lone,)),))
 
 
 class TestRender:

@@ -12,10 +12,12 @@ from planeinsert.errors import (
     AsymmetricAdjacency,
     Disconnected,
     InsufficientComplementPairs,
+    InvalidArgument,
     InvalidRotation,
     NotIncident,
     NotPlanarEmbedding,
     NotTriangle,
+    PlaneInsertError,
 )
 from planeinsert.plane_graph import (
     K4_ROTATION,
@@ -171,6 +173,10 @@ class TestStackedGenerator:
         with pytest.raises(ValueError):
             generate_stacked_triangulation(3, 0)
 
+    def test_small_n_is_a_typed_error(self):
+        with pytest.raises(PlaneInsertError, match="n >= 4"):
+            generate_stacked_triangulation(3, 0)
+
     def test_seeded_output_is_pinned(self):
         # Seeded instances must stay byte-identical across refactors.
         h = hashlib.sha256()
@@ -199,6 +205,15 @@ class TestComplementSampler:
         g = build_from_rotation(4, K4_ROTATION)
         with pytest.raises(InsufficientComplementPairs):
             sample_complement_edges(g, 1, 0)
+
+    @pytest.mark.parametrize("m, structure, message", [
+        (1, "tree", "unknown structure 'tree'"),
+        (-1, "none", "m must be >= 0"),
+    ])
+    def test_bad_arguments_are_typed_errors(self, m, structure, message):
+        with pytest.raises(PlaneInsertError, match=message) as info:
+            sample_complement_edges(octahedron(), m, 0, structure=structure)
+        assert isinstance(info.value, InvalidArgument)
 
     def test_zero_is_empty(self):
         assert sample_complement_edges(octahedron(), 0, 0) == []
