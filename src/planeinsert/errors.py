@@ -86,6 +86,11 @@ class SearchSpaceTooLarge(PlaneInsertError):
     """Brute-force guard tripped: option product exceeds the cap."""
 
 
+class ReductionStuck(PlaneInsertError):
+    """The k = 1 reducer met a compact core that it could neither settle
+    nor shrink."""
+
+
 class InvalidRealization(PlaneInsertError):
     """A realization does not fit the current planarized drawing."""
 

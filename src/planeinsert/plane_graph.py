@@ -33,6 +33,7 @@ the remaining edges plus pointer jumping until every tree is a star.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from itertools import chain
 from typing import Iterable, NoReturn, Sequence
@@ -365,14 +366,20 @@ def _raise_rotation_error(n: int, rotation) -> NoReturn:
     for v, row in enumerate(rotation):
         seen: set[int] = set()
         for w in row:
-            if not isinstance(w, int) or w < 0 or w >= n:
+            # Any __index__ integer is a neighbour, as in the vector path.
+            try:
+                i = operator.index(w)
+            except TypeError:
+                i = -1
+            if i < 0 or i >= n:
                 raise InvalidRotation(f"vertex {v}: bad neighbor {w!r}")
-            if w == v:
+            if i == v:
                 raise InvalidRotation(f"vertex {v}: loop")
-            if w in seen:
+            if i in seen:
                 raise InvalidRotation(f"vertex {v}: duplicate neighbor {w}")
-            seen.add(w)
-    darts = [(v, w) for v, row in enumerate(rotation) for w in row]
+            seen.add(i)
+    darts = [(v, operator.index(w))
+             for v, row in enumerate(rotation) for w in row]
     if not darts:
         raise InvalidRotation("graph has no edges")
     if len(darts) % 2:

@@ -24,10 +24,19 @@ Catalog layout.  Option ids follow crossed-edge order: option o crosses
 the o-th graph edge, in edge order, whose two apexes form a pair of F.
 OptionCatalog keeps two int64 columns, f_edge and crossed, that the array
 kernels read, and Python-int lists of them for scalar reads: options[o] is
-the graph edge option o crosses and f_of[o] its insertion edge.  Built in
-bulk from the columns, f_options[f] lists f's option ids in increasing
-order, live_count[f] is its length and alive holds one flag byte per
-option.
+the graph edge option o crosses and f_of[o] its insertion edge.  The
+options of insertion edge f, in increasing order, are
+by_f[f_start[f]:f_start[f + 1]], a CSR pair in array("q") buffers.  The
+live state is two more buffers: alive, one flag byte per option, and
+live_count, one int64 per insertion edge.  Scalar code indexes the
+buffers, and whole-array code writes through numpy views of the same
+memory, with no copy either way, as PlaneGraph.table does.  committed maps
+each committed edge to its option; a committed edge has no live option.
+
+ClashGraph holds the clash relation in one CSR store built from
+compute_clashes's pair arrays: the partners of option o are
+to[start[o]:start[o + 1]], in the order the pairs are found, (smaller id,
+quad position).
 
 Options and clashes are found with whole-array kernels over the dart
 tables and need no endpoint lookup.  For crossed edge (x, w) with dart
@@ -35,6 +44,26 @@ d = x -> w and twin t, the apexes are u = head(succ(d)) and
 v = head(succ(t)), and the quad edges are the edges of face darts:
 (u, x) of succ^2(d), (x, v) of succ(t), (v, w) of succ^2(t) and (w, u) of
 succ(d).
+
+Drain.  The reducer deletes options and commits edges that have one live
+option left.  Commits run in frontier rounds.  A round takes the
+uncommitted edges with at most one live option (the frontier).  It answers
+INFEASIBLE when the options of two of them clash.  Otherwise it commits
+every frontier edge that has an option, deletes the live clash partners of
+those options, and answers INFEASIBLE if a frontier edge had no option;
+the edges that lost an option and have at most one left are the next
+frontier.  This is unit propagation on the clauses "f takes one of
+its options" and "two clashing options are not both taken", so its outcome
+does not depend on the order in which units are taken (Dowling and
+Gallier, J. Logic Programming 1984).  Every commit and delete is implied
+by the state it is taken from and stays applicable once it is, so every
+order reaches the same fixpoint, and a conflict reached in one order is
+reached in all.  Rounds therefore end in the state that committing one
+edge at a time would reach.  A round reads only its frontier's options and
+their partners, each edge is committed once and each option deleted once,
+so all the drains of a reduction cost O(options + clash pairs).  Case
+steps only delete options (committing f to o deletes f's other live
+options) and then call the same drain.
 """
 
 from __future__ import annotations
@@ -42,14 +71,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import KNotOne, NotTriangulation, SearchSpaceTooLarge
+from .errors import (KNotOne, NotTriangulation, ReductionStuck,
+                     SearchSpaceTooLarge)
 from .instance_io import CrossingEvent, Instance, Route, Solution
-from .plane_graph import PlaneGraph, is_triangulation, succ_array
+from .plane_graph import PlaneGraph, _zeros, is_triangulation, succ_array
 from .search import backtrack
 from .twosat import TwoSatFormula
 from .twosat import solve as twosat_solve
@@ -59,41 +88,80 @@ TraceEvent = tuple  # ("delete", opt) | ("commit", f, opt) | ("infeasible", f)
 
 
 class OptionCatalog:
-    """Per-insertion-edge options with alive flags and commitments, built
-    in bulk from the columns of all options in id order (see the module
-    docstring for the layout)."""
+    """Options with their live state, built in bulk from the columns of
+    all options in id order (see the module docstring for the layout)."""
 
     def __init__(self, inst: Instance, f_edge: np.ndarray,
                  crossed: np.ndarray):
         self.instance = inst
         self.f_edge = f_edge
         self.crossed = crossed
-        k = len(crossed)
         self.options: list[int] = crossed.tolist()
         self.f_of: list[int] = f_edge.tolist()
         counts = np.bincount(f_edge, minlength=len(inst.F))
-        ends = np.cumsum(counts).tolist()
-        by_f = np.argsort(f_edge, kind="stable").tolist()
-        self.f_options: list[list[int]] = [
-            by_f[a:b] for a, b in zip([0] + ends[:-1], ends)]
-        self.alive: bytearray = bytearray(b"\x01") * k
-        self.live_count: list[int] = counts.tolist()
+        self.by_f, by_f = _zeros(len(crossed))
+        by_f[:] = np.argsort(f_edge, kind="stable")
+        self.f_start, f_start = _zeros(len(counts) + 1)
+        np.cumsum(counts, out=f_start[1:])
+        self.alive: bytearray = bytearray(b"\x01") * len(crossed)
+        self.live_count, live = _zeros(len(counts))
+        live[:] = counts
         self.committed: dict[int, int] = {}
 
     def alive_options(self, f_edge: int) -> list[int]:
-        return [o for o in self.f_options[f_edge] if self.alive[o]]
+        alive = self.alive
+        return [o for o in self.by_f[self.f_start[f_edge]:
+                                     self.f_start[f_edge + 1]]
+                if alive[o]]
+
+    @property
+    def f_options(self) -> list[list[int]]:
+        """Each insertion edge's option ids, live or not, in increasing
+        order; built on each read, for callers outside the reducer."""
+        by_f = self.by_f.tolist()
+        bounds = self.f_start.tolist()
+        return [by_f[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class _Rows(Sequence):
+    """Read-only rows of a CSR pair: row i is to[start[i]:start[i + 1]]."""
+
+    __slots__ = ("_start", "_to")
+
+    def __init__(self, start, to):
+        self._start = start
+        self._to = to
+
+    def __len__(self) -> int:
+        return len(self._start) - 1
+
+    def __getitem__(self, i: int):
+        return self._to[self._start[i]:self._start[i + 1]]
 
 
 class ClashGraph:
-    def __init__(self, n_options: int):
-        self.adj: list[list[int]] = [[] for _ in range(n_options)]
+    """The clash partners of every option in one CSR store (see the module
+    docstring), built from the pairs (lo[i], hi[i]), lo < hi, listed in
+    increasing order of lo."""
 
-    def add_pair(self, a: int, b: int) -> None:
-        self.adj[a].append(b)
-        self.adj[b].append(a)
+    def __init__(self, n_options: int, lo: np.ndarray, hi: np.ndarray):
+        # Row r holds the pairs with hi == r, whose lo < r puts them first,
+        # then those with lo == r, each group in pair order: a stable sort
+        # of the rows hi ..., lo ... gives exactly that order.
+        rows = np.concatenate([hi, lo])
+        order = np.argsort(rows, kind="stable")
+        self.start, start = _zeros(n_options + 1)
+        np.cumsum(np.bincount(rows, minlength=n_options), out=start[1:])
+        self.to, to = _zeros(len(rows))
+        to[:] = np.concatenate([lo, hi])[order]
+
+    @property
+    def adj(self) -> Sequence:
+        """adj[o] is the sequence of o's clash partners."""
+        return _Rows(self.start, self.to)
 
     def degree(self, o: int) -> int:
-        return len(self.adj[o])
+        return self.start[o + 1] - self.start[o]
 
 
 @dataclass
@@ -159,7 +227,6 @@ def compute_clashes(catalog: OptionCatalog) -> ClashGraph:
     crossed = catalog.crossed
     f_edge = catalog.f_edge
     k = len(crossed)
-    clashes = ClashGraph(k)
     g = catalog.instance.graph
     succ = succ_array(g)
     edge = g.table("edge")
@@ -178,16 +245,16 @@ def compute_clashes(catalog: OptionCatalog) -> ClashGraph:
     option_at[crossed] = np.arange(k, dtype=np.int64)
     other = option_at[quad]
     del quad, option_at
-    # Each pair is added once, from the smaller id, in (id, quad position)
-    # order; that order fixes every adjacency list.
+    # Each pair is listed once, from the smaller id, in (id, quad position)
+    # order; that order fixes every row of the clash store.
     hit = other > np.arange(k, dtype=np.int64)[:, None]
     hit &= f_edge[other] != f_edge[:, None]
     rows, cols = np.nonzero(hit)
-    for a, b in zip(rows.tolist(), other[rows, cols].tolist()):
-        clashes.add_pair(a, b)
+    clashes = ClashGraph(k, rows, other[rows, cols])
     # Internal invariant: F is duplicate-free in a simple triangulation, so
     # each quad edge hosts at most one option.
-    assert all(len(adj) <= 4 for adj in clashes.adj), "clash degree exceeds 4"
+    assert (np.diff(np.frombuffer(clashes.start, dtype=np.int64)) <= 4
+            ).all(), "clash degree exceeds 4"
     return clashes
 
 
@@ -265,32 +332,98 @@ def classify_options(catalog: OptionCatalog, f_edge: int) -> OptionClassificatio
     return OptionClassification("scattered", runs, cycles)
 
 
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The positions lo[i] .. hi[i] - 1 of every i, concatenated: several
+    rows of a CSR store gathered at once."""
+    size = hi - lo
+    at = np.repeat(lo + size - np.cumsum(size), size)
+    at += np.arange(len(at), dtype=np.int64)
+    return at
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values, increasing, and how often each occurs.  A sort
+    and one comparison pass; np.unique's hash path is slower here."""
+    values = np.sort(values)
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    return values[first], np.diff(first, append=len(values))
+
+
 class _Reducer:
     def __init__(self, catalog: OptionCatalog, clashes: ClashGraph,
                  trace: list[TraceEvent] | None):
         self.cat = catalog
         self.clashes = clashes
         self.trace = trace
-        # What push(f) would give for every f in turn, nothing committed
-        # yet: an increasing list is already a heap.
-        counts = list(enumerate(catalog.live_count))
-        self.drain_heap: list[int] = [f for f, c in counts if c <= 1]
-        self.case_heap: list[int] = [f for f, c in counts if c >= 3]
+        # Views of the catalog's live buffers and of both CSR stores, for
+        # the drain's whole-array rounds.
+        self.alive = np.frombuffer(catalog.alive, dtype=np.uint8)
+        self.live = np.frombuffer(catalog.live_count, dtype=np.int64)
+        self.by_f = np.frombuffer(catalog.by_f, dtype=np.int64)
+        self.f_start = np.frombuffer(catalog.f_start, dtype=np.int64)
+        self.clash_start = np.frombuffer(clashes.start, dtype=np.int64)
+        self.clash_to = np.frombuffer(clashes.to, dtype=np.int64)
+        # Edges a case step has left with at most one live option: the
+        # frontier of the drain that follows it.
+        self.pending: list[int] = []
         # Built by _resolve_compact when it is first needed.
         self.vertex_to_f: dict[int, list[int]] | None = None
-
-    def push(self, f: int) -> None:
-        c = self.cat.live_count[f]
-        if f in self.cat.committed:
-            return
-        if c <= 1:
-            heappush(self.drain_heap, f)
-        elif c >= 3:
-            heappush(self.case_heap, f)
 
     def log(self, event: TraceEvent) -> None:
         if self.trace is not None:
             self.trace.append(event)
+
+    def infeasible(self, f: int) -> Verdict:
+        self.log(("infeasible", f))
+        return Verdict.INFEASIBLE
+
+    def drain(self, frontier: np.ndarray) -> Verdict | None:
+        """Commit every edge left with one live option, in frontier rounds
+        (see the module docstring), starting from `frontier`, increasing
+        and distinct.  Each round logs its commits by increasing edge, then
+        its deletes by increasing option id; a frontier edge with no live
+        option is reported after them."""
+        cat = self.cat
+        alive, live = self.alive, self.live
+        while len(frontier):
+            fs = frontier
+            counts = live[fs]
+            empty = fs[counts == 0]
+            fs = fs[counts != 0]
+            opts = self.by_f[_ranges(self.f_start[fs], self.f_start[fs + 1])]
+            picks = opts[alive[opts] != 0]
+            # Internal invariant: frontier edges are uncommitted and have
+            # one live option each, so the picks line up with fs.
+            assert len(picks) == len(fs), "frontier edge without one pick"
+            partners = self.clash_to[_ranges(self.clash_start[picks],
+                                             self.clash_start[picks + 1])]
+            partners = partners[alive[partners] != 0]
+            owner = cat.f_edge[partners]
+            # A live partner owned by a frontier edge is that edge's pick.
+            at = np.searchsorted(fs, owner)
+            at[at == len(fs)] = 0
+            clash = fs[at] == owner
+            if clash.any():
+                return self.infeasible(int(owner[clash].min()))
+            alive[picks] = 0
+            live[fs] = 0
+            cat.committed.update(zip(fs.tolist(), picks.tolist()))
+            dead = _distinct(partners)[0]
+            alive[dead] = 0
+            lost, lost_count = _distinct(cat.f_edge[dead])
+            live[lost] -= lost_count
+            if self.trace is not None:
+                self.trace.extend(zip(itertools.repeat("commit"),
+                                      fs.tolist(), picks.tolist()))
+                self.trace.extend(zip(itertools.repeat("delete"),
+                                      dead.tolist()))
+            if len(empty):
+                return self.infeasible(int(empty[0]))
+            frontier = lost[live[lost] <= 1]
+        return None
 
     def delete(self, o: int) -> None:
         cat = self.cat
@@ -300,22 +433,21 @@ class _Reducer:
         cat.alive[o] = 0
         f = cat.f_of[o]
         cat.live_count[f] -= 1
-        self.push(f)
+        if cat.live_count[f] <= 1:
+            self.pending.append(f)
 
     def commit(self, f: int, o: int) -> None:
+        """Leave o as f's one live option; the next drain commits it.  The
+        other options go unlogged: the drain's commit event covers them."""
         cat = self.cat
         # Internal invariant: callers commit a live option of an
         # uncommitted edge only.
         assert cat.alive[o] and f not in cat.committed
-        self.log(("commit", f, o))
-        cat.committed[f] = o
-        for other in cat.f_options[f]:
-            if cat.alive[other]:
+        for other in cat.alive_options(f):
+            if other != o:
                 cat.alive[other] = 0
-                cat.live_count[f] -= 1
-        for partner in self.clashes.adj[o]:
-            if cat.alive[partner]:
-                self.delete(partner)
+        cat.live_count[f] = 1
+        self.pending.append(f)
 
     def safe_or_never(self, f: int, o: int) -> None:
         if any(self.cat.alive[p] for p in self.clashes.adj[o]):
@@ -324,30 +456,26 @@ class _Reducer:
             self.commit(f, o)
 
     def run(self) -> Verdict | None:
-        cat = self.cat
-        while True:
-            while self.drain_heap:
-                f = heappop(self.drain_heap)
-                if f in cat.committed:
-                    continue
-                c = cat.live_count[f]
-                if c == 0:
-                    self.log(("infeasible", f))
-                    return Verdict.INFEASIBLE
-                if c == 1:
-                    self.commit(f, cat.alive_options(f)[0])
-            f = self._pop_case_edge()
-            if f is None:
-                return None
+        verdict = self.drain(np.flatnonzero(self.live <= 1))
+        if verdict is not None:
+            return verdict
+        # Counts only fall, so the least edge with 3 or more live options
+        # is found by one pass over the edges that start with that many.
+        live_count = self.cat.live_count
+        cases = np.flatnonzero(self.live >= 3).tolist()
+        i = 0
+        while i < len(cases):
+            f = cases[i]
+            if live_count[f] < 3:
+                i += 1
+                continue
             verdict = self._process_case(f)
+            if verdict is None and self.pending:
+                frontier = _distinct(np.array(self.pending, dtype=np.int64))[0]
+                self.pending.clear()
+                verdict = self.drain(frontier)
             if verdict is not None:
                 return verdict
-
-    def _pop_case_edge(self) -> int | None:
-        while self.case_heap:
-            f = heappop(self.case_heap)
-            if f not in self.cat.committed and self.cat.live_count[f] >= 3:
-                return f
         return None
 
     def _process_case(self, f: int) -> Verdict | None:
@@ -366,11 +494,38 @@ class _Reducer:
             # safe-or-never treatment applies to the least option.
             target = min(min(r) for r in cls.runs + cls.cycles)
             self.safe_or_never(f, target)
-        self.push(f)
         return None
 
     def _resolve_compact(self, f: int) -> Verdict | None:
-        """Exhaust the octahedron-like subinstance around edge f at once."""
+        """Settle the small core around edge f at once.
+
+        The core is f's endpoints and the endpoints of the edges its live
+        options cross; the inside edges are the uncommitted edges of F with
+        both endpoints in the core, f among them.  The reducer keeps this
+        invariant: if the instance has a solution, it has one that agrees
+        with every commitment and takes a live option for every other edge.
+        Such a solution never uses a clash partner of a committed option,
+        since a commit deletes its option's live partners.
+
+        (a) Restricted to the inside edges, such a solution is a clash-free
+            assignment of their live options.  So a live option of an
+            inside edge that lies in no clash-free assignment is in no such
+            solution and is deleted; with no clash-free assignment at all
+            the instance is INFEASIBLE.
+        (b) Let A be a clash-free assignment in which no option has a live
+            clash partner owned by an edge outside.  For any such solution
+            S, A plus S's options for the outside edges is again one:
+            clashes are pairwise, A has none and S's outside part has
+            none; an option a of A cannot clash with a committed option
+            (a would have been deleted) nor with a live outside option of
+            S (that option would be a live outside partner of a).  So
+            committing A keeps the instance solvable if it was; the first
+            such A in itertools.product order is committed.
+        (c) With no such A, f is left for the case loop to visit again: a
+            deletion in (a) has changed the state, and the drain after it
+            may free more.  When (a) deleted nothing, the next visit would
+            see the same state, so ReductionStuck is raised instead.
+        """
         cat = self.cat
         if self.vertex_to_f is None:
             self.vertex_to_f = {}
@@ -396,14 +551,33 @@ class _Reducer:
             raise SearchSpaceTooLarge(
                 f"compact case around F edge {f} has {product} option "
                 "combinations, more than 1,000,000")
-        assignment = first_clash_free(self.clashes.adj, choice_lists)
+        adj = self.clashes.adj
+        used: set[int] = set()
+        for assignment in clash_free_assignments(adj, choice_lists):
+            used.update(assignment)
+        if not used:
+            return self.infeasible(f)
+        unused = [o for lst in choice_lists for o in lst if o not in used]
+        for o in unused:
+            self.delete(o)
+        alive, f_of = cat.alive, cat.f_of
+        in_core = set(inside)
+
+        def settles(o: int) -> bool:
+            return o in used and not any(
+                alive[p] and f_of[p] not in in_core for p in adj[o])
+
+        assignment = first_clash_free(
+            adj, [[o for o in lst if settles(o)] for lst in choice_lists])
         if assignment is not None:
             self.log(("case_c", f, tuple(zip(inside, assignment))))
             for f2, o in zip(inside, assignment):
                 self.commit(f2, o)
-            return None
-        self.log(("infeasible", f))
-        return Verdict.INFEASIBLE
+        elif not unused:
+            raise ReductionStuck(
+                f"compact case around F edge {f}: every clash-free "
+                "assignment of its core has a live clash outside it")
+        return None
 
 
 def reduce_instance(catalog: OptionCatalog, clashes: ClashGraph,
@@ -418,11 +592,11 @@ def reduce_instance(catalog: OptionCatalog, clashes: ClashGraph,
     verdict = _Reducer(catalog, clashes, trace).run()
     if verdict is not None:
         return verdict
-    for f in range(len(catalog.f_options)):
-        if f not in catalog.committed:
-            # Internal invariant: run() returns None only once both heaps
-            # are empty, so no uncommitted edge has 0, 1 or 3+ options.
-            assert catalog.live_count[f] == 2, "reduction left a big edge"
+    # Internal invariant: run() returns None only once no uncommitted edge
+    # has 0, 1 or 3+ live options; committed edges have none.
+    live = np.frombuffer(catalog.live_count, dtype=np.int64)
+    assert (np.count_nonzero(live == 2)
+            == len(live) - len(catalog.committed)), "reduction left an edge"
     return catalog
 
 
@@ -444,18 +618,24 @@ def solve(inst: Instance) -> Solution | Verdict:
 
 def certificate(g: PlaneGraph, crossed: np.ndarray) -> Solution:
     """The k = 1 solution whose route f crosses graph edge crossed[f]."""
-    events = map(CrossingEvent, itertools.repeat("graph_edge"),
-                 zip(g.table("eu")[crossed].tolist(),
-                     g.table("ev")[crossed].tolist()))
+    # tuple.__new__ builds each NamedTuple record from its fields' tuple
+    # without a call to the record's Python-level __new__.
+    new, repeat = tuple.__new__, itertools.repeat
+    events = map(new, repeat(CrossingEvent),
+                 zip(repeat("graph_edge"),
+                     zip(g.table("eu")[crossed].tolist(),
+                         g.table("ev")[crossed].tolist())))
     # zip over one iterable yields 1-tuples: each route's events.
-    return Solution(tuple(map(Route, itertools.count(), zip(events))))
+    return Solution(tuple(map(new, repeat(Route),
+                              zip(itertools.count(), zip(events)))))
 
 
-def first_clash_free(adj: list[list[int]],
-                     choice_lists: Sequence[Sequence[int]]
-                     ) -> list[int] | None:
-    """One option from each list, no two of them clashing under adj, the
-    first such pick in itertools.product order; None when there is none."""
+def clash_free_assignments(adj: Sequence[Sequence[int]],
+                           choice_lists: Sequence[Sequence[int]]
+                           ) -> Iterator[list[int]]:
+    """Every pick of one option from each list with no two of them
+    clashing under adj, in itertools.product order.  Each pick is the same
+    list, valid until the iteration goes on."""
     chosen: list[int] = []
     blocked: Counter[int] = Counter()  # clash partners of chosen options
 
@@ -470,36 +650,66 @@ def first_clash_free(adj: list[list[int]],
         blocked.subtract(adj[chosen.pop()])
 
     for _ in backtrack(len(choice_lists), choices, enter, leave):
-        return chosen
-    return None
+        yield chosen
+
+
+def first_clash_free(adj: Sequence[Sequence[int]],
+                     choice_lists: Sequence[Sequence[int]]
+                     ) -> list[int] | None:
+    """One option from each list, no two of them clashing under adj, the
+    first such pick in itertools.product order; None when there is none."""
+    return next(clash_free_assignments(adj, choice_lists), None)
+
+
+def _formula(catalog: OptionCatalog,
+             clashes: ClashGraph) -> tuple[TwoSatFormula, np.ndarray]:
+    """The 2-SAT formula of a reduced catalog and its variables' options.
+
+    Variables are the live options of the uncommitted edges, by edge and
+    then by id, so edge i owns variables 2i and 2i + 1.  The clauses are,
+    in order: for each edge, (2i or 2i + 1) and (not 2i or not 2i + 1);
+    then for each variable, in order, and each clash partner p of its
+    option, in row order, that is a variable with a larger option id,
+    (not the variable or not p's variable)."""
+    by_f = np.frombuffer(catalog.by_f, dtype=np.int64)
+    alive = np.frombuffer(catalog.alive, dtype=np.uint8)
+    var_options = by_f[alive[by_f] != 0]
+    n_vars = len(var_options)
+    var = np.full(len(alive), -1, dtype=np.int64)
+    var[var_options] = np.arange(n_vars, dtype=np.int64)
+    # Literal codes 2v (v true) and 2v + 1 (v false): edge i's clauses are
+    # 4i, 4i + 2 and 4i + 1, 4i + 3.
+    edge_codes = np.arange(0, 2 * n_vars, 4, dtype=np.int64)[:, None]
+    edge_codes = edge_codes + np.array([0, 2, 1, 3], dtype=np.int64)
+    start = np.frombuffer(clashes.start, dtype=np.int64)
+    lo, hi = start[var_options], start[var_options + 1]
+    partner = np.frombuffer(clashes.to, dtype=np.int64)[_ranges(lo, hi)]
+    option = np.repeat(var_options, hi - lo)
+    keep = partner > option
+    keep &= var[partner] >= 0
+    clash_codes = np.empty((np.count_nonzero(keep), 2), dtype=np.int64)
+    clash_codes[:, 0] = var[option[keep]]
+    clash_codes[:, 1] = var[partner[keep]]
+    clash_codes *= 2
+    clash_codes += 1
+    codes = np.concatenate([edge_codes.ravel(), clash_codes.ravel()])
+    return TwoSatFormula(n_vars, codes), var_options
 
 
 def _choose_options(catalog: OptionCatalog,
-                    clashes: ClashGraph) -> list[int] | None:
+                    clashes: ClashGraph) -> np.ndarray | None:
     """The option of every insertion edge: the committed one, or the one
     the canonical 2-SAT model picks among the two live ones.  None when
     the 2-SAT formula is unsatisfiable."""
-    m = len(catalog.f_options)
-    live = [f for f in range(m) if f not in catalog.committed]
-    var_of: dict[int, int] = {}
-    formula = TwoSatFormula(0)
-    for f in live:
-        for o in catalog.alive_options(f):
-            var_of[o] = formula.variable_count
-            formula.variable_count += 1
-    for f in live:
-        a, b = catalog.alive_options(f)
-        formula.add_clause((var_of[a], True), (var_of[b], True))
-        formula.add_clause((var_of[a], False), (var_of[b], False))
-    for o, var in var_of.items():
-        for p in clashes.adj[o]:
-            if p in var_of and p > o:
-                formula.add_clause((var, False), (var_of[p], False))
+    formula, var_options = _formula(catalog, clashes)
     model = twosat_solve(formula)
     if model is None:
         return None
-    chosen: dict[int, int] = dict(catalog.committed)
-    for f in live:
-        a, b = catalog.alive_options(f)
-        chosen[f] = a if model[var_of[a]] else b
-    return [chosen[f] for f in range(m)]
+    committed = catalog.committed
+    chosen = np.empty(len(catalog.live_count), dtype=np.int64)
+    chosen[np.fromiter(committed, np.int64, len(committed))] = np.fromiter(
+        committed.values(), np.int64, len(committed))
+    first, second = var_options[0::2], var_options[1::2]
+    chosen[catalog.f_edge[first]] = np.where(
+        np.array(model[0::2], dtype=bool), first, second)
+    return chosen

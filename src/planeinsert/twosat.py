@@ -13,12 +13,18 @@ the condensation and gets the largest id.  The canonical model therefore
 sets a variable true iff its positive literal's component id exceeds its
 negative literal's, which picks the literal closer to a sink in reverse
 topological order.  The returned model always satisfies every clause.
+
+A formula stores its clauses as packed literal codes only, two int64 codes
+per clause in one array("q").  TwoSatFormula(n, codes) takes them whole,
+for callers that build a formula with array passes; add_clause appends one
+clause.  The clauses attribute decodes the same store, so there is no
+second copy to keep in step.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -30,23 +36,30 @@ def _code(lit: Literal) -> int:
     return 2 * v if polarity else 2 * v + 1
 
 
-@dataclass
 class TwoSatFormula:
-    variable_count: int
-    clauses: list[tuple[Literal, Literal]] = field(
-        init=False, default_factory=list)
-    # Packed literal codes, two per clause; add_clause is the only writer
-    # of both lists, so solve() never has to walk the tuple list.
-    _packed: array = field(
-        init=False, default_factory=lambda: array("q"), repr=False)
+    """A 2-SAT formula over variables 0 .. variable_count - 1, optionally
+    built from packed codes: clause i is (codes[2i] or codes[2i + 1])."""
+
+    def __init__(self, variable_count: int,
+                 codes: np.ndarray | None = None):
+        self.variable_count = variable_count
+        self._packed = array("q")
+        if codes is not None:
+            if len(codes) % 2:
+                raise ValueError("odd number of literal codes")
+            self._packed.frombytes(
+                np.ascontiguousarray(codes, dtype=np.int64).tobytes())
 
     def add_clause(self, a: Literal, b: Literal) -> None:
-        self.clauses.append((a, b))
         self._packed.append(_code(a))
         self._packed.append(_code(b))
 
     def packed_codes(self) -> array:
         return self._packed
+
+    @property
+    def clauses(self) -> "_Clauses":
+        return _Clauses(self._packed)
 
     def evaluate(self, model: list[bool]) -> bool:
         return all(
@@ -54,12 +67,34 @@ class TwoSatFormula:
             for (v1, p1), (v2, p2) in self.clauses
         )
 
+    def __repr__(self) -> str:
+        return (f"TwoSatFormula(variable_count={self.variable_count}, "
+                f"clauses={list(self.clauses)})")
+
+
+class _Clauses(Sequence):
+    """The clauses of packed codes, as pairs of (variable, polarity)."""
+
+    __slots__ = ("_packed",)
+
+    def __init__(self, packed: array):
+        self._packed = packed
+
+    def __len__(self) -> int:
+        return len(self._packed) // 2
+
+    def __getitem__(self, i: int) -> tuple[Literal, Literal]:
+        if not 0 <= i < len(self._packed) // 2:
+            raise IndexError(i)
+        a, b = self._packed[2 * i], self._packed[2 * i + 1]
+        return (a >> 1, not a & 1), (b >> 1, not b & 1)
+
 
 def solve(formula: TwoSatFormula) -> list[bool] | None:
     """Canonical model of the formula, or None when unsatisfiable."""
     n = formula.variable_count
     if n == 0:
-        if formula.clauses:
+        if formula.packed_codes():
             raise ValueError("clauses without variables")
         return []
     nodes = 2 * n

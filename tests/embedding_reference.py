@@ -214,9 +214,14 @@ def f_options(f_of: list[int], m: int) -> list[list[int]]:
     return lists
 
 
-def compute_clashes(catalog: OptionCatalog) -> ClashGraph:
+def compute_clashes(catalog: OptionCatalog
+                    ) -> tuple[ClashGraph, list[list[int]]]:
+    """The clash store built from the pairs found one option at a time,
+    and the adjacency lists that appending each pair to both of its
+    options' lists gives."""
     g = catalog.instance.graph
-    clashes = ClashGraph(len(catalog.options))
+    pairs: list[tuple[int, int]] = []
+    adj: list[list[int]] = [[] for _ in catalog.options]
     option_of_edge: dict[int, int] = {}
     for o, e in enumerate(catalog.options):
         assert e not in option_of_edge
@@ -231,5 +236,8 @@ def compute_clashes(catalog: OptionCatalog) -> ClashGraph:
                 continue
             if catalog.f_of[other] == catalog.f_of[o]:
                 continue
-            clashes.add_pair(o, other)
-    return clashes
+            pairs.append((o, other))
+            adj[o].append(other)
+            adj[other].append(o)
+    lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return ClashGraph(len(catalog.options), lo, hi), adj

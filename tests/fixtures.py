@@ -18,15 +18,6 @@ OCTA_ROTATION = [
 # Straight-line placement of the octahedron with outer face (1, 4, 5).
 OCTA_COORDS = [(10, 4), (0, 0), (7, 8), (13, 8), (20, 0), (10, 17)]
 
-# 5-vertex bipyramid = K5 minus (0, 4): poles 0 and 4, triangle 1-2-3.
-BIPYR5_ROTATION = [
-    [1, 3, 2],
-    [0, 2, 4, 3],
-    [1, 0, 3, 4],
-    [2, 0, 1, 4],
-    [1, 2, 3],
-]
-
 # Cube graph (quadrilateral faces): bottom 0..3, top 4..7, vertical (i, i+4).
 CUBE_ROTATION = [
     [1, 3, 4],
@@ -53,8 +44,32 @@ def octahedron() -> PlaneGraph:
     return build_from_rotation(6, OCTA_ROTATION)
 
 
-def bipyramid5() -> PlaneGraph:
-    return build_from_rotation(5, BIPYR5_ROTATION)
+def bipyramid_rotation(c: int) -> list[list[int]]:
+    """Bipyramid over a c-cycle, c >= 3: poles 0 and 1, equator vertices
+    x_i = 2 + i.  0 lists x_0 .. x_{c-1}, 1 lists them in reverse, and x_i
+    lists 0, x_{i-1}, 1, x_{i+1}.  At c = 3 it is K5 minus (0, 1)."""
+    x = [2 + i for i in range(c)]
+    rot = [x, x[::-1]]
+    rot.extend([0, x[i - 1], 1, x[(i + 1) % c]] for i in range(c))
+    return rot
+
+
+def bipyramid(c: int) -> PlaneGraph:
+    return build_from_rotation(c + 2, bipyramid_rotation(c))
+
+
+def bipyramid_chords(c: int) -> list[tuple[int, int]]:
+    """The chords (x_i, x_{i+2}), i < c: with (0, 1) the only non-edges of
+    bipyramid(c), c >= 5, that have a single-crossing option."""
+    return [(2 + i, 2 + (i + 2) % c) for i in range(c)]
+
+
+def windowed_bipyramid_f(c: int) -> list[tuple[int, int]]:
+    """(0, 1) and every chord but the three at i = c/2 .. c/2 + 2: a
+    feasible F on which the reducer takes about c/2 case steps."""
+    gap = range(c // 2, c // 2 + 3)
+    return [(0, 1)] + [p for i, p in enumerate(bipyramid_chords(c))
+                       if i not in gap]
 
 
 def cube() -> PlaneGraph:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,6 @@ from planeinsert.plane_graph import (
 )
 
 from fixtures import (
-    BIPYR5_ROTATION,
     CUBE_ROTATION,
     K5_ROTATION,
     OCTA_ROTATION,
@@ -63,6 +63,16 @@ class TestBuild:
     def test_asymmetric_rejected(self):
         with pytest.raises(AsymmetricAdjacency):
             build_from_rotation(3, [[1, 2], [2, 0], [0]])
+
+    def test_numpy_neighbours_get_the_plain_int_error(self):
+        # The per-row diagnosis accepts any __index__ integer, as the
+        # vector check does, so the same defect gets the same error.
+        for one in (1, np.int64(1)):
+            with pytest.raises(AsymmetricAdjacency,
+                               match="^odd number of darts$"):
+                build_from_rotation(3, [[one], [0], [0]])
+        with pytest.raises(InvalidRotation, match="bad neighbor 1.0"):
+            build_from_rotation(3, [[1.0], [0], [0]])
 
     def test_loop_rejected(self):
         with pytest.raises(InvalidRotation):

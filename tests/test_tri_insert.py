@@ -7,8 +7,9 @@ from itertools import combinations, product
 import pytest
 
 from planeinsert._rng import Lcg64
-from planeinsert.errors import KNotOne, NotTriangulation
-from planeinsert.instance_io import Solution, make_instance
+from planeinsert.errors import KNotOne, NotTriangulation, ReductionStuck
+from planeinsert.instance_io import (CrossingEvent, Route, Solution,
+                                     make_instance)
 from planeinsert.oracle import exact_solve_triangulation
 from planeinsert.plane_graph import build_from_rotation
 from planeinsert.tri_insert import (
@@ -23,8 +24,8 @@ from planeinsert.tri_insert import (
 from planeinsert.verdicts import Verdict
 from planeinsert.verifier import verify
 
-from fixtures import apollonian7, bipyramid5, cube, octahedron
-from instance_gen import instance_stream
+from fixtures import apollonian7, bipyramid, cube, octahedron
+from instance_gen import instance_stream, planted_instance
 
 
 def octa_inst(F):
@@ -68,11 +69,11 @@ class TestEnumerate:
         assert {cat.options[o] for o in cat.f_options[0]} == expected
 
     def test_bipyramid_three_options(self):
-        inst = make_instance(bipyramid5(), [(0, 4)])
+        inst = make_instance(bipyramid(3), [(0, 1)])
         cat = enumerate_options(inst)
         crossed = {inst.graph.edge_endpoints(cat.options[o])
                    for o in cat.f_options[0]}
-        assert crossed == {(1, 2), (2, 3), (1, 3)}
+        assert crossed == {(2, 3), (3, 4), (2, 4)}
 
     def test_requires_triangulation(self):
         with pytest.raises(NotTriangulation):
@@ -127,7 +128,7 @@ class TestClashes:
 
 class TestClassify:
     def test_bipyramid_cycle(self):
-        cat = enumerate_options(make_instance(bipyramid5(), [(0, 4)]))
+        cat = enumerate_options(make_instance(bipyramid(3), [(0, 1)]))
         cls = classify_options(cat, 0)
         assert cls.label == "compact"
         assert len(cls.cycles) == 1 and len(cls.cycles[0]) == 3
@@ -164,6 +165,20 @@ class TestClassify:
         out = reduce_instance(cat, cl)
         assert out is cat
         assert cat.alive_options(0) == before
+
+
+def test_certificate_records_equal_constructed_ones():
+    # The bulk-built records have the record types, equality and repr of
+    # records built through their constructors.
+    inst = planted_instance(300, 0)
+    sol = solve(inst)
+    assert isinstance(sol, Solution) and sol.routes
+    for i, route in enumerate(sol.routes):
+        (event,) = route.events
+        want = Route(i, (CrossingEvent("graph_edge", event.target),))
+        assert type(route) is Route and type(event) is CrossingEvent
+        assert route == want and repr(route) == repr(want)
+        assert event.kind == "graph_edge" and type(event.target) is tuple
 
 
 class TestSolve:
@@ -292,15 +307,26 @@ def test_first_clash_free_matches_product_order():
     assert min(shapes.values()) >= 20, shapes
 
 
+def test_compact_case_that_cannot_shrink_raises(monkeypatch):
+    # With step (b) made to find nothing, the octahedron's compact case
+    # deletes nothing in step (a) either: the reducer must raise a typed
+    # error rather than visit the same state forever.
+    from planeinsert import tri_insert
+    monkeypatch.setattr(tri_insert, "first_clash_free",
+                        lambda adj, lists: None)
+    with pytest.raises(ReductionStuck, match="compact case around F edge 0"):
+        solve(octa_inst([(0, 5), (1, 3)]))
+
+
 @pytest.mark.parametrize("graph, F", [
     (octahedron, [(0, 5), (1, 3)]),
     (octahedron, [(0, 5), (1, 3), (2, 4)]),
-    (bipyramid5, [(0, 4)]),
+    (lambda: bipyramid(3), [(0, 1)]),
 ], ids=["octahedron-2", "octahedron-3", "bipyramid"])
 def test_case_c_commits_first_clash_free_assignment(graph, F):
     # Replay the trace; at each case_c event rebuild the core edges and
     # their live options, and require the first clash-free pick among
-    # several.
+    # several of those with no live clash partner outside the core.
     inst = make_instance(graph(), F)
     cat = enumerate_options(inst)
     cl = compute_clashes(cat)
@@ -323,7 +349,9 @@ def test_case_c_commits_first_clash_free_assignment(graph, F):
                     core.update(inst.graph.edge_endpoints(cat.options[o]))
             inside = [f2 for f2, (a, b) in enumerate(inst.F)
                       if f2 not in committed and a in core and b in core]
-            lists = [[o for o in cat.f_options[f2] if o in alive]
+            lists = [[o for o in cat.f_options[f2] if o in alive
+                      and not any(p in alive and cat.f_of[p] not in inside
+                                  for p in cl.adj[o])]
                      for f2 in inside]
             picks = clash_free_picks(cl.adj, lists)
             assert len(picks) > 1

@@ -51,6 +51,29 @@ def test_three_clause_example():
     assert [True, True] in sat
 
 
+def test_packed_codes_constructor_matches_add_clause():
+    rng = Lcg64(11)
+    for _ in range(100):
+        f = random_formula(rng)
+        codes = np.frombuffer(f.packed_codes(), dtype=np.int64)
+        g = TwoSatFormula(f.variable_count, codes)
+        assert g.packed_codes() == f.packed_codes()
+        assert list(g.clauses) == list(f.clauses)
+        assert len(g.clauses) == len(codes) // 2
+        assert repr(g) == repr(f)
+        assert solve(g) == solve(f)
+    # clauses decodes the one store: code 2v is v, code 2v + 1 is not v.
+    f = TwoSatFormula(3, np.array([0, 5, 3, 4]))
+    assert list(f.clauses) == [((0, True), (2, False)),
+                               ((1, False), (2, True))]
+    f.add_clause((1, True), (0, False))
+    assert f.clauses[2] == ((1, True), (0, False))
+    with pytest.raises(IndexError):
+        f.clauses[3]
+    with pytest.raises(ValueError, match="odd"):
+        TwoSatFormula(2, np.array([0, 1, 2]))
+
+
 def test_forced_contradiction():
     f = TwoSatFormula(1)
     f.add_clause((0, True), (0, True))
