@@ -39,8 +39,9 @@ class NotTriangle(PlaneInsertError):
 
 
 class InvalidArgument(PlaneInsertError, ValueError):
-    """A generator argument is out of its domain (too few vertices, an
-    unknown structure, a negative count)."""
+    """A generator or builder argument is out of its domain (too few
+    vertices, an unknown structure, a negative count, a vertex position off
+    the integer grid)."""
 
 
 class InsufficientComplementPairs(PlaneInsertError):

@@ -8,82 +8,86 @@ tests are exact; none touches floating point.
   positive common factor m scales every orientation determinant by m**2,
   every dot product by m**2 and every coordinate comparison by m, so each
   sign, equality and order the checks read is unchanged, and the checks
-  run on Python ints instead of ``Fraction`` values.
-- **Sweep.**  ``check_plane`` first bisects a vertex list sorted by x to
-  the vertices in each edge's x-range, filters them by its y-range and
-  tests whether they lie inside the edge.  It then sorts the edge
-  segments by their smallest x and sweeps them with an active list that
-  drops every segment ending left of the current one (after Shamos &
-  Hoey, "Geometric intersection problems", 1976, without the event
-  queue).  The exact conflict test runs only on pairs whose x-ranges and
-  y-ranges both overlap.  On drawings whose segments are short against
-  the drawing's width, both passes cost about O((V + E) log(V + E)) plus
-  the pairs that really are close.  The worst case stays quadratic: many
-  segments whose x-ranges all overlap, or many vertices in the x-range of
-  one long edge.
+  run on integers instead of ``Fraction`` values.
+- **Array arithmetic.**  The checks hold the x and y columns in numpy
+  arrays.  When every scaled |coordinate| is below 2**30, each difference
+  of two coordinates is below 2**31, each product of two differences below
+  2**62, and each determinant or dot product, a sum of two such products,
+  below 2**63: int64 holds every value exactly.  Otherwise the columns are
+  object arrays of Python ints and the same expressions run on them,
+  exact at any size.
+- **Candidate passes.**  ``check_plane`` runs two passes over candidate
+  pairs, each a handful of whole-array expressions.  The vertex pass sorts
+  the vertices by (x, y); one ``searchsorted`` gives, for every edge, the
+  run of vertices inside its x-range; it keeps those inside its y-range
+  that are not its endpoints and tests whether they lie inside the edge.
+  The segment pass sorts the edge segments stably by their smallest x,
+  x0, and pairs segment i with every later segment j with
+  x0[j] <= x1[i], the largest x of i (again one ``searchsorted``), whose
+  y-range overlaps i's.  These are exactly the pairs that a sweep with an
+  active list tests (after Shamos & Hoey, "Geometric intersection
+  problems", 1976, without the event queue): since x0 never decreases,
+  segment i is still active at j exactly when x1[i] >= x0[j].  The exact
+  conflict test then runs on those pairs in the four branches of the
+  scalar test it replaced: identical segments, one shared endpoint (an
+  overlap when the other endpoints are collinear with it and on the same
+  side), a proper crossing, and an endpoint touching the other segment.
+  Pairs are built in pieces of about ``_PIECE``, so memory stays linear.  On drawings whose segments are short against the drawing's
+  width, both passes cost about O((V + E) log(V + E)) plus the pairs that
+  really are close.  The worst case stays quadratic in time: many segments
+  whose x-ranges all overlap, or many vertices in the x-range of one long
+  edge.
+- **First error.**  The error raised is the one the sweep meets first:
+  vertex-pass errors before segment-pass errors; among vertex errors the
+  least edge, then the least position in the (x, y) order; among segment
+  errors the least current segment j, then the least active segment i, in
+  the sorted order.  Each candidate piece reports its least error in that
+  order, so the message does not depend on the piece size.
 - **Rotation.**  ``check_rotation`` compares each vertex's exact
   counterclockwise neighbor order with its rotation row.  It runs only
   when an instance carries coordinates, after the plane check passed, so
-  no two edges at a vertex share a direction.  Instances without
-  coordinates pay nothing.
+  no two edges at a vertex share a direction.  A cyclic sequence of
+  distinct values is a cyclic shift of its sorted order exactly when it
+  has one cyclic descent: a shifted sorted order descends only where the
+  largest value is followed by the least, and a sequence with one
+  descent, read from just after it, ascends all the way round.  So one
+  array pass compares every dart with its successor in its row, by angle
+  from the positive x axis, and a row of degree >= 3 fails exactly when
+  its descent count is not 1.  A failing row, or one with a zero-length
+  edge (two adjacent vertices on one point, which the plane check allows),
+  is then settled by the comparator sort, which also builds the message.
+  Instances without coordinates pay nothing.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import NonPlaneCoordinates
 from .plane_graph import PlaneGraph
 
-# One point: Fractions as stored, or ints after scaling.
-Point = tuple[Fraction, Fraction] | tuple[int, int]
+# One point: numbers (Fractions as stored, or ints after scaling), or
+# equal-length int64 or object arrays of x and y values.
+Point = tuple
+
+# Scaled coordinates below this in magnitude run in int64 (see above).
+_INT64_BOUND = 1 << 30
+
+# Candidate pairs built at a time.
+_PIECE = 1 << 16
 
 
-def orient(a: Point, b: Point, c: Point) -> int:
-    """Sign of the turn a -> b -> c: 1 left, -1 right, 0 collinear."""
+def orient(a: Point, b: Point, c: Point):
+    """Sign of the turn a -> b -> c: 1 left, -1 right, 0 collinear.  On
+    arrays of points it returns an array of signs."""
     v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return (v > 0) - (v < 0)
-
-
-def between(a: Point, b: Point, c: Point) -> bool:
-    """Is c, known collinear with a and b, inside segment ab but not an
-    endpoint?"""
-    return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-            and c != a and c != b)
-
-
-def segments_conflict(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    """Exact test: do closed segments intersect anywhere besides a shared
-    endpoint?"""
-    shared = {p1, p2} & {q1, q2}
-    if len(shared) == 2:
-        return True  # identical segments
-    if len(shared) == 1:
-        s = shared.pop()
-        a = p2 if p1 == s else p1
-        b = q2 if q1 == s else q1
-        # Overlap beyond the joint endpoint: collinear and same direction.
-        if orient(s, a, b) == 0:
-            da = (a[0] - s[0], a[1] - s[1])
-            db = (b[0] - s[0], b[1] - s[1])
-            return da[0] * db[0] + da[1] * db[1] > 0
-        return False
-    o1 = orient(p1, p2, q1)
-    o2 = orient(p1, p2, q2)
-    o3 = orient(q1, q2, p1)
-    o4 = orient(q1, q2, p2)
-    if o1 != o2 and o3 != o4 and (o1 or o2) and (o3 or o4):
-        return True
-    # Collinear/touching cases: any endpoint inside the other segment.
-    for (a, b, c) in ((p1, p2, q1), (p1, p2, q2), (q1, q2, p1), (q1, q2, p2)):
-        if orient(a, b, c) == 0 and between(a, b, c):
-            return True
-    return False
+    return (v > 0) * 1 - (v < 0) * 1
 
 
 def angle_cmp(a: Point, b: Point) -> int:
@@ -117,61 +121,160 @@ def check_coords(graph: PlaneGraph,
     check_rotation(graph, ipts)
 
 
-def check_plane(graph: PlaneGraph, pts: Sequence[Point]) -> None:
+def _columns(pts: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y columns of integer points: int64 when every
+    |coordinate| < 2**30, otherwise object arrays of Python ints."""
+    flat = list(chain.from_iterable(pts))
+    small = -_INT64_BOUND < min(flat) and max(flat) < _INT64_BOUND
+    arr = np.array(flat, dtype=np.int64 if small else object)
+    return arr[0::2], arr[1::2]
+
+
+def _pieces(lo: np.ndarray, hi: np.ndarray
+            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs (r, c) with lo[r] <= c < hi[r], in row-major order, as
+    (rows, cols) arrays of about _PIECE pairs each (one row may exceed)."""
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    r0 = 0
+    while r0 < len(counts):
+        base = int(ends[r0 - 1]) if r0 else 0
+        r1 = max(int(np.searchsorted(ends, base + _PIECE, "right")), r0 + 1)
+        c = counts[r0:r1]
+        rows = np.repeat(np.arange(r0, r1), c)
+        cols = np.arange(len(rows)) + np.repeat(lo[r0:r1] + c - ends[r0:r1]
+                                                + base, c)
+        yield rows, cols
+        r0 = r1
+
+
+def _same(a: Point, b: Point) -> np.ndarray:
+    return (a[0] == b[0]) & (a[1] == b[1])
+
+
+def _pick(mask: np.ndarray, a: Point, b: Point) -> Point:
+    return np.where(mask, a[0], b[0]), np.where(mask, a[1], b[1])
+
+
+def _in_box(a: Point, b: Point, c: Point) -> np.ndarray:
+    """Does c lie in the closed bounding box of a and b?"""
+    return (((a[0] <= c[0]) | (b[0] <= c[0]))
+            & ((c[0] <= a[0]) | (c[0] <= b[0]))
+            & ((a[1] <= c[1]) | (b[1] <= c[1]))
+            & ((c[1] <= a[1]) | (c[1] <= b[1])))
+
+
+def _conflicts(p1: Point, p2: Point, q1: Point, q2: Point) -> np.ndarray:
+    """Do closed segments p1p2 and q1q2 meet anywhere besides a shared
+    endpoint?  Exact, over arrays of segment pairs."""
+    p1_shared = _same(p1, q1) | _same(p1, q2)
+    p2_shared = _same(p2, q1) | _same(p2, q2)
+    # {p1, p2} == {q1, q2}: identical segments.
+    identical = p1_shared & p2_shared & ~_same(p1, p2)
+    # One shared endpoint s: a conflict when the other endpoints a and b
+    # are collinear with s and on the same side of it.
+    one = (p1_shared | p2_shared) & ~identical
+    s = _pick(p1_shared, p1, p2)
+    a = _pick(p1_shared, p2, p1)
+    b = _pick(_same(q1, s), q2, q1)
+    overlap = (orient(s, a, b) == 0) & (
+        (a[0] - s[0]) * (b[0] - s[0]) + (a[1] - s[1]) * (b[1] - s[1]) > 0)
+    # No shared endpoint: a proper crossing, or an endpoint on the other
+    # segment (no endpoint equals one of the other segment's here).
+    o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
+    o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
+    proper = ((o1 != o2) & (o3 != o4) & ((o1 != 0) | (o2 != 0))
+              & ((o3 != 0) | (o4 != 0)))
+    touch = (((o1 == 0) & _in_box(p1, p2, q1))
+             | ((o2 == 0) & _in_box(p1, p2, q2))
+             | ((o3 == 0) & _in_box(q1, q2, p1))
+             | ((o4 == 0) & _in_box(q1, q2, p2)))
+    return (identical | (one & overlap)
+            | (~(p1_shared | p2_shared) & (proper | touch)))
+
+
+def check_plane(graph: PlaneGraph, pts: Sequence[tuple[int, int]]) -> None:
     """Raise NonPlaneCoordinates when a vertex lies inside an edge segment
-    or two edge segments meet beyond a shared endpoint.
+    or two edge segments meet beyond a shared endpoint.  The points are
+    integers (``check_coords`` scales them).
 
     Every vertex inside an edge also makes its own edges meet that edge;
     the vertex pass runs first so that the error names the vertex."""
-    segs = []
-    for _, u, v in graph.edges():
-        (x1, y1), (x2, y2) = pts[u], pts[v]
-        segs.append((min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2),
-                     u, v))
-    order = sorted(range(len(pts)), key=pts.__getitem__)
-    xs = [pts[w][0] for w in order]
-    for x0, x1, y0, y1, u, v in segs:
-        a, b = pts[u], pts[v]
-        for i in range(bisect_left(xs, x0), bisect_right(xs, x1)):
-            w = order[i]
-            c = pts[w]
-            if (y0 <= c[1] <= y1 and w != u and w != v
-                    and orient(a, b, c) == 0 and between(a, b, c)):
-                raise NonPlaneCoordinates(f"vertex {w} lies on edge ({u},{v})")
-    segs.sort(key=lambda s: s[0])
-    active: list[tuple] = []
-    for seg in segs:
-        x0, _, y0, y1, u1, v1 = seg
-        kept = []
-        for other in active:
-            if other[1] < x0:
-                continue  # ends left of every segment still to come
-            kept.append(other)
-            if other[3] < y0 or y1 < other[2]:
-                continue
-            u2, v2 = other[4], other[5]
-            if segments_conflict(pts[u2], pts[v2], pts[u1], pts[v1]):
-                raise NonPlaneCoordinates(
-                    f"edges ({u2},{v2}) and ({u1},{v1}) cross")
-        kept.append(seg)
-        active = kept
+    X, Y = _columns(pts)
+    eu, ev = graph.table("eu"), graph.table("ev")
+    a, b = (X[eu], Y[eu]), (X[ev], Y[ev])
+    x_lo, x_hi = np.minimum(a[0], b[0]), np.maximum(a[0], b[0])
+    y_lo, y_hi = np.minimum(a[1], b[1]), np.maximum(a[1], b[1])
+
+    order = np.lexsort((Y, X))
+    xs = X[order]
+    for e, i in _pieces(np.searchsorted(xs, x_lo, "left"),
+                        np.searchsorted(xs, x_hi, "right")):
+        w = order[i]
+        keep = ((y_lo[e] <= Y[w]) & (Y[w] <= y_hi[e])
+                & (w != eu[e]) & (w != ev[e]))
+        e, w = e[keep], w[keep]
+        ae, be, c = (a[0][e], a[1][e]), (b[0][e], b[1][e]), (X[w], Y[w])
+        hit = (orient(ae, be, c) == 0) & ~_same(c, ae) & ~_same(c, be)
+        if hit.any():
+            k = int(np.argmax(hit))
+            raise NonPlaneCoordinates(
+                f"vertex {w[k]} lies on edge ({eu[e[k]]},{ev[e[k]]})")
+
+    by_x0 = np.argsort(x_lo, kind="stable")
+    sx_lo, sx_hi = x_lo[by_x0], x_hi[by_x0]
+    sy_lo, sy_hi = y_lo[by_x0], y_hi[by_x0]
+    m = len(by_x0)
+    first = None
+    for i, j in _pieces(np.arange(1, m + 1),
+                        np.searchsorted(sx_lo, sx_hi, "right")):
+        keep = (sy_lo[j] <= sy_hi[i]) & (sy_lo[i] <= sy_hi[j])
+        i, j = i[keep], j[keep]
+        ei, ej = by_x0[i], by_x0[j]
+        hit = _conflicts((a[0][ei], a[1][ei]), (b[0][ei], b[1][ei]),
+                         (a[0][ej], a[1][ej]), (b[0][ej], b[1][ej]))
+        if hit.any():
+            key = int((j[hit] * m + i[hit]).min())
+            first = key if first is None else min(first, key)
+    if first is not None:
+        ei, ej = by_x0[first % m], by_x0[first // m]
+        raise NonPlaneCoordinates(
+            f"edges ({eu[ei]},{ev[ei]}) and ({eu[ej]},{ev[ej]}) cross")
 
 
-def check_rotation(graph: PlaneGraph, pts: Sequence[Point]) -> None:
+def check_rotation(graph: PlaneGraph, pts: Sequence[tuple[int, int]]) -> None:
     """Raise NonPlaneCoordinates unless, at every vertex of degree >= 3, the
     counterclockwise order of the neighbors in the drawing equals the
-    rotation row up to a cyclic shift.  Needs a plane drawing: no two edges
-    at a vertex may share a direction."""
-    for v in range(graph.vertex_count):
-        row = graph.neighbors(v)
-        if len(row) < 3:
-            continue
-        vx, vy = pts[v]
-        dirs = {w: (pts[w][0] - vx, pts[w][1] - vy) for w in row}
-        drawn = sorted(row, key=cmp_to_key(
-            lambda p, q: angle_cmp(dirs[p], dirs[q])))
-        i = row.index(drawn[0])
-        if row[i:] + row[:i] != drawn:
-            raise NonPlaneCoordinates(
-                f"neighbors of vertex {v} are drawn in the order {drawn}, "
-                f"not the rotation {row}")
+    rotation row up to a cyclic shift.  Needs a plane drawing of integer
+    points: no two edges at a vertex may share a direction."""
+    X, Y = _columns(pts)
+    offsets = graph.table("offsets")
+    head, tail = graph.table("head"), graph.table("tail")
+    d = np.arange(len(head))
+    nxt = np.where(d + 1 == offsets[tail + 1], offsets[tail], d + 1)
+    dx, dy = X[head] - X[tail], Y[head] - Y[tail]
+    upper = (dy > 0) | ((dy == 0) & (dx > 0))  # angle in [0, pi)
+    cross = dx * dy[nxt] - dy * dx[nxt]
+    descent = (upper[nxt] & ~upper) | ((upper == upper[nxt]) & (cross < 0))
+    n = graph.vertex_count
+    zero = (dx == 0) & (dy == 0)
+    suspect = ((np.bincount(tail[descent], minlength=n) != 1)
+               | (np.bincount(tail[zero], minlength=n) > 0))
+    suspect &= np.diff(offsets) >= 3
+    for v in np.flatnonzero(suspect).tolist():
+        _check_row(graph, pts, v)
+
+
+def _check_row(graph: PlaneGraph, pts: Sequence[tuple[int, int]],
+               v: int) -> None:
+    """The comparator-sort check of vertex v's rotation row."""
+    row = graph.neighbors(v)
+    vx, vy = pts[v]
+    dirs = {w: (pts[w][0] - vx, pts[w][1] - vy) for w in row}
+    drawn = sorted(row, key=cmp_to_key(
+        lambda p, q: angle_cmp(dirs[p], dirs[q])))
+    i = row.index(drawn[0])
+    if row[i:] + row[:i] != drawn:
+        raise NonPlaneCoordinates(
+            f"neighbors of vertex {v} are drawn in the order {drawn}, "
+            f"not the rotation {row}")

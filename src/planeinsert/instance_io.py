@@ -132,7 +132,9 @@ def make_instance(graph: PlaneGraph, F, k: int = 1, coords=None,
     if coords is not None:
         if len(coords) != n:
             raise SchemaError("coords length != vertex count")
-        pts = tuple((Fraction(x), Fraction(y)) for x, y in coords)
+        pts = tuple((x if isinstance(x, Fraction) else Fraction(x),
+                     y if isinstance(y, Fraction) else Fraction(y))
+                    for x, y in coords)
         if check_geometry:
             check_coords(graph, pts)
     return Instance(graph, pts, tuple(fpairs), k, f_structure)

@@ -10,9 +10,9 @@ downward literal edges are crossed.  The paper's construction for k >= 2
 adds (k-1)x(k-1) grids and lane edges that give every literal edge k-1
 forced crossings; those are not built here.
 
-Geometry is exact: joints at integer positions, block internals at small
-fractions, rotations derived by exact angular sorting, so every compiled
-instance passes the straight-line non-crossing validation.
+Geometry is exact: joints at integer positions, block internals at
+integers on the 1/24 grid, rotations derived by exact angular sorting, so
+every compiled instance passes the straight-line non-crossing validation.
 """
 
 from __future__ import annotations
@@ -20,18 +20,20 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
+    InvalidArgument,
     InvalidFormula,
     KNotOne,
     LayoutInfeasible,
     SchemaError,
     StructureMismatch,
 )
-from .geometry import angle_cmp, scale_to_integers
+from .geometry import angle_cmp
 from .instance_io import Instance, make_instance
 from .plane_graph import build_from_rotation
 
@@ -159,17 +161,34 @@ class GadgetAtlas:
 # --- exact-geometry builder -----------------------------------------------------
 
 
+# Builder positions are integers in steps of 1/GRID.  GRID = 8*(k + 2) for
+# k = 1: a plus block's columns split its poles' joint spacing into k + 2
+# parts and its rows sit at offsets (2*row - k)/8, so every point of the
+# construction is a whole number of steps.
+GRID = 24
+
+
 class GeometryBuilder:
-    """Vertices with exact coordinates; rotations from angular order."""
+    """Vertices at integer positions on the 1/GRID grid; rotations from
+    exact angular order."""
 
     def __init__(self):
-        self.coords: list[tuple[Fraction, Fraction]] = []
+        self.coords: list[tuple[int, int]] = []
         self.tags: list[tuple] = []
         self.adj: dict[int, list[int]] = defaultdict(list)
         self.edge_set: set[tuple[int, int]] = set()
 
-    def vertex(self, x, y, tag: tuple) -> int:
-        self.coords.append((Fraction(x), Fraction(y)))
+    def vertex(self, x: int, y: int, tag: tuple) -> int:
+        """A new vertex at (x/GRID, y/GRID).  Raises InvalidArgument unless
+        x and y are integers (booleans are not)."""
+        try:
+            pos = (operator.index(x), operator.index(y))
+        except TypeError:
+            pos = None
+        if pos is None or isinstance(x, bool) or isinstance(y, bool):
+            raise InvalidArgument(
+                f"vertex position ({x!r}, {y!r}) is not on the integer grid")
+        self.coords.append(pos)
         self.tags.append(tag)
         return len(self.coords) - 1
 
@@ -185,7 +204,7 @@ class GeometryBuilder:
         return key
 
     def rotation(self) -> list[list[int]]:
-        pts = scale_to_integers(self.coords)
+        pts = self.coords
         rot = []
         for v, (vx, vy) in enumerate(pts):
             dirs = {w: (pts[w][0] - vx, pts[w][1] - vy) for w in self.adj[v]}
@@ -204,18 +223,25 @@ class GeometryBuilder:
                    atlas: GadgetAtlas | None = None,
                    perp=(0, 1)) -> list[int]:
         """Grid between two existing poles; perp points to the grid's
-        row-offset direction.  Returns the grid vertex ids."""
+        row-offset direction.  Returns the grid vertex ids.  Raises
+        LayoutInfeasible when the poles are not a multiple of k + 2 grid
+        steps apart along each axis, where a column would fall off the
+        grid."""
         ax, ay = self.coords[pole_a]
         bx, by = self.coords[pole_b]
         dx, dy = bx - ax, by - ay
-        px, py = Fraction(perp[0]), Fraction(perp[1])
+        parts = k + 2
+        if dx % parts or dy % parts:
+            raise LayoutInfeasible(
+                f"plus block between {pole_a} and {pole_b} is off the grid")
+        px, py = perp
         grid: list[list[int]] = []
         for col in range(k + 1):
-            t = Fraction(col + 1, k + 2)
-            cx, cy = ax + dx * t, ay + dy * t
+            cx = ax + dx * (col + 1) // parts
+            cy = ay + dy * (col + 1) // parts
             column = []
             for row in range(k + 1):
-                off = Fraction(2 * row - k, 8)
+                off = (2 * row - k) * GRID // 8
                 column.append(self.vertex(cx + px * off, cy + py * off,
                                           ("plus_grid", pole_a, pole_b,
                                            col, row)))
@@ -239,7 +265,9 @@ class GeometryBuilder:
                        validate: bool = True) -> Instance:
         rot = self.rotation()
         graph = build_from_rotation(len(self.coords), rot)
-        return make_instance(graph, F, k=k, coords=self.coords,
+        coords = [(Fraction(x, GRID), Fraction(y, GRID))
+                  for x, y in self.coords]
+        return make_instance(graph, F, k=k, coords=coords,
                              f_structure=f_structure,
                              check_geometry=validate)
 
@@ -420,7 +448,8 @@ def compile_formula(formula: MonotoneFormula, k: int = 1,
                 body_cover[x_] = pl
         ordered = sorted(xs)
         for x_ in ordered:
-            joints[(layer, x_)] = b.vertex(x_, layer, ("joint", layer, x_))
+            joints[(layer, x_)] = b.vertex(x_ * GRID, layer * GRID,
+                                           ("joint", layer, x_))
         for i in range(len(ordered) - 1):
             x1, x2 = ordered[i], ordered[i + 1]
             va, vb = joints[(layer, x1)], joints[(layer, x2)]

@@ -1,9 +1,17 @@
-"""The exact-geometry module against the pairwise reference checker."""
+"""The exact-geometry module against its references: the pairwise plane
+checker in plane_reference.py, and the sweep and sort that the array
+passes replaced, in geometry_reference.py, on the int64 path and the
+object path alike, also under ``python -O``."""
 
 from __future__ import annotations
 
+import itertools
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +24,7 @@ from planeinsert.plane_graph import (
     generate_stacked_triangulation,
 )
 
+import geometry_reference as ref
 from fixtures import OCTA_COORDS, octahedron
 from plane_reference import _check_plane_coords
 
@@ -160,3 +169,149 @@ def test_angle_cmp_orders_counterclockwise_from_east():
             want = (i > j) - (i < j)
             assert geometry.angle_cmp(a, b) == want
     assert geometry.angle_cmp((2, 2), (1, 1)) == 0
+
+
+# --- the array passes against the sweep and the sort ----------------------
+
+
+def _outcome(checks, g, pts) -> str:
+    """"ok", or the message of the plane check's or else the rotation
+    check's NonPlaneCoordinates, as check_coords runs them."""
+    try:
+        checks.check_plane(g, pts)
+        checks.check_rotation(g, pts)
+    except NonPlaneCoordinates as exc:
+        return str(exc)
+    return "ok"
+
+
+def difference(case) -> str | None:
+    name, pts = case
+    g = GRAPHS[name][0]
+    got, want = _outcome(geometry, g, pts), _outcome(ref, g, pts)
+    return None if got == want else (
+        f"{name} {pts}: got {got!r}, reference {want!r}")
+
+
+@st.composite
+def int_drawings(draw, scale: int = 1):
+    """drawings() scaled to integers, mirrored or not, times scale."""
+    name, pts = draw(drawings())
+    sign = draw(st.sampled_from((1, -1)))
+    return name, [(sign * x * scale, y * scale)
+                  for x, y in geometry.scale_to_integers(pts)]
+
+
+# Coordinates on both sides of the int64 bound 2**30.
+EDGE = st.sampled_from((0, 1, -1, 2**30 - 1, -(2**30 - 1), 2**30, -(2**30)))
+
+
+@st.composite
+def boundary_drawings(draw):
+    """Points drawn from EDGE, or an integer drawing shifted so that its
+    largest x is 2**30 - 1 or 2**30."""
+    name, pts = draw(int_drawings())
+    if draw(st.booleans()):
+        return name, draw(st.lists(st.tuples(EDGE, EDGE), min_size=len(pts),
+                                   max_size=len(pts)))
+    shift = draw(st.sampled_from((2**30 - 1, 2**30))) - max(x for x, _ in pts)
+    return name, [(x + shift, y) for x, y in pts]
+
+
+FAMILIES = {
+    "small": int_drawings(),
+    "scaled_2_40": int_drawings(2**40),
+    "int64_boundary": boundary_drawings(),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_array_checks_match_sweep_and_sort(family, data):
+    assert difference(data.draw(FAMILIES[family])) is None
+
+
+def mismatches(examples: int) -> list[str]:
+    """The differences from the reference over `examples` derandomized
+    cases of every family."""
+    out: list[str] = []
+    for family in FAMILIES.values():
+        @settings(max_examples=examples, deadline=None, database=None,
+                  derandomize=True)
+        @given(family)
+        def run(case):
+            found = difference(case)
+            if found is not None:
+                out.append(found)
+
+        run()
+    return out
+
+
+def test_array_checks_match_reference_without_asserts():
+    # Under -O every assert is gone; the checks may not rest on one.
+    here = Path(__file__).resolve().parent
+    code = ("import test_geometry as t\n"
+            "print(__debug__)\n"
+            "print('\\n'.join(t.mismatches(150)) or 'ok')\n")
+    run = subprocess.run([sys.executable, "-O", "-c", code],
+                         env={"PYTHONPATH": f"{here.parent / 'src'}:{here}"},
+                         cwd=here, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n", 1) == ["False", "ok\n"]
+
+
+def test_int64_path_ends_at_2_30():
+    for bound, dtype in ((2**30 - 1, np.int64), (2**30, object)):
+        for pts in ([(bound, 0)], [(0, -bound)]):
+            assert all(col.dtype == dtype for col in geometry._columns(pts))
+
+
+@pytest.mark.parametrize("bound", [2**30 - 1, 2**30, 2**40])
+def test_k4_on_the_int64_boundary(bound):
+    # K4_DRAWING's outer triangle stretched to the corners, vertex 0 at
+    # the origin: plane and agreeing with the rotation; mirrored, not.
+    pts = [(0, 0), (-bound, -bound), (0, bound), (bound, -bound)]
+    assert _outcome(geometry, GRAPHS["k4"][0], pts) == "ok"
+    mirrored = [(-x, y) for x, y in pts]
+    assert "rotation" in _outcome(geometry, GRAPHS["k4"][0], mirrored)
+    assert difference(("k4", mirrored)) is None
+
+
+def test_small_pieces_give_the_same_outcomes(monkeypatch):
+    # Pairs built a few at a time: the first error must not move.
+    monkeypatch.setattr(geometry, "_PIECE", 3)
+    assert mismatches(60) == []
+
+
+SEGMENT_ENDS = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(SEGMENT_ENDS, SEGMENT_ENDS, SEGMENT_ENDS,
+                          SEGMENT_ENDS), min_size=1, max_size=40),
+       st.sampled_from((1, 2**40)))
+def test_conflict_arrays_match_segments_conflict(quads, scale):
+    # Every branch, touching included, which check_plane's vertex pass
+    # settles before the segment pass can reach it.
+    quads = [[(x * scale, y * scale) for x, y in q] for q in quads]
+    X, Y = geometry._columns([p for q in quads for p in q])
+    ends = [(X[k::4], Y[k::4]) for k in range(4)]
+    got = geometry._conflicts(*ends).tolist()
+    assert got == [ref.segments_conflict(*q) for q in quads]
+
+
+def test_zero_length_edges_follow_the_sort():
+    # A star whose leaf 1 sits on the centre: the zero direction compares
+    # equal to the whole lower half-plane, so the sort, not the descent
+    # count, decides.
+    compass = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1),
+               (1, -1)]
+    for d in (3, 4):
+        for leaves in itertools.combinations(compass, d - 1):
+            pts = [(0, 0), (0, 0), *leaves]
+            for rest in itertools.permutations(range(2, d + 1)):
+                g = build_from_rotation(d + 1, [[1, *rest]] + [[0]] * d)
+                assert _outcome(geometry, g, pts) == _outcome(ref, g, pts)

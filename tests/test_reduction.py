@@ -1,11 +1,16 @@
-"""The hardness compiler: validated output, its file format, its argument
-checks, and the builder's edge and angular-order checks."""
+"""The hardness compiler: validated output, pinned byte for byte, with the
+structure the reduction claims; its file format, its argument checks, and
+the builder's position, edge and angular-order checks."""
 
 from __future__ import annotations
+
+import hashlib
+from fractions import Fraction
 
 import pytest
 
 from planeinsert.errors import (
+    InvalidArgument,
     KNotOne,
     LayoutInfeasible,
     NonPlaneCoordinates,
@@ -13,6 +18,7 @@ from planeinsert.errors import (
     StructureMismatch,
 )
 from planeinsert.instance_io import make_instance, parse_instance, write_instance
+from planeinsert.plane_graph import PlaneGraph, build_from_rotation
 from planeinsert.reduction import (
     Clause,
     GeometryBuilder,
@@ -86,3 +92,128 @@ def test_builder_rejects_overlapping_directions():
     b.edge(s, far)
     with pytest.raises(LayoutInfeasible):
         b.rotation()
+
+
+def test_builder_rejects_positions_off_the_grid():
+    b = GeometryBuilder()
+    for x, y in ((Fraction(1, 2), 0), (0, 0.5), (1.0, 0), (True, 0),
+                 (0, "1")):
+        with pytest.raises(InvalidArgument):
+            b.vertex(x, y, ())
+    assert b.coords == []
+    s, t = b.vertex(0, 0, ()), b.vertex(1, 0, ())
+    with pytest.raises(LayoutInfeasible):
+        b.plus_block(s, t, 1)  # thirds of one step are off the grid
+
+
+# --- compiled output ----------------------------------------------------------
+
+# The benchmark's formula shapes: variables, clauses as (polarity, layer,
+# literals).
+SHAPES = {
+    "2v1c": (2, (("pos", 2, (0, 1)),)),
+    "3v1c": (3, (("pos", 2, (0, 1, 2)),)),
+    "2v2c": (2, (("pos", 2, (0, 1)), ("neg", 2, (0, 1)))),
+}
+
+PERMUTATIONS = {2: ((0, 1), (1, 0)), 3: ((0, 1, 2), (2, 0, 1), (1, 2, 0))}
+
+
+def relabeled(shape: str, perm: tuple[int, ...],
+              mirror: bool) -> MonotoneFormula:
+    """The shape with variable v renamed perm[v] and laid out in the order
+    perm; mirrored, every clause changes sides."""
+    nvars, clauses = SHAPES[shape]
+    flip = {"pos": "neg", "neg": "pos"} if mirror else {"pos": "pos",
+                                                         "neg": "neg"}
+    return MonotoneFormula(nvars, tuple(
+        Clause(flip[pol], layer, tuple(perm[v] for v in lits))
+        for pol, layer, lits in clauses), perm)
+
+
+# sha256 over write_instance and the atlas repr of every relabeling and
+# mirror image of the shape, in PERMUTATIONS order, unmirrored first.
+DIGESTS = {
+    ("2v1c", "path"):
+        "b59c68db48c93f10235c8a78eeeb3f6baa7b310cba8f1c873b2600ddccdc5dba",
+    ("2v1c", "matching"):
+        "c208f0018f59aad9e240be4685fd23d98aae764e354133a73c01a22396a1db67",
+    ("3v1c", "path"):
+        "a3f44b2d34425cb913d2f583efc2bb9fba653ea4d5725665442477667637e80a",
+    ("3v1c", "matching"):
+        "724e1664f93b503aece34da310ff5ad1c23b6bd95dd9ed476dc3ec27fc5f6031",
+    ("2v2c", "path"):
+        "b79d2d124bc1e3861a681df60eceac88e316321b93b0df2f5a742fc2206eb1ab",
+    ("2v2c", "matching"):
+        "e6efff4e35be0f003b994f53e2d2342ca5abedbee5e54413dcd0814ad5e3628e",
+}
+
+
+@pytest.mark.parametrize("shape, variant", sorted(DIGESTS))
+def test_compiled_output_is_pinned(shape, variant):
+    h = hashlib.sha256()
+    for perm in PERMUTATIONS[SHAPES[shape][0]]:
+        for mirror in (False, True):
+            inst, atlas = compile_formula(relabeled(shape, perm, mirror),
+                                          k=1, variant=variant)
+            h.update(write_instance(inst).encode())
+            h.update(repr(atlas).encode())
+    assert h.hexdigest() == DIGESTS[(shape, variant)]
+
+
+def articulation_points(g: PlaneGraph) -> tuple[set[int], int]:
+    """The cut vertices of g and the number of vertices reached from 0, by
+    Hopcroft-Tarjan low points on an explicit stack."""
+    disc = [-1] * g.vertex_count
+    low = [0] * g.vertex_count
+    disc[0] = 0
+    reached, root_children, cut = 1, 0, set()
+    stack = [(0, -1, iter(g.neighbors(0)))]
+    while stack:
+        v, parent, todo = stack[-1]
+        for w in todo:
+            if disc[w] < 0:
+                disc[w] = low[w] = reached
+                reached += 1
+                stack.append((w, v, iter(g.neighbors(w))))
+                break
+            if w != parent:
+                low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if parent == 0:
+                root_children += 1
+            elif parent > 0:
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:
+                    cut.add(parent)
+    if root_children > 1:
+        cut.add(0)
+    return cut, reached
+
+
+def test_articulation_points_finds_cut_vertices():
+    path = build_from_rotation(4, [[1], [0, 2], [1, 3], [2]])
+    assert articulation_points(path) == ({1, 2}, 4)
+
+
+@pytest.mark.parametrize("variant", ["path", "matching"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_compiled_instances_have_the_claimed_structure(shape, variant):
+    n = SHAPES[shape][0]
+    inst, _ = compile_formula(relabeled(shape, tuple(range(n)), False),
+                              k=1, variant=variant, validate=False)
+    assert articulation_points(inst.graph) == (set(),
+                                               inst.graph.vertex_count)
+    assert inst.k == 1
+    assert inst.f_structure == variant
+    ends = [w for pair in inst.F for w in pair]
+    if variant == "matching":
+        assert len(set(ends)) == len(ends)
+    else:
+        # Consecutive pairs share one endpoint, and no vertex repeats.
+        walk = [inst.F[0][0]] if inst.F[0][1] in inst.F[1] else [inst.F[0][1]]
+        for u, v in inst.F:
+            assert walk[-1] in (u, v)
+            walk.append(v if walk[-1] == u else u)
+        assert len(set(walk)) == len(walk) == len(inst.F) + 1
