@@ -194,12 +194,15 @@ def _conflicts(p1: Point, p2: Point, q1: Point, q2: Point) -> np.ndarray:
 
 
 def check_plane(graph: PlaneGraph, pts: Sequence[tuple[int, int]]) -> None:
-    """Raise NonPlaneCoordinates when a vertex lies inside an edge segment
-    or two edge segments meet beyond a shared endpoint.  The points are
-    integers (``check_coords`` scales them).
+    """Raise NonPlaneCoordinates when a vertex lies inside an edge segment,
+    two edge segments meet beyond a shared endpoint, or two vertices are
+    drawn on one point.  The points are integers (``check_coords`` scales
+    them).
 
     Every vertex inside an edge also makes its own edges meet that edge;
-    the vertex pass runs first so that the error names the vertex."""
+    the vertex pass runs first so that the error names the vertex.  Two
+    vertices on one point are looked for last, so that a drawing the
+    other passes reject keeps their message."""
     X, Y = _columns(pts)
     eu, ev = graph.table("eu"), graph.table("ev")
     a, b = (X[eu], Y[eu]), (X[ev], Y[ev])
@@ -240,6 +243,13 @@ def check_plane(graph: PlaneGraph, pts: Sequence[tuple[int, int]]) -> None:
         ei, ej = by_x0[first % m], by_x0[first // m]
         raise NonPlaneCoordinates(
             f"edges ({eu[ei]},{ev[ei]}) and ({eu[ej]},{ev[ej]}) cross")
+
+    ys = Y[order]
+    same = (xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1])
+    if same.any():
+        k = int(np.argmax(same))
+        raise NonPlaneCoordinates(
+            f"vertices {order[k]} and {order[k + 1]} are drawn on one point")
 
 
 def check_rotation(graph: PlaneGraph, pts: Sequence[tuple[int, int]]) -> None:

@@ -12,29 +12,43 @@ crossing becomes a degree-4 dummy vertex splitting both edges involved.
 The working drawing is dart-based: working edge ``e`` owns darts ``2e``
 (from end a) and ``2e+1`` (from end b); faces are the orbits of
 ``succ(d) = rotation-next(twin(d))`` exactly as in plane_graph, so no face
-table is maintained, and every mutation is journaled for exact undo.  The
-initial drawing is laid out in bulk from the graph's dart tables: graph
-dart d becomes working dart ``2*edge(d) + (tail(d) > head(d))``, each
-rotation row is a slice of that column at the graph's row offsets, and the
-incidence lists are the edge column sorted by (tail, edge).
+table is maintained.  The initial drawing is laid out in bulk from the
+graph's dart tables: graph dart d becomes working dart
+``2*edge(d) + (tail(d) > head(d))``, and each rotation row is a slice of
+that column at the graph's row offsets.  No incidence table is kept
+either: a crossing splits an edge only between its ends, and an inserted
+edge runs between original vertices, so an original vertex has exactly one
+dart per logical edge at it, and the logical edges at u are the owners of
+the darts in u's rotation row.
 
-A route of ``verify`` pins its crossed logical edges, so its search starts
-only at the corners of u that share a face with a segment of the first
-pinned edge: the faces of each segment dart and of its twin are walked, and
-the corners at u on them are tried in increasing rotation position.  No
-other corner can reach that edge, so the realizations, and their order, are
-those of a scan of every corner at u; the cost per route is
-O(segments of ``pinned[0]`` x face length) instead of O(deg u x face
-length).  Unpinned searches, and routes that cross nothing, still try every
-corner at u.
+``enumerate_realizations`` is one depth-first search over an explicit
+stack of candidate iterators, one per open stage.  Every face it walks is
+kept for the rest of the call under each of its darts, so no face is
+walked twice in one call.  A route of ``verify`` pins its crossed logical
+edges, so its search starts only at the corners of u that share a face
+with a segment of the first pinned edge: the faces of each segment dart
+and of its twin are walked, and the corners at u on them are tried in
+increasing rotation position.  No other corner can reach that edge, so the
+realizations, and their order, are those of a scan of every corner at u.
+The stage that starts at such a corner, and the stage that crosses into
+the other face of the edge, reuse those walks: a route that crosses one
+edge walks two faces.  Unpinned searches, and routes that cross nothing,
+still try every corner at u.
+
+``insert`` writes the new edge in place and journals one record,
+``(u, start_pos, v, end_pos, edges_before, vertices_before, splits)``,
+with one ``(d, a, pos_a, b, pos_b, owner, seg_idx, seg_dart)`` tuple per
+crossed dart d from a to b: the positions of d at a and of its twin at b,
+and where the segment dart ``seg_dart`` (d or its twin) stood in its
+logical edge's segment list.  ``undo`` removes the new darts at u and v,
+truncates the edge and vertex tables (dummy vertices and the new logical
+edge go with them), and puts each split edge back, last crossing first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import NamedTuple, Sequence
 
 from ._rng import Lcg64
 from .errors import InvalidRealization
@@ -51,8 +65,7 @@ class VerifyResult:
     detail: str | None = None
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     """One way to draw a route: a start corner at its tail, the darts whose
     edges it crosses (one per face transition), and an end corner at its
     head.  Corners are rotation positions valid in the state the
@@ -86,10 +99,7 @@ class PlanarizedDrawing:
         darts = (2 * edge + (tail > head)).tolist()
         self.rot: list[list[int]] = [darts[off[v]:off[v + 1]]
                                      for v in range(n)]
-        # Logical edges at each original vertex, in creation order.
-        by_vertex = edge[np.lexsort((edge, tail))].tolist()
-        self.incident: list[list[int]] = [by_vertex[off[v]:off[v + 1]]
-                                          for v in range(n)]
+        # One record per insert, as the module docstring describes.
         self.journal: list[tuple] = []
 
     # -- dart primitives ---------------------------------------------------
@@ -97,20 +107,18 @@ class PlanarizedDrawing:
     def tail(self, d: int) -> int:
         return self.ends[d >> 1][d & 1]
 
-    def head(self, d: int) -> int:
-        return self.ends[d >> 1][1 - (d & 1)]
-
-    def succ(self, d: int) -> int:
-        t = d ^ 1
-        row = self.rot[self.ends[t >> 1][t & 1]]
-        return row[(row.index(t) + 1) % len(row)]
-
     def face_cycle(self, c: int) -> list[int]:
+        """The darts of c's face, in succ order from c."""
+        rot, ends = self.rot, self.ends
         out = [c]
-        d = self.succ(c)
+        t = c ^ 1
+        row = rot[ends[t >> 1][t & 1]]
+        d = row[(row.index(t) + 1) % len(row)]
         while d != c:
             out.append(d)
-            d = self.succ(d)
+            t = d ^ 1
+            row = rot[ends[t >> 1][t & 1]]
+            d = row[(row.index(t) + 1) % len(row)]
         return out
 
     def vertex_count(self) -> int:
@@ -119,71 +127,12 @@ class PlanarizedDrawing:
     def edge_count(self) -> int:
         return sum(len(r) for r in self.rot) // 2
 
-    # -- journaled mutations -------------------------------------------------
-
-    def _rot_insert(self, v: int, pos: int, d: int) -> None:
-        self.rot[v].insert(pos, d)
-        self.journal.append(("ri", v, pos))
-
-    def _rot_set(self, v: int, pos: int, d: int) -> None:
-        self.journal.append(("rs", v, pos, self.rot[v][pos]))
-        self.rot[v][pos] = d
-
-    def _new_vertex(self, row: list[int]) -> int:
-        self.rot.append(row)
-        self.journal.append(("vtx",))
-        return len(self.rot) - 1
-
-    def _new_edge(self, a: int, b: int, owner: int) -> int:
-        self.ends.append((a, b))
-        self.owner.append(owner)
-        self.journal.append(("edge",))
-        return len(self.ends) - 1
-
-    def _bump(self, logical: int) -> None:
-        self.count[logical] += 1
-        self.journal.append(("cnt", logical))
-
-    def _seg_splice(self, logical: int, idx: int, new: list[int]) -> None:
-        old = self.segments[logical][idx:idx + 1]
-        self.segments[logical][idx:idx + 1] = new
-        self.journal.append(("seg", logical, idx, old, len(new)))
-
-    def token(self) -> int:
-        return len(self.journal)
-
-    def undo(self, token: int) -> None:
-        j = self.journal
-        while len(j) > token:
-            op = j.pop()
-            tag = op[0]
-            if tag == "ri":
-                del self.rot[op[1]][op[2]]
-            elif tag == "rs":
-                self.rot[op[1]][op[2]] = op[3]
-            elif tag == "vtx":
-                self.rot.pop()
-            elif tag == "edge":
-                self.ends.pop()
-                self.owner.pop()
-            elif tag == "cnt":
-                self.count[op[1]] -= 1
-            elif tag == "seg":
-                _, logical, idx, old, added = op
-                self.segments[logical][idx:idx + added] = old
-            elif tag == "lg":
-                self.segments.pop()
-                self.count.pop()
-                self.incident[op[1]].pop()
-                self.incident[op[2]].pop()
-            else:  # pragma: no cover
-                raise AssertionError(tag)
-
     # -- realization search ----------------------------------------------------
 
     def adjacent_logicals(self, u: int, v: int) -> set[int]:
         """Logical edges sharing an endpoint with (u, v): never crossable."""
-        return {*self.incident[u], *self.incident[v]}
+        owner = self.owner
+        return {owner[d >> 1] for d in self.rot[u] + self.rot[v]}
 
     def enumerate_realizations(self, u: int, v: int,
                                pinned: Sequence[int] | None,
@@ -194,130 +143,159 @@ class PlanarizedDrawing:
         # Pinned routes cross only what they name, and verify's static pass
         # has already rejected a named edge that shares an endpoint.
         forbidden = self.adjacent_logicals(u, v) if pinned is None else ()
-        results: list[Realization] = []
-        owner = self.owner
-        count = self.count
-        k = self.k
-
-        def stage(p: int, corner: int, depth: int, crossed: list[int],
-                  used_logical: set[int]) -> None:
-            cycle = self.face_cycle(corner)
-            if pinned is not None:
-                done = depth == len(pinned)
-            else:
-                done = True  # may stop in any face
-            if done:
-                for d in cycle:
-                    if self.tail(d) == v:
-                        results.append(Realization(
-                            start_pos=p, crossings=tuple(crossed),
-                            end_pos=self.rot[v].index(d)))
-            if pinned is None and depth == max_crossings:
-                return
-            if pinned is not None and depth == len(pinned):
-                return
-            want = pinned[depth] if pinned is not None else None
-            if rng is None:
-                cand = cycle
-            else:
-                cand = list(cycle)
-                rng.shuffle(cand)
-            for d in cand:
-                L = owner[d >> 1]
-                if want is not None:
-                    if L != want:
-                        continue
-                elif L in forbidden or L in used_logical or count[L] >= k:
-                    continue
-                if L in used_logical:
-                    continue
-                used_logical.add(L)
-                crossed.append(d)
-                stage(p, d ^ 1, depth + 1, crossed, used_logical)
-                crossed.pop()
-                used_logical.discard(L)
-
+        rot, ends, owner, count, k = (self.rot, self.ends, self.owner,
+                                      self.count, self.k)
+        walk = self.face_cycle
+        faces: dict[int, list[int]] = {}  # dart -> its face, as walked
+        row_u, row_v = rot[u], rot[v]
+        last = max_crossings if pinned is None else len(pinned)
         if pinned:
-            start_positions = self._start_positions(u, pinned[0])
+            # Only a corner on a face of pinned[0] can start the route.
+            corners = set()
+            for s in self.segments[pinned[0]]:
+                for d in (s, s ^ 1):
+                    cyc = faces.get(d)
+                    if cyc is None:
+                        cyc = walk(d)
+                        faces.update(dict.fromkeys(cyc, cyc))
+                    for c in cyc:
+                        if ends[c >> 1][c & 1] == u:
+                            corners.add(c)
+            starts = sorted(row_u.index(c) for c in corners)
         else:
-            start_positions = list(range(len(self.rot[u])))
+            starts = list(range(len(row_u)))
         if rng is not None:
-            rng.shuffle(start_positions)
-        for p in start_positions:
-            stage(p, self.rot[u][p], 0, [], set())
-        # Canonical order prefers fewer crossings; stable within a length.
-        results.sort(key=lambda r: len(r.crossings))
-        return results
+            rng.shuffle(starts)
 
-    def _start_positions(self, u: int, logical: int) -> list[int]:
-        """Rotation positions at u, increasing, of the corners whose face
-        holds a dart of `logical`: no other corner can start a route that
-        crosses `logical` first."""
-        corners = set()
-        for s in self.segments[logical]:
-            for d in (s, s ^ 1):
-                corners.update(c for c in self.face_cycle(d)
-                               if self.tail(c) == u)
-        row = self.rot[u]
-        return sorted(row.index(c) for c in corners)
+        results: list[Realization] = []
+        crossed: list[int] = []  # darts crossed on the current path
+        used: set[int] = set()   # their logical edges
+        frames: list = []        # candidate iterator of each open stage
+        for p in starts:
+            corner = row_u[p]
+            while True:
+                # Enter the stage on corner's face, at depth len(crossed).
+                cyc = faces.get(corner)
+                if cyc is None:
+                    cyc = walk(corner)
+                    faces.update(dict.fromkeys(cyc, cyc))
+                elif cyc[0] != corner:
+                    i = cyc.index(corner)
+                    cyc = cyc[i:] + cyc[:i]
+                depth = len(crossed)
+                if pinned is None or depth == last:  # may stop here
+                    route = tuple(crossed)
+                    for d in cyc:
+                        if ends[d >> 1][d & 1] == v:
+                            results.append(
+                                Realization(p, route, row_v.index(d)))
+                if depth != last:
+                    if rng is not None:
+                        cyc = cyc[:]
+                        rng.shuffle(cyc)
+                    frames.append(iter(cyc))
+                elif crossed:
+                    used.discard(owner[crossed.pop() >> 1])
+                # Take the next crossing of the deepest open stage, closing
+                # the stages that have none left.
+                while frames:
+                    depth = len(crossed)
+                    want = pinned[depth] if pinned is not None else -1
+                    for d in frames[-1]:
+                        L = owner[d >> 1]
+                        if pinned is None:
+                            if L in forbidden or L in used or count[L] >= k:
+                                continue
+                        elif L != want or L in used:
+                            continue
+                        crossed.append(d)
+                        used.add(L)
+                        corner = d ^ 1
+                        break
+                    else:
+                        frames.pop()
+                        if crossed:
+                            used.discard(owner[crossed.pop() >> 1])
+                        continue
+                    break
+                else:
+                    break
+        if pinned is None:
+            # Canonical order prefers fewer crossings; stable within a
+            # length.  Pinned realizations all cross len(pinned) edges.
+            results.sort(key=lambda r: len(r.crossings))
+        return results
 
     # -- surgery -----------------------------------------------------------------
 
     def insert(self, u: int, v: int, real: Realization) -> int:
         """Insert a new logical edge u->v along the realization; returns an
         undo token."""
-        token = self.token()
-        logical = len(self.segments)
-        self.segments.append([])
-        self.count.append(0)
-        self.incident[u].append(logical)
-        self.incident[v].append(logical)
-        self.journal.append(("lg", u, v))
-
-        entry_corner: list[int] = []
-        exit_corner: list[int] = []
-        for d in real.crossings:
-            eid = d >> 1
-            a, b = self.tail(d), self.head(d)
-            owner_l = self.owner[eid]
-            e1 = self._new_edge(a, -1, owner_l)  # (a, m); m patched below
-            e2 = self._new_edge(-1, b, owner_l)  # (m, b)
-            m = self._new_vertex([2 * e1 + 1, 2 * e2])
-            self.ends[e1] = (a, m)
-            self.ends[e2] = (m, b)
-            pos_a = self.rot[a].index(d)
-            self._rot_set(a, pos_a, 2 * e1)
-            pos_b = self.rot[b].index(d ^ 1)
-            self._rot_set(b, pos_b, 2 * e2 + 1)
-            seg = self.segments[owner_l]
+        token = len(self.journal)
+        rot, ends, owner, segments, count = (self.rot, self.ends, self.owner,
+                                             self.segments, self.count)
+        e0, v0 = len(ends), len(rot)
+        logical = len(segments)
+        c = len(real.crossings)
+        # Crossing i splits its edge into e0 + 2i (a, m) and e0 + 2i + 1
+        # (m, b) at the dummy m = v0 + i; the new edge's segments are r..r+c.
+        r = e0 + 2 * c
+        splits = []
+        for i, d in enumerate(real.crossings):
+            ab = ends[d >> 1]
+            a, b = ab[d & 1], ab[1 - (d & 1)]
+            L = owner[d >> 1]
+            h = 2 * (e0 + 2 * i)  # darts a->m, m->a, m->b, b->m: h..h+3
+            m = v0 + i
+            ends += ((a, m), (m, b))
+            owner += (L, L)
+            # Around m: the route's next segment, m->a, the route's
+            # segment into m, m->b.
+            rot.append([2 * (r + i + 1), h + 1, 2 * (r + i) + 1, h + 2])
+            row = rot[a]
+            pos_a = row.index(d)
+            row[pos_a] = h
+            row = rot[b]
+            pos_b = row.index(d ^ 1)
+            row[pos_b] = h + 3
+            seg = segments[L]
             if d in seg:
-                self._seg_splice(owner_l, seg.index(d), [2 * e1, 2 * e2])
+                s, halves = d, (h, h + 2)
             else:
-                idx = seg.index(d ^ 1)
-                self._seg_splice(owner_l, idx, [2 * e2 + 1, 2 * e1 + 1])
-            self._bump(owner_l)
-            self._bump(logical)
-            entry_corner.append(2 * e2)      # dart m->b, on the entry face
-            exit_corner.append(2 * e1 + 1)   # dart m->a, on the exit face
-
-        points = [u] + [self.tail(c) for c in entry_corner] + [v]
-        for j in range(len(points) - 1):
-            x, y = points[j], points[j + 1]
-            if j == 0:
-                pos_x = real.start_pos
-            else:
-                pos_x = self.rot[x].index(exit_corner[j - 1])
-            if j == len(points) - 2:
-                pos_y = real.end_pos
-            else:
-                pos_y = self.rot[y].index(entry_corner[j])
-            e = self._new_edge(x, y, logical)
-            self._rot_insert(x, pos_x, 2 * e)
-            self._rot_insert(y, pos_y, 2 * e + 1)
-            self.segments[logical].append(2 * e)
-            self.journal.append(("seg", logical,
-                                 len(self.segments[logical]) - 1, [], 1))
+                s, halves = d ^ 1, (h + 3, h + 1)
+            idx = seg.index(s)
+            seg[idx:idx + 1] = halves
+            count[L] += 1
+            splits.append((d, a, pos_a, b, pos_b, L, idx, s))
+        points = [u, *range(v0, v0 + c), v]
+        ends += zip(points, points[1:])
+        owner += [logical] * (c + 1)
+        segments.append(list(range(2 * r, 2 * (r + c) + 1, 2)))
+        count.append(c)
+        rot[u].insert(real.start_pos, 2 * r)
+        rot[v].insert(real.end_pos, 2 * (r + c) + 1)
+        self.journal.append((u, real.start_pos, v, real.end_pos, e0, v0,
+                             splits))
         return token
+
+    def undo(self, token: int) -> None:
+        """Take back every insert made since `token`, latest first."""
+        j = self.journal
+        rot, segments, count = self.rot, self.segments, self.count
+        while len(j) > token:
+            u, start_pos, v, end_pos, e0, v0, splits = j.pop()
+            del rot[v][end_pos]
+            del rot[u][start_pos]
+            del rot[v0:]
+            del self.ends[e0:]
+            del self.owner[e0:]
+            segments.pop()
+            count.pop()
+            for d, a, pos_a, b, pos_b, L, idx, s in reversed(splits):
+                rot[b][pos_b] = d ^ 1
+                rot[a][pos_a] = d
+                segments[L][idx:idx + 2] = [s]
+                count[L] -= 1
 
     # -- validation (tests) -------------------------------------------------------
 

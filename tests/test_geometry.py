@@ -1,7 +1,9 @@
 """The exact-geometry module against its references: the pairwise plane
 checker in plane_reference.py, and the sweep and sort that the array
 passes replaced, in geometry_reference.py, on the int64 path and the
-object path alike, also under ``python -O``."""
+object path alike, also under ``python -O``.  Neither reference rejects
+two vertices on one point, so both are compared with that rule,
+`_distinct_points`, run after them."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from planeinsert import geometry
 from planeinsert.errors import NonPlaneCoordinates
+from planeinsert.instance_io import make_instance
 from planeinsert.plane_graph import (
     K4_ROTATION,
     build_from_rotation,
@@ -102,6 +106,21 @@ def drawings(draw):
     return name, pts
 
 
+def _distinct_points(pts) -> None:
+    """Raise NonPlaneCoordinates naming the first two vertices, in (x, y)
+    then index order, that are drawn on one point."""
+    order = sorted(range(len(pts)), key=lambda w: pts[w])
+    for a, b in zip(order, order[1:]):
+        if pts[a] == pts[b]:
+            raise NonPlaneCoordinates(
+                f"vertices {a} and {b} are drawn on one point")
+
+
+def _pairwise_reference(graph, pts) -> None:
+    _check_plane_coords(graph, pts)
+    _distinct_points(pts)
+
+
 def _rejects(check, graph, pts) -> bool:
     try:
         check(graph, pts)
@@ -130,7 +149,7 @@ def test_sweep_matches_pairwise_reference(drawing):
     name, pts = drawing
     g = GRAPHS[name][0]
     ours = _rejects(geometry.check_plane, g, geometry.scale_to_integers(pts))
-    assert ours == _rejects(_check_plane_coords, g, tuple(pts))
+    assert ours == _rejects(_pairwise_reference, g, tuple(pts))
 
 
 @pytest.mark.parametrize("pts", [
@@ -142,6 +161,21 @@ def test_vertex_inside_an_edge_is_named(pts):
     with pytest.raises(NonPlaneCoordinates,
                        match=r"vertex 3 lies on edge \(0,1\)"):
         geometry.check_plane(GRAPHS["k4"][0], pts)
+
+
+@pytest.mark.parametrize("rotation, pts", [
+    # The path 0-1-2-3 with its ends on one point.
+    ([[1], [0, 2], [1, 3], [2]], [(0, 0), (2, 0), (1, 2), (0, 0)]),
+    # A zero-length edge (0, 1) in a star.
+    ([[1, 2, 3], [0], [0], [0]], [(0, 0), (0, 0), (1, 1), (-1, 1)]),
+])
+def test_two_vertices_on_one_point_are_rejected(rotation, pts):
+    g = build_from_rotation(len(pts), rotation)
+    with pytest.raises(NonPlaneCoordinates,
+                       match=r"vertices 0 and \d are drawn on one point"):
+        geometry.check_plane(g, pts)
+    with pytest.raises(NonPlaneCoordinates, match="one point"):
+        make_instance(g, [], coords=pts)
 
 
 def test_plane_drawings_pass_and_mirror_images_fail():
@@ -185,10 +219,28 @@ def _outcome(checks, g, pts) -> str:
     return "ok"
 
 
+def _reference_plane(g, pts) -> None:
+    ref.check_plane(g, pts)
+    _distinct_points(pts)
+
+
+# The sweep with `_distinct_points` after it, and the sort.
+REFERENCE = SimpleNamespace(check_plane=_reference_plane,
+                            check_rotation=ref.check_rotation)
+
+
+def _rotation_outcome(checks, g, pts) -> str:
+    try:
+        checks.check_rotation(g, pts)
+    except NonPlaneCoordinates as exc:
+        return str(exc)
+    return "ok"
+
+
 def difference(case) -> str | None:
     name, pts = case
     g = GRAPHS[name][0]
-    got, want = _outcome(geometry, g, pts), _outcome(ref, g, pts)
+    got, want = _outcome(geometry, g, pts), _outcome(REFERENCE, g, pts)
     return None if got == want else (
         f"{name} {pts}: got {got!r}, reference {want!r}")
 
@@ -306,7 +358,8 @@ def test_conflict_arrays_match_segments_conflict(quads, scale):
 def test_zero_length_edges_follow_the_sort():
     # A star whose leaf 1 sits on the centre: the zero direction compares
     # equal to the whole lower half-plane, so the sort, not the descent
-    # count, decides.
+    # count, decides.  check_plane rejects the drawing (two vertices on
+    # one point), so the rotation checks are compared on their own.
     compass = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1),
                (1, -1)]
     for d in (3, 4):
@@ -314,4 +367,5 @@ def test_zero_length_edges_follow_the_sort():
             pts = [(0, 0), (0, 0), *leaves]
             for rest in itertools.permutations(range(2, d + 1)):
                 g = build_from_rotation(d + 1, [[1, *rest]] + [[0]] * d)
-                assert _outcome(geometry, g, pts) == _outcome(ref, g, pts)
+                assert (_rotation_outcome(geometry, g, pts)
+                        == _rotation_outcome(ref, g, pts))

@@ -1,9 +1,12 @@
-"""PlanarizedDrawing's bulk build and pinned start corners against the loop
-versions in verifier_reference.py: the same initial drawing, and the same
-realization lists, element for element, for random routes between seeded
-inserts and undos, also under ``python -O``.  A seeded enumeration returns
-a permutation of the unseeded list.  The prune is also pinned by its work:
-face walks per route while verify accepts a planted certificate."""
+"""PlanarizedDrawing's bulk build, enumeration and in-place surgery against
+the loop versions in verifier_reference.py: the same initial drawing, the
+same realization lists, element for element, for random routes between
+seeded inserts and undos, and after every insert and undo the same drawing
+as a twin changed by the reference surgery, with adjacent_logicals equal
+to the twin's incidence lists; also under ``python -O``.  A seeded
+enumeration returns a permutation of the unseeded list.  The face memo is
+also pinned by its work: face walks per route while verify accepts a
+planted certificate."""
 
 from __future__ import annotations
 
@@ -23,8 +26,10 @@ from planeinsert.verifier import PlanarizedDrawing, verify
 from fixtures import cube, octahedron
 from instance_gen import instance_stream, planted_instance
 
-STATE = ("rot", "ends", "owner", "segments", "count", "incident", "journal",
+STATE = ("rot", "ends", "owner", "segments", "count", "journal",
          "base_vertices", "graph_edges", "k")
+# What inserts and undos change; the journals' records differ by design.
+SURGERY_STATE = ("rot", "ends", "owner", "segments", "count")
 
 FORMULA = MonotoneFormula(3, (Clause("pos", 2, (0, 1, 2)),
                               Clause("neg", 2, (2, 0))), (0, 1, 2))
@@ -36,13 +41,28 @@ def leaf_types(obj) -> set[type]:
     return {type(obj)}
 
 
-def state_mismatches(got: PlanarizedDrawing,
-                     want: PlanarizedDrawing) -> list[str]:
+def state_mismatches(got: PlanarizedDrawing, want: PlanarizedDrawing,
+                     names=STATE, types: bool = True) -> list[str]:
     out = []
-    for name in STATE:
+    for name in names:
         a, b = getattr(got, name), getattr(want, name)
-        if a != b or leaf_types(a) != leaf_types(b):
+        if a != b or types and leaf_types(a) != leaf_types(b):
             out.append(f"state {name}")
+    return out
+
+
+def incidence_mismatches(pd: PlanarizedDrawing,
+                         twin: ref.ReferenceDrawing, u: int,
+                         v: int) -> list[str]:
+    """adjacent_logicals at (u, v) and at every original vertex alone,
+    against the twin's incidence lists."""
+    inc = twin.incident
+    out = []
+    if pd.adjacent_logicals(u, v) != {*inc[u], *inc[v]}:
+        out.append(f"adjacent_logicals({u},{v})")
+    for w in range(pd.base_vertices):
+        if pd.adjacent_logicals(w, w) != set(inc[w]):
+            out.append(f"adjacent_logicals({w},{w})")
     return out
 
 
@@ -65,13 +85,15 @@ def calls(pd: PlanarizedDrawing, u: int, v: int, rng: Lcg64):
 
 def drive(inst, seed: int, steps: int,
           seeded: list | None = None) -> list[str]:
-    """Random enumerations on one drawing between seeded inserts and undos.
-    Returns one line per disagreement with the reference; seeded lists are
-    added to `seeded` as (seeded, unseeded) pairs when it is given."""
+    """Random enumerations on one drawing between seeded inserts and undos,
+    each applied to a reference twin too.  Returns one line per
+    disagreement with the reference; seeded lists are added to `seeded` as
+    (seeded, unseeded) pairs when it is given."""
     pd = PlanarizedDrawing(inst)
-    out = state_mismatches(pd, ref.drawing(inst))
+    twin = ref.drawing(inst)
+    out = state_mismatches(pd, twin)
     rng = Lcg64(seed)
-    tokens: list[int] = []
+    tokens: list[tuple[int, int]] = []
     for step in range(steps):
         u, v = inst.F[rng.below(len(inst.F))]
         if rng.below(2):
@@ -86,12 +108,19 @@ def drive(inst, seed: int, steps: int,
                 seeded.append((pd.enumerate_realizations(
                     u, v, pinned, mc, rng=Lcg64(seed + step)), want))
         if tokens and rng.below(3) == 0:
-            pd.undo(tokens.pop())
+            token, twin_token = tokens.pop()
+            pd.undo(token)
+            twin.undo(twin_token)
         else:
             reals = ref.enumerate_realizations(pd, u, v, None, pd.k)
             if reals:
-                tokens.append(pd.insert(u, v, reals[rng.below(len(reals))]))
-    return out
+                real = reals[rng.below(len(reals))]
+                tokens.append((pd.insert(u, v, real),
+                               twin.insert(u, v, real)))
+        out += [f"step {step} ({u},{v}): {m}" for m in
+                state_mismatches(pd, twin, SURGERY_STATE, types=False)
+                + incidence_mismatches(pd, twin, u, v)]
+    return out + state_mismatches(pd, twin, SURGERY_STATE)
 
 
 def small_instances():
@@ -141,10 +170,11 @@ def test_kernels_match_reference_without_asserts():
     assert run.stdout.split("\n", 1) == ["False", "ok\n"]
 
 
-def test_pinned_route_walks_at_most_four_faces(monkeypatch):
+def test_pinned_route_walks_at_most_two_faces(monkeypatch):
     # A single-crossing route walks the two faces of its crossed edge to
-    # find its start corner, then the face it leaves and the face it
-    # enters; a scan of every corner at a hub of degree d walks d + 1.
+    # find its start corner, and reuses them for the face it leaves and
+    # the face it enters; a scan of every corner at a hub of degree d
+    # walks d + 1.
     inst = planted_instance(3000, 1)
     sol = solve(inst)
     walks: list[int] = []
@@ -168,4 +198,4 @@ def test_pinned_route_walks_at_most_four_faces(monkeypatch):
     assert verify(inst, sol).accepted
     assert len(per_call) == len(inst.F) >= 1100
     assert {crossings for crossings, _ in per_call} == {1}
-    assert max(w for _, w in per_call) <= 4
+    assert max(w for _, w in per_call) <= 2

@@ -1,9 +1,12 @@
-"""The verifier's drawing kernels as they were before the bulk build and the
-pinned start-corner prune: a per-edge loop that lays out the initial
-drawing, and an enumeration that starts a route's search at every corner of
-its tail.  Kept as the reference that test_verifier_kernels.py compares
-PlanarizedDrawing with; both take the drawing as ``self``, so their bodies
-are the old methods' bodies unchanged."""
+"""The verifier's drawing kernels as they were before the bulk build, the
+pinned start-corner prune and the in-place insert: a per-edge loop that
+lays out the initial drawing with per-vertex incidence lists, a recursive
+enumeration that starts a route's search at every corner of its tail, and
+an insert that journals every change through a method, one record each.
+Kept as the reference that test_verifier_kernels.py compares
+PlanarizedDrawing with; the functions take the drawing as ``self`` and
+ReferenceDrawing holds the old surgery methods, so their bodies are the
+old methods' bodies unchanged."""
 
 from __future__ import annotations
 
@@ -15,9 +18,9 @@ from planeinsert.plane_graph import PlaneGraph
 from planeinsert.verifier import PlanarizedDrawing, Realization
 
 
-def drawing(inst: Instance) -> PlanarizedDrawing:
-    """A PlanarizedDrawing whose state is laid out by `init`."""
-    pd = PlanarizedDrawing.__new__(PlanarizedDrawing)
+def drawing(inst: Instance) -> ReferenceDrawing:
+    """A ReferenceDrawing whose state is laid out by `init`."""
+    pd = ReferenceDrawing.__new__(ReferenceDrawing)
     init(pd, inst)
     return pd
 
@@ -116,3 +119,125 @@ def enumerate_realizations(self, u: int, v: int,
     # Canonical order prefers fewer crossings; stable within a length.
     results.sort(key=lambda r: len(r.crossings))
     return results
+
+
+class ReferenceDrawing(PlanarizedDrawing):
+    """A drawing that keeps `incident` and changes itself with the old
+    journaled mutations, one journal record per change."""
+
+    def head(self, d: int) -> int:
+        return self.ends[d >> 1][1 - (d & 1)]
+
+    def _rot_insert(self, v: int, pos: int, d: int) -> None:
+        self.rot[v].insert(pos, d)
+        self.journal.append(("ri", v, pos))
+
+    def _rot_set(self, v: int, pos: int, d: int) -> None:
+        self.journal.append(("rs", v, pos, self.rot[v][pos]))
+        self.rot[v][pos] = d
+
+    def _new_vertex(self, row: list[int]) -> int:
+        self.rot.append(row)
+        self.journal.append(("vtx",))
+        return len(self.rot) - 1
+
+    def _new_edge(self, a: int, b: int, owner: int) -> int:
+        self.ends.append((a, b))
+        self.owner.append(owner)
+        self.journal.append(("edge",))
+        return len(self.ends) - 1
+
+    def _bump(self, logical: int) -> None:
+        self.count[logical] += 1
+        self.journal.append(("cnt", logical))
+
+    def _seg_splice(self, logical: int, idx: int, new: list[int]) -> None:
+        old = self.segments[logical][idx:idx + 1]
+        self.segments[logical][idx:idx + 1] = new
+        self.journal.append(("seg", logical, idx, old, len(new)))
+
+    def token(self) -> int:
+        return len(self.journal)
+
+    def undo(self, token: int) -> None:
+        j = self.journal
+        while len(j) > token:
+            op = j.pop()
+            tag = op[0]
+            if tag == "ri":
+                del self.rot[op[1]][op[2]]
+            elif tag == "rs":
+                self.rot[op[1]][op[2]] = op[3]
+            elif tag == "vtx":
+                self.rot.pop()
+            elif tag == "edge":
+                self.ends.pop()
+                self.owner.pop()
+            elif tag == "cnt":
+                self.count[op[1]] -= 1
+            elif tag == "seg":
+                _, logical, idx, old, added = op
+                self.segments[logical][idx:idx + added] = old
+            elif tag == "lg":
+                self.segments.pop()
+                self.count.pop()
+                self.incident[op[1]].pop()
+                self.incident[op[2]].pop()
+            else:  # pragma: no cover
+                raise AssertionError(tag)
+
+    def insert(self, u: int, v: int, real: Realization) -> int:
+        """Insert a new logical edge u->v along the realization; returns an
+        undo token."""
+        token = self.token()
+        logical = len(self.segments)
+        self.segments.append([])
+        self.count.append(0)
+        self.incident[u].append(logical)
+        self.incident[v].append(logical)
+        self.journal.append(("lg", u, v))
+
+        entry_corner: list[int] = []
+        exit_corner: list[int] = []
+        for d in real.crossings:
+            eid = d >> 1
+            a, b = self.tail(d), self.head(d)
+            owner_l = self.owner[eid]
+            e1 = self._new_edge(a, -1, owner_l)  # (a, m); m patched below
+            e2 = self._new_edge(-1, b, owner_l)  # (m, b)
+            m = self._new_vertex([2 * e1 + 1, 2 * e2])
+            self.ends[e1] = (a, m)
+            self.ends[e2] = (m, b)
+            pos_a = self.rot[a].index(d)
+            self._rot_set(a, pos_a, 2 * e1)
+            pos_b = self.rot[b].index(d ^ 1)
+            self._rot_set(b, pos_b, 2 * e2 + 1)
+            seg = self.segments[owner_l]
+            if d in seg:
+                self._seg_splice(owner_l, seg.index(d), [2 * e1, 2 * e2])
+            else:
+                idx = seg.index(d ^ 1)
+                self._seg_splice(owner_l, idx, [2 * e2 + 1, 2 * e1 + 1])
+            self._bump(owner_l)
+            self._bump(logical)
+            entry_corner.append(2 * e2)      # dart m->b, on the entry face
+            exit_corner.append(2 * e1 + 1)   # dart m->a, on the exit face
+
+        points = [u] + [self.tail(c) for c in entry_corner] + [v]
+        for j in range(len(points) - 1):
+            x, y = points[j], points[j + 1]
+            if j == 0:
+                pos_x = real.start_pos
+            else:
+                pos_x = self.rot[x].index(exit_corner[j - 1])
+            if j == len(points) - 2:
+                pos_y = real.end_pos
+            else:
+                pos_y = self.rot[y].index(entry_corner[j])
+            e = self._new_edge(x, y, logical)
+            self._rot_insert(x, pos_x, 2 * e)
+            self._rot_insert(y, pos_y, 2 * e + 1)
+            self.segments[logical].append(2 * e)
+            self.journal.append(("seg", logical,
+                                 len(self.segments[logical]) - 1, [], 1))
+        return token
