@@ -32,6 +32,20 @@ of the same values.  parse_solution checks only what JSON can get wrong
 emits the canonical text directly, byte for byte what json.dumps with
 separators (",", ":") gives for the same routes.
 
+parse_instance has two readers.  Canonical text, as write_instance emits
+it, goes through an array tokenizer: the fixed key order locates the
+rotation and F values, whole-array byte passes check their grammar and
+read them straight into int64 row lengths and values (in the spirit of
+simdjson: Langdale and Lemire, "Parsing Gigabytes of JSON per Second",
+VLDB J. 2019), and only the small remainder (k, n, coords, f_structure)
+goes through json.loads.  Any other text (whitespace, another key order,
+duplicate keys, negative, float, boolean or over-long numbers) goes
+through json.loads whole.  Both end in the one array builder,
+plane_graph.build_from_rows, and in make_instance's int64 F check, so
+they give the same Instance or raise the same error.  On either path a
+JSON integer must be exactly an int: true is neither a vertex nor a
+coordinate.
+
 Seeded generators elsewhere in the package all derive randomness from the
 64-bit linear congruential generator documented in planeinsert._rng, so
 generated instances are reproducible across implementations.
@@ -57,7 +71,7 @@ from .errors import (
     StructureMismatch,
 )
 from .geometry import check_coords
-from .plane_graph import PlaneGraph, build_from_rotation
+from .plane_graph import PlaneGraph, build_from_rotation, build_from_rows
 
 Point = tuple[Fraction, Fraction]
 
@@ -120,13 +134,20 @@ def _norm(pair) -> tuple[int, int]:
 def make_instance(graph: PlaneGraph, F, k: int = 1, coords=None,
                   f_structure: str = "none",
                   check_geometry: bool = True) -> Instance:
-    """Validate and freeze an instance built in memory."""
+    """Validate and freeze an instance built in memory.  F is a sequence
+    of integer pairs or an (m, 2) int64 array; Instance.F holds its pairs
+    as exact ints, each in the orientation given."""
     n = graph.vertex_count
     if k < 1:
         raise SchemaError("k must be a positive integer")
     if f_structure not in ("none", "path", "matching"):
         raise SchemaError(f"bad f_structure {f_structure!r}")
-    fpairs = _f_pairs(graph, list(F))
+    if (isinstance(F, np.ndarray) and F.dtype == np.int64
+            and F.ndim == 2 and F.shape[1] == 2):
+        fpairs = _f_pairs(graph, F, None)
+    else:
+        F = list(F)
+        fpairs = _f_pairs(graph, _flat_pairs(graph, F), F)
     _check_structure(fpairs, f_structure)
     pts = None
     if coords is not None:
@@ -137,41 +158,54 @@ def make_instance(graph: PlaneGraph, F, k: int = 1, coords=None,
                     for x, y in coords)
         if check_geometry:
             check_coords(graph, pts)
-    return Instance(graph, pts, tuple(fpairs), k, f_structure)
+    return Instance(graph, pts, fpairs, k, f_structure)
 
 
-def _f_pairs(graph: PlaneGraph, F: list) -> list[tuple]:
-    """F as a list of pairs, checked in one vector pass: two integer
-    endpoints per pair, both vertices, distinct, not a graph edge, and no
-    pair twice.  When a check fails, _raise_f_error raises the error of
-    the first bad pair."""
+def _flat_pairs(graph: PlaneGraph, F: list) -> np.ndarray:
+    """The endpoints of a list of pairs as an (m, 2) int64 array, when
+    every entry is a pair of integers other than bool; otherwise
+    _raise_f_error raises the error of the first bad pair."""
     try:
         if F and set(map(len, F)) != {2}:
             _raise_f_error(graph, F)
+        items = list(chain.from_iterable(F))
         # array("q") rejects floats, which numpy would truncate.
-        flat = array("q", list(chain.from_iterable(F)))
+        flat = array("q", items)
     except (TypeError, OverflowError):
         _raise_f_error(graph, F)
-    if not F:
-        return []
-    n = graph.vertex_count
-    uv = np.frombuffer(flat, dtype=np.int64)
-    lo = np.minimum(uv[0::2], uv[1::2])
-    hi = np.maximum(uv[0::2], uv[1::2])
-    if lo.min() < 0 or hi.max() >= n or (lo == hi).any():
+    if bool in map(type, items):
         _raise_f_error(graph, F)
+    return np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
+
+
+def _f_pairs(graph: PlaneGraph, uv: np.ndarray,
+             F: list | None) -> tuple[tuple[int, int], ...]:
+    """The int64 pairs uv as a tuple of int pairs, checked in one vector
+    pass: both endpoints vertices, distinct, not a graph edge, and no pair
+    twice.  When a check fails, _raise_f_error raises the error of the
+    first bad pair of F, or of uv's own pairs when F is None."""
+    if not len(uv):
+        return ()
+    n = graph.vertex_count
+    lo = np.minimum(uv[:, 0], uv[:, 1])
+    hi = np.maximum(uv[:, 0], uv[:, 1])
     # Sorted pair codes lo*n + hi: a duplicate is two equal neighbours, and
     # a graph edge is a code found among the sorted edge codes eu*n + ev.
-    code = lo * n + hi
-    code.sort()
-    ecode = graph.table("eu") * n
-    ecode += graph.table("ev")
-    ecode.sort()
-    pos = np.searchsorted(ecode, code)
-    np.minimum(pos, len(ecode) - 1, out=pos)
-    if (code[1:] == code[:-1]).any() or (ecode[pos] == code).any():
-        _raise_f_error(graph, F)
-    return list(map(tuple, F))
+    ok = lo.min() >= 0 and hi.max() < n and not (lo == hi).any()
+    if ok:
+        code = lo * n + hi
+        code.sort()
+        ecode = graph.table("eu") * n
+        ecode += graph.table("ev")
+        ecode.sort()
+        pos = np.searchsorted(ecode, code)
+        np.minimum(pos, len(ecode) - 1, out=pos)
+        ok = not ((code[1:] == code[:-1]).any() or (ecode[pos] == code).any())
+    flat = uv.ravel().tolist()
+    pairs = tuple(zip(flat[0::2], flat[1::2]))
+    if not ok:
+        _raise_f_error(graph, list(pairs) if F is None else F)
+    return pairs
 
 
 def _raise_f_error(graph: PlaneGraph, F: list) -> NoReturn:
@@ -186,6 +220,8 @@ def _raise_f_error(graph: PlaneGraph, F: list) -> NoReturn:
         except (TypeError, ValueError):
             raise SchemaError(f"F entry {pair!r} is not a pair") from None
         try:
+            if type(u) is bool or type(v) is bool:
+                raise TypeError("bool endpoint")
             u, v = operator.index(u), operator.index(v)
         except TypeError:
             raise SchemaError(
@@ -235,40 +271,220 @@ def _check_structure(fpairs, f_structure: str) -> None:
 
 
 def parse_instance(text: str) -> Instance:
+    """Parse an instance file.  Canonical text goes through the array
+    tokenizer _read_canonical; any text it declines goes through
+    _read_json.  Both give the same Instance, or raise the same error."""
+    canonical = _read_canonical(text)
+    if canonical is None:
+        return _read_json(text)
+    obj, rotation, F = canonical
+    _check_header(obj["n"], obj["k"], True)
+    graph = build_from_rows(obj["n"], *rotation)
+    pts = _coord_points(obj["coords"])
+    f_lengths, f_values = F
+    if (f_lengths != 2).any():
+        raise SchemaError("F must be a list of pairs")
+    return make_instance(graph, np.frombuffer(f_values, np.int64)
+                         .reshape(-1, 2), k=obj["k"], coords=pts,
+                         f_structure=obj["f_structure"])
+
+
+def _read_json(text: str) -> Instance:
+    """Parse any instance text with json.loads, checking each value's
+    JSON type: an integer must be exactly int, and true is not 1."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an int over Python's digit limit, or nesting
+        # past the recursion limit.
         raise SchemaError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("instance must be a JSON object")
     missing = {"k", "n", "rotation", "coords", "F", "f_structure"} - obj.keys()
     if missing:
         raise SchemaError(f"missing keys: {sorted(missing)}")
-    n = obj["n"]
     rotation = obj["rotation"]
-    # A JSON integer parses to exactly int; true parses to bool.
-    if type(n) is not int or not isinstance(rotation, list):
-        raise SchemaError("n must be int, rotation a list")
-    if type(obj["k"]) is not int or obj["k"] < 1:
-        raise SchemaError("k must be a positive integer")
-    graph = build_from_rotation(n, rotation)
-    coords = obj["coords"]
-    pts = None
-    if coords is not None:
-        if not isinstance(coords, list) or any(
-                not isinstance(row, list) or len(row) != 4 for row in coords):
-            raise SchemaError("coords must be rows of 4 integers")
-        try:
-            pts = [(Fraction(xn, xd), Fraction(yn, yd))
-                   for xn, xd, yn, yd in coords]
-        except ZeroDivisionError as exc:
-            raise SchemaError("zero denominator in coords") from exc
+    _check_header(obj["n"], obj["k"], isinstance(rotation, list))
+    graph = build_from_rotation(obj["n"], rotation)
+    pts = _coord_points(obj["coords"])
     F = obj["F"]
     if not isinstance(F, list) or any(
             not isinstance(p, list) or len(p) != 2 for p in F):
         raise SchemaError("F must be a list of pairs")
     return make_instance(graph, [tuple(p) for p in F], k=obj["k"],
                          coords=pts, f_structure=obj["f_structure"])
+
+
+def _check_header(n, k, rotation_is_list: bool) -> None:
+    # A JSON integer parses to exactly int; true parses to bool.
+    if type(n) is not int or not rotation_is_list:
+        raise SchemaError("n must be int, rotation a list")
+    if type(k) is not int or k < 1:
+        raise SchemaError("k must be a positive integer")
+
+
+def _coord_points(coords) -> list[Point] | None:
+    """The coords value as exact points; every entry must be a JSON
+    integer (not a float, a string or a bool)."""
+    if coords is None:
+        return None
+    if not isinstance(coords, list) or any(
+            not isinstance(row, list) or len(row) != 4
+            or not all(type(x) is int for x in row) for row in coords):
+        raise SchemaError("coords must be rows of 4 integers")
+    try:
+        return [(Fraction(xn, xd), Fraction(yn, yd))
+                for xn, xd, yn, yd in coords]
+    except ZeroDivisionError as exc:
+        raise SchemaError("zero denominator in coords") from exc
+
+
+# The canonical text, as write_instance emits it, is
+#   {"k":K,"n":N,"rotation":R,"coords":C,"F":F,"f_structure":S}\n
+# R and F hold only digits, brackets and commas, so the first ',"coords":'
+# after ',"rotation":' ends R and the first ',"f_structure":' after ',"F":'
+# ends F.
+_KEYS = (',"rotation":', ',"coords":', ',"F":', ',"f_structure":')
+_HEAD = '{"k":'
+_BRACES = frozenset("{}")
+
+_OPEN, _CLOSE, _COMMA, _ZERO, _NINE = b"[],09"
+# At most 17 digits, so every number is below 10**17 < 2**63.
+_MAX_DIGITS = 17
+# Eight ASCII digits read as one little-endian word become their value in
+# three multiply-shift steps (Lemire's SWAR digit parsing, as in simdjson);
+# _KEEP[w] keeps the last w bytes of a word, zeroing the ones before a
+# w-digit number, which then read as leading zeros.
+_KEEP = np.array([~((1 << 8 * (8 - w)) - 1) & (2**64 - 1) for w in range(9)],
+                 dtype=np.uint64)
+_SWAR = tuple((np.uint64(mask), np.uint64(mul), np.uint64(shift))
+              for mask, mul, shift in ((0x0F0F0F0F0F0F0F0F, 2561, 8),
+                                       (0x00FF00FF00FF00FF, 6553601, 16),
+                                       (0x0000FFFF0000FFFF,
+                                        42949672960001, 32)))
+
+
+def _read_canonical(text: str):
+    """The tokenizer for canonical text: (the other fields, the rotation's
+    (row lengths, values), F's (row lengths, values)), values an int64
+    array("q"), or None when the text is not in the canonical layout.
+
+    The text must be ASCII; K, N and C may hold no brace, S must be a
+    string without escapes followed by '}' and at most a newline, and R
+    and F must pass _int_rows.  So the only object is the top level, and
+    when json.loads of the small remainder
+    {"k":K,"n":N,"coords":C,"f_structure":S} lists exactly these four
+    keys in this order, the cuts fell on the top level's own members and
+    the remainder gives exactly the other four values json.loads of the
+    whole text gives."""
+    if not (text.startswith(_HEAD) and text.isascii()):
+        return None
+    cuts = []
+    at = len(_HEAD)
+    for key in _KEYS:
+        i = text.find(key, at)
+        if i < 0:
+            return None
+        cuts.append((i, i + len(key)))
+        at = i + len(key)
+    (r0, r1), (c0, c1), (f0, f1), (s0, s1) = cuts
+    head, coords, tail = text[len(_HEAD):r0], text[c1:f0], text[s1:]
+    close = tail.find('"', 1)
+    if (not _BRACES.isdisjoint(head) or not _BRACES.isdisjoint(coords)
+            or not tail.startswith('"') or close < 0
+            or "\\" in tail[:close] or tail[close + 1:] not in ("}", "}\n")):
+        return None
+    # An ASCII text's byte offsets are its character offsets.
+    data = text.encode("ascii")
+    rotation = _int_rows(data, r1, c0)
+    F = _int_rows(data, f1, s0)
+    if rotation is None or F is None:
+        return None
+    try:
+        members = json.loads(f'{_HEAD}{head},"coords":{coords},'
+                             f'"f_structure":{tail}',
+                             object_pairs_hook=list)
+    except (ValueError, RecursionError):
+        return None
+    if [key for key, _ in members] != ["k", "n", "coords", "f_structure"]:
+        return None
+    return dict(members), rotation, F
+
+
+def _int_rows(data: bytes, lo: int,
+              hi: int) -> tuple[np.ndarray, array] | None:
+    """data[lo:hi] as a JSON array of arrays of non-negative integers,
+    written without whitespace: (row lengths, values), values an int64
+    array("q"); None for any other bytes.  Whole-array byte passes check
+    that
+
+    - every byte is a digit, a bracket or a comma;
+    - the brackets are the outer pair and rows [...] in turn, one comma
+      apart, so no bracket sits inside a row;
+    - inside the rows, digit runs and commas alternate, starting and ending
+      with a run: a row holding c commas and r runs has r <= c + 1, with
+      equality just for that form, so equal totals over the rows suffice;
+    - no number has a leading zero or more than _MAX_DIGITS digits.
+
+    So the rows are [] or [N(,N)*] and the whole is [] or [ROW(,ROW)*].
+    Each number's last eight bytes are read as one word, which may reach
+    back before lo (those bytes are masked off), so lo must be at least 8:
+    in the canonical text a key always precedes the value."""
+    b = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
+    size = len(b)
+    if size < 2 or b[0] != _OPEN or b[-1] != _CLOSE:
+        return None
+    digit = b - _ZERO
+    digit = digit < 10
+    brackets = np.flatnonzero(b > _NINE)  # '[' and ']' if all is well
+    commas = np.count_nonzero(b == _COMMA)
+    if np.count_nonzero(digit) + len(brackets) + commas != size:
+        return None
+    if size == 2:
+        return np.zeros(0, dtype=np.int64), array("q")
+    row_open, row_close = brackets[1:-1:2], brackets[2:-1:2]
+    rows = len(row_open)
+    if (rows == 0 or len(brackets) % 2 or row_open[0] != 1
+            or row_close[-1] != size - 2
+            or (b[row_open] != _OPEN).any() or (b[row_close] != _CLOSE).any()
+            or (row_open[1:] - row_close[:-1] != 2).any()
+            or (b[row_close[:-1] + 1] != _COMMA).any()):
+        return None
+    # Numbers are the maximal digit runs [start, end): digit and non-digit
+    # bytes alternate at the run ends, and b[0], b[-1] are brackets.
+    ends = np.flatnonzero(digit[1:] != digit[:-1])
+    del digit
+    ends += 1
+    start, end = ends[0::2], ends[1::2]
+    filled = row_close - row_open > 1
+    if len(start) != commas - (rows - 1) + np.count_nonzero(filled):
+        return None
+    width = end - start
+    if len(width) and (width.max() > _MAX_DIGITS
+                       or ((b[start] == _ZERO) & (width > 1)).any()):
+        return None
+    # words[e] is the eight bytes that end at b[e].
+    words = np.ndarray((size,), dtype="<u8", buffer=data, offset=lo - 8,
+                       strides=(1,))
+    values = array("q", [0]) * len(start)
+    acc = np.frombuffer(values, dtype=np.int64)
+    for chunk in range(0, int(width.max(initial=0)), 8):
+        # The eight digits `chunk` places above each number's units: below
+        # 10**8 each, times 10**chunk below 10**17 in all, so the uint64
+        # bits read as the same int64.
+        x = words[np.maximum(end - chunk, 0) if chunk else end]
+        x &= _KEEP[np.clip(width - chunk, 0, 8)]
+        for mask, mul, shift in _SWAR:
+            x &= mask
+            x *= mul
+            x >>= shift
+        if chunk:
+            x *= np.uint64(10**chunk)
+        acc += x.view(np.int64)
+    # A number is the last of its row when ']' follows it.
+    lengths = np.zeros(rows, dtype=np.int64)
+    lengths[filled] = np.diff(np.flatnonzero(b[end] == _CLOSE), prepend=-1)
+    return lengths, values
 
 
 def write_instance(inst: Instance) -> str:
@@ -290,7 +506,9 @@ def write_instance(inst: Instance) -> str:
 def parse_solution(text: str) -> Solution:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an int over Python's digit limit, or nesting
+        # past the recursion limit.
         raise SchemaError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict) or "routes" not in obj:
         raise SchemaError("solution must be an object with routes")

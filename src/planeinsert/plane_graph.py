@@ -14,17 +14,22 @@ rotation-next is index arithmetic and needs no stored pointer.  The
 numbering is fixed:
 
 - darts follow the rotation, vertex by vertex;
-- the twin of dart u -> v is the dart v -> u.  build_from_rotation pairs
-  them with one sort of the undirected key
-  ``min(u,v)*n + max(u,v)``: every key must occur exactly twice, with two
-  different tails;
+- the twin of dart u -> v is the dart v -> u.  The builder pairs them
+  with one sort of the undirected key ``min(u,v)*n + max(u,v)``: every key
+  must occur exactly twice, with two different tails;
 - edge e is the e-th dart u -> v with u < v, in dart order, and its
   endpoints are (u, v);
 - faces are numbered by their least dart: face f is the orbit whose least
-  dart is the f-th smallest of all orbit minima.  build_from_rotation finds
-  each dart's orbit minimum by pointer doubling over succ.
+  dart is the f-th smallest of all orbit minima.  The builder finds each
+  dart's orbit minimum by pointer doubling over succ.
 
-build_from_rotation decides connectivity with whole-array min-label
+There is one array builder, build_from_rows, over (n, row lengths, head).
+build_from_rotation flattens neighbor lists into those arrays;
+instance_io's canonical-text tokenizer reads them from the text itself.
+Both raise the same errors: when a vector check fails, the builder names
+the first defect from the lists, or from rows cut back out of head.
+
+The builder decides connectivity with whole-array min-label
 hooking (see _components) in the connect / shortcut / alter framework of
 Liu and Tarjan ("Simple concurrent labeling algorithms for connected
 components", SOSA 2019): at most 2*log2(n) + 1 rounds, each a pass over
@@ -36,7 +41,7 @@ from __future__ import annotations
 import operator
 from array import array
 from itertools import chain
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence, Sized
 
 import numpy as np
 
@@ -146,7 +151,7 @@ class PlaneGraph:
 
     def rotation(self) -> list[list[int]]:
         """Reconstruct the per-vertex counterclockwise neighbor lists."""
-        return [self.neighbors(v) for v in range(self.vertex_count)]
+        return _rows(self._head, self._offsets)
 
     # -- edges ---------------------------------------------------------------
 
@@ -220,28 +225,68 @@ def build_from_rotation(vertex_count: int, rotation: Sequence[Sequence[int]]) ->
     Raises InvalidRotation for malformed lists, AsymmetricAdjacency when the
     lists are not symmetric, Disconnected for a disconnected graph, and
     NotPlanarEmbedding when the face count violates Euler's formula.  A
-    neighbor may be any integer, including an object with ``__index__``.
+    neighbor may be any integer but a bool, including an object with
+    ``__index__``.  The lists are flattened here and built by the array
+    builder behind build_from_rows.
     """
     n = vertex_count
-    if n < 2:
-        raise InvalidRotation("need at least 2 vertices")
-    if len(rotation) != n:
-        raise InvalidRotation(f"rotation has {len(rotation)} rows, expected {n}")
+    _check_row_count(n, rotation)
     try:
         # Filling from a list is faster than from the chain iterator, and
         # accepts and rejects the same values.
-        head = array("q", list(chain.from_iterable(rotation)))
+        items = list(chain.from_iterable(rotation))
+        head = array("q", items)
     except (TypeError, OverflowError):
         _raise_rotation_error(n, rotation)
+    # array("q") takes a bool as 0 or 1; true is not a vertex.
+    if bool in map(type, items):
+        _raise_rotation_error(n, rotation)
+    del items
+    return _build(n, np.fromiter(map(len, rotation), np.int64, n), head,
+                  rotation)
+
+
+def build_from_rows(vertex_count: int, lengths: np.ndarray,
+                    head: array) -> PlaneGraph:
+    """Build the embedding for a rotation given as arrays: row v is the
+    next lengths[v] entries of head, an array("q") the graph keeps as its
+    head table.  Raises what build_from_rotation raises for those rows,
+    type and message.  Raises InvalidArgument when the lengths are not
+    non-negative int64 counts that add up to len(head)."""
+    _check_row_count(vertex_count, lengths)
+    if (lengths.dtype != np.int64 or lengths.ndim != 1
+            or (len(lengths) and lengths.min() < 0)
+            or int(lengths.sum()) != len(head)):
+        raise InvalidArgument("row lengths do not cut head into rows")
+    return _build(vertex_count, lengths, head, None)
+
+
+def _check_row_count(n: int, rows: Sized) -> None:
+    if n < 2:
+        raise InvalidRotation("need at least 2 vertices")
+    if len(rows) != n:
+        raise InvalidRotation(f"rotation has {len(rows)} rows, expected {n}")
+
+
+def _build(n: int, lengths: np.ndarray, head: array,
+           rotation: Sequence[Sequence[int]] | None) -> PlaneGraph:
+    """The one array builder.  A failed row check names its first defect
+    from `rotation`, or from rows sliced back out of head when the caller
+    has no lists."""
     m2 = len(head)  # number of darts = 2E
     offsets, off = _zeros(n + 1)
-    np.cumsum(np.fromiter(map(len, rotation), np.int64, n), out=off[1:])
+    np.cumsum(lengths, out=off[1:])
     hd = np.frombuffer(head, dtype=np.int64)
     tail, tl = _zeros(m2)
-    tl[:] = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
+    tl[:] = np.repeat(np.arange(n, dtype=np.int64), lengths)
+
+    def fail() -> NoReturn:
+        _raise_rotation_error(
+            n, _rows(head, offsets) if rotation is None else rotation)
+
     if (m2 == 0 or m2 % 2 or hd.min() < 0 or hd.max() >= n
             or (hd == tl).any()):
-        _raise_rotation_error(n, rotation)
+        fail()
 
     # Twins: each undirected key min*n + max must occur exactly twice, with
     # two different tails.  Sorted keys then come in twin pairs, in either
@@ -255,7 +300,7 @@ def build_from_rotation(vertex_count: int, rotation: Sequence[Sequence[int]]) ->
     if not ((key[0::2] == key[1::2]).all()
             and (key[1:-1:2] != key[2::2]).all()
             and (tl[a] != tl[b]).all()):
-        _raise_rotation_error(n, rotation)
+        fail()
     del key
     twin, tw = _zeros(m2)
     tw[a] = b
@@ -353,6 +398,13 @@ def _components(n: int, lo: np.ndarray,
     return p, rounds
 
 
+def _rows(head: array, offsets: array) -> list[list[int]]:
+    """The rotation rows: head cut at the offsets, as lists of ints."""
+    flat = head.tolist()
+    off = offsets.tolist()
+    return [flat[a:b] for a, b in zip(off, off[1:])]
+
+
 def _zeros(count: int) -> tuple[array, np.ndarray]:
     """A zero-filled array("q") and a writable int64 view of it."""
     buf = array("q", [0]) * count
@@ -366,9 +418,10 @@ def _raise_rotation_error(n: int, rotation) -> NoReturn:
     for v, row in enumerate(rotation):
         seen: set[int] = set()
         for w in row:
-            # Any __index__ integer is a neighbour, as in the vector path.
+            # Any __index__ integer but a bool is a neighbour, as in the
+            # vector path.
             try:
-                i = operator.index(w)
+                i = -1 if type(w) is bool else operator.index(w)
             except TypeError:
                 i = -1
             if i < 0 or i >= n:

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planeinsert.errors import (
     FNotInComplement,
+    InvalidRotation,
     InvalidRoute,
     MissingCoordinates,
     NonPlaneCoordinates,
@@ -37,6 +40,17 @@ from planeinsert.plane_graph import (
 from fixtures import OCTA_COORDS, OCTA_ROTATION, octahedron
 
 K4_COORDS = [(0, 0), (4, 0), (2, 4), (2, 1)]
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's limit of 4300 digits for int(str), set for the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on integer digits")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 def k4():
@@ -112,17 +126,67 @@ class TestInstance:
         with pytest.raises(NonPlaneCoordinates):
             make_instance(k4(), [], coords=bad)
 
-    @pytest.mark.parametrize("key, message", [
-        ("k", "k must be a positive integer"),
-        ("n", "n must be int"),
+    @pytest.mark.parametrize("old, new, error, message", [
+        pytest.param('"k":1,', '"k":true,', SchemaError,
+                     "k must be a positive integer",
+                     id="k-k must be a positive integer"),
+        pytest.param('"n":6,', '"n":true,', SchemaError, "n must be int",
+                     id="n-n must be int"),
+        pytest.param('"rotation":[[1,', '"rotation":[[true,',
+                     InvalidRotation, "^vertex 0: bad neighbor True$",
+                     id="rotation-bad neighbor"),
+        pytest.param('"F":[[0,5]]', '"F":[[true,3]]', SchemaError,
+                     "non-integer endpoint", id="F-non-integer endpoint"),
+        pytest.param('"coords":[[10,', '"coords":[[true,', SchemaError,
+                     "coords must be rows of 4 integers",
+                     id="coords-rows of 4 integers"),
     ])
-    def test_json_booleans_are_not_integers(self, key, message):
-        text = write_instance(make_instance(octahedron(), [(0, 5)]))
-        value = {"k": 1, "n": 6}[key]
-        text = text.replace(f'"{key}":{value},', f'"{key}":true,')
-        assert '":true' in text
-        with pytest.raises(SchemaError, match=message):
+    def test_json_booleans_are_not_integers(self, old, new, error, message):
+        text = write_instance(make_instance(octahedron(), [(0, 5)],
+                                            coords=OCTA_COORDS))
+        assert text.count(old) == 1
+        with pytest.raises(error, match=message):
+            parse_instance(text.replace(old, new))
+
+    @pytest.mark.parametrize("value", ["1.5", '"1"', "1.0", "null", "[1]"])
+    def test_coords_must_be_json_integers(self, value):
+        # Each of these made Fraction raise a bare TypeError.
+        text = write_instance(make_instance(octahedron(), [(0, 5)],
+                                            coords=OCTA_COORDS))
+        text = text.replace('"coords":[[10,', f'"coords":[[{value},')
+        with pytest.raises(SchemaError,
+                           match="^coords must be rows of 4 integers$"):
             parse_instance(text)
+
+    @pytest.mark.parametrize("F", [
+        np.array([[5, 0], [1, 3]], dtype=np.int64),
+        [(np.int64(5), np.int64(0)), (np.int32(1), 3)],
+        [[5, 0], [1, 3]],
+    ], ids=["int64 array", "numpy scalars", "lists"])
+    def test_f_endpoints_become_exact_ints(self, F):
+        inst = make_instance(octahedron(), F)
+        assert inst.F == ((5, 0), (1, 3))
+        assert {type(x) for pair in inst.F for x in pair} == {int}
+        assert '"F":[[5,0],[1,3]]' in write_instance(inst)
+
+    def test_make_instance_rejects_boolean_endpoints(self):
+        with pytest.raises(SchemaError, match="non-integer endpoint"):
+            # Read as 1, true would make the non-edge (1, 3).
+            make_instance(octahedron(), [(True, 3)])
+
+    def test_over_long_integer_is_schema_error(self, digit_limit):
+        # json.loads raises a plain ValueError past the digit limit.
+        text = write_instance(make_instance(octahedron(), [(0, 5)]))
+        text = text.replace('"k":1,', '"k":1' + "0" * 5000 + ",")
+        with pytest.raises(SchemaError, match="^bad JSON: Exceeds"):
+            parse_instance(text)
+
+    def test_deep_nesting_is_schema_error(self):
+        # json.loads raises RecursionError, not a ValueError.
+        text = write_instance(make_instance(octahedron(), [(0, 5)]))
+        deep = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(SchemaError, match="^bad JSON: maximum recursion"):
+            parse_instance(text.replace('"coords":null', f'"coords":{deep}'))
 
     def test_roundtrip_bytes(self):
         g = generate_stacked_triangulation(9, 3)
@@ -162,6 +226,16 @@ class TestSolution:
     def test_forward_reference_rejected(self):
         with pytest.raises(SchemaError):
             Solution((Route(0, (CrossingEvent("inserted", 0),)),))
+
+    def test_over_long_integer_is_schema_error(self, digit_limit):
+        text = '{"routes":[{"f_edge":1' + "0" * 5000 + ',"events":[]}]}'
+        with pytest.raises(SchemaError, match="^bad JSON: Exceeds"):
+            parse_solution(text)
+
+    def test_deep_nesting_is_schema_error(self):
+        text = '{"routes":' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(SchemaError, match="^bad JSON: maximum recursion"):
+            parse_solution(text)
 
     def test_route_order_enforced(self):
         with pytest.raises(SchemaError):

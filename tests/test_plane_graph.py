@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from array import array
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from planeinsert.plane_graph import (
     apex,
     apex_pair,
     build_from_rotation,
+    build_from_rows,
     complement_pairs,
     generate_stacked_triangulation,
     is_triangulation,
@@ -73,6 +75,26 @@ class TestBuild:
                 build_from_rotation(3, [[one], [0], [0]])
         with pytest.raises(InvalidRotation, match="bad neighbor 1.0"):
             build_from_rotation(3, [[1.0], [0], [0]])
+
+    def test_boolean_neighbour_rejected(self):
+        with pytest.raises(InvalidRotation,
+                           match="^vertex 0: bad neighbor True$"):
+            build_from_rotation(2, [[True], [0]])
+
+    def test_rows_build_the_same_graph(self):
+        g = build_from_rotation(6, OCTA_ROTATION)
+        lengths = np.array([len(row) for row in OCTA_ROTATION])
+        head = array("q", [w for row in OCTA_ROTATION for w in row])
+        h = build_from_rows(6, lengths, head)
+        assert h.rotation() == OCTA_ROTATION
+        for slot in ("_offsets", "_twin", "_edge", "_face", "_eu", "_ev"):
+            assert getattr(h, slot) == getattr(g, slot)
+        with pytest.raises(InvalidRotation, match="rotation has 5 rows"):
+            build_from_rows(6, lengths[:5], head)
+        for bad in (lengths * 2, np.array([-1, 9, 4, 4, 4, 4]),
+                    lengths.astype(np.int32)):
+            with pytest.raises(InvalidArgument, match="row lengths"):
+                build_from_rows(6, bad, head)
 
     def test_loop_rejected(self):
         with pytest.raises(InvalidRotation):
