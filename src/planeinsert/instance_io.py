@@ -136,10 +136,11 @@ def make_instance(graph: PlaneGraph, F, k: int = 1, coords=None,
                   check_geometry: bool = True) -> Instance:
     """Validate and freeze an instance built in memory.  F is a sequence
     of integer pairs or an (m, 2) int64 array; Instance.F holds its pairs
-    as exact ints, each in the orientation given."""
+    as exact ints, each in the orientation given, and k as an exact int."""
     n = graph.vertex_count
-    if k < 1:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise SchemaError("k must be a positive integer")
+    k = int(k)
     if f_structure not in ("none", "path", "matching"):
         raise SchemaError(f"bad f_structure {f_structure!r}")
     if (isinstance(F, np.ndarray) and F.dtype == np.int64
@@ -151,11 +152,15 @@ def make_instance(graph: PlaneGraph, F, k: int = 1, coords=None,
     _check_structure(fpairs, f_structure)
     pts = None
     if coords is not None:
-        if len(coords) != n:
+        try:
+            pts = tuple((x if isinstance(x, Fraction) else Fraction(x),
+                         y if isinstance(y, Fraction) else Fraction(y))
+                        for x, y in coords)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise SchemaError(f"coords must be (x, y) pairs of rationals: "
+                              f"{exc}") from exc
+        if len(pts) != n:
             raise SchemaError("coords length != vertex count")
-        pts = tuple((x if isinstance(x, Fraction) else Fraction(x),
-                     y if isinstance(y, Fraction) else Fraction(y))
-                    for x, y in coords)
         if check_geometry:
             check_coords(graph, pts)
     return Instance(graph, pts, fpairs, k, f_structure)

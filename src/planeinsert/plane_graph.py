@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import operator
 from array import array
+from contextlib import suppress
 from itertools import chain
 from typing import Iterable, NoReturn, Sequence, Sized
 
@@ -411,6 +412,17 @@ def _zeros(count: int) -> tuple[array, np.ndarray]:
     return buf, np.frombuffer(buf, dtype=np.int64)
 
 
+def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[array, array]:
+    """The pairs (rows[i], cols[i]), rows in 0 .. n - 1, as a CSR pair of
+    array("q") buffers: row r is to[start[r]:start[r + 1]], its cols in
+    pair order (a stable sort by row)."""
+    start, st = _zeros(n + 1)
+    np.cumsum(np.bincount(rows, minlength=n), out=st[1:])
+    to, t = _zeros(len(cols))
+    t[:] = cols[np.argsort(rows, kind="stable")]
+    return start, to
+
+
 def _raise_rotation_error(n: int, rotation) -> NoReturn:
     """Raise the error of the first defect of a rotation that failed a
     vector check: a bad, looping or repeated neighbor in the first such
@@ -497,11 +509,12 @@ def generate_stacked_triangulation(n: int, seed: int) -> PlaneGraph:
     Starting from K4, a uniformly random inner face (never the designated
     outer face) receives a new vertex joined to its three corners.  The
     result is deterministic for a given (n, seed).  Raises InvalidArgument
-    for n < 4.
+    for n < 4, and for an n or seed that is not an integer or is a bool.
     """
+    n = _int_arg("n", n)
     if n < 4:
         raise InvalidArgument("stacked triangulation needs n >= 4")
-    rng = Lcg64(seed)
+    rng = Lcg64(_int_arg("seed", seed))
     rot: list[list[int]] = [list(row) for row in K4_ROTATION]
     # Inner faces in orbit order; the outer face (2,1,3) is never stacked.
     faces: list[tuple[int, int, int]] = [(0, 1, 2), (0, 2, 3), (0, 3, 1)]
@@ -522,6 +535,14 @@ def generate_stacked_triangulation(n: int, seed: int) -> PlaneGraph:
     return g.with_outer_face(g.face_of(d))
 
 
+def _int_arg(name: str, value) -> int:
+    """An integer argument other than a bool, as an exact int."""
+    if not isinstance(value, bool):
+        with suppress(TypeError):
+            return operator.index(value)
+    raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+
+
 def complement_pairs(g: PlaneGraph) -> list[tuple[int, int]]:
     """All non-adjacent vertex pairs (u < v), lexicographically sorted."""
     out = []
@@ -540,8 +561,9 @@ def sample_complement_edges(g: PlaneGraph, m: int, seed: int,
     """Sample m distinct non-edges, optionally as a matching or a path.
 
     Deterministic for a given seed.  Raises InvalidArgument for an unknown
-    structure or m < 0, and InsufficientComplementPairs when the complement
-    cannot supply the requested structure.
+    structure, m < 0, or an m or seed that is not an integer or is a bool,
+    and InsufficientComplementPairs when the complement cannot supply the
+    requested structure.
 
     Cost: for n <= 1024 it builds and shuffles the whole complement,
     whatever m is, so one call takes about 0.9 s at n = 1,024 even for
@@ -552,11 +574,12 @@ def sample_complement_edges(g: PlaneGraph, m: int, seed: int,
     """
     if structure not in ("none", "matching", "path"):
         raise InvalidArgument(f"unknown structure {structure!r}")
+    m = _int_arg("m", m)
     if m < 0:
         raise InvalidArgument("m must be >= 0")
+    rng = Lcg64(_int_arg("seed", seed))
     if m == 0:
         return []
-    rng = Lcg64(seed)
     n = g.vertex_count
     if (structure == "matching" and 2 * m > n
             or structure == "path" and m + 1 > n):

@@ -63,20 +63,23 @@ class MonotoneFormula:
 
 
 def validate_formula(f: MonotoneFormula) -> None:
-    if f.variables < 1:
+    """Raise InvalidFormula unless the counts, the order, the layers and
+    the literals are exact ints in range (a bool is not one)."""
+    if type(f.variables) is not int or f.variables < 1:
         raise InvalidFormula("need at least one variable")
-    if sorted(f.order) != list(range(f.variables)):
+    if (any(type(v) is not int for v in f.order)
+            or sorted(f.order) != list(range(f.variables))):
         raise InvalidFormula("order must be a permutation of the variables")
     for c in f.clauses:
         if c.polarity not in ("pos", "neg"):
             raise InvalidFormula(f"bad polarity {c.polarity!r}")
-        if not isinstance(c.layer, int) or c.layer < 2:
+        if type(c.layer) is not int or c.layer < 2:
             raise InvalidFormula("clause layers start at 2")
         if not (1 <= len(c.literals) <= 3):
             raise InvalidFormula("clauses carry 1..3 literals")
         for v in c.literals:
-            if not (0 <= v < f.variables):
-                raise InvalidFormula(f"literal {v} out of range")
+            if type(v) is not int or not (0 <= v < f.variables):
+                raise InvalidFormula(f"literal {v!r} out of range")
 
 
 def evaluate_formula(f: MonotoneFormula, assignment: list[bool]) -> bool:
@@ -96,7 +99,9 @@ def formula_satisfiable(f: MonotoneFormula) -> bool:
 def parse_formula(text: str) -> MonotoneFormula:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an int over Python's digit limit, or nesting
+        # past the recursion limit.
         raise SchemaError(f"bad JSON: {exc}") from exc
     try:
         clauses = tuple(

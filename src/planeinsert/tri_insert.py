@@ -7,7 +7,9 @@ solver enumerates those options (at most one per graph edge), builds the
 conflict relation between options of different insertion edges, shrinks
 every insertion edge to at most two live options by committing forced or
 safe options and deleting blocked ones, and decides the two-option residue
-with a 2-SAT formula.
+with a 2-SAT formula whose literals are the live options themselves: the
+negation of an option is its edge's other live option, so the only
+clauses are the clash pairs (see _formula).
 
 Option conflict rule: options sigma (quad u, x, v, w around crossed edge
 (x, w)) and sigma' of another insertion edge clash exactly when sigma'
@@ -26,8 +28,9 @@ OptionCatalog keeps two int64 columns, f_edge and crossed, that the array
 kernels read, and Python-int lists of them for scalar reads: options[o] is
 the graph edge option o crosses and f_of[o] its insertion edge.  The
 options of insertion edge f, in increasing order, are
-by_f[f_start[f]:f_start[f + 1]], a CSR pair in array("q") buffers.  The
-live state is two more buffers: alive, one flag byte per option, and
+by_f[f_start[f]:f_start[f + 1]], a CSR pair in array("q") buffers that
+plane_graph._csr builds, as it builds the clash store below.  The live
+state is two more buffers: alive, one flag byte per option, and
 live_count, one int64 per insertion edge.  Scalar code indexes the
 buffers, and whole-array code writes through numpy views of the same
 memory, with no copy either way, as PlaneGraph.table does.  committed maps
@@ -78,7 +81,8 @@ import numpy as np
 from .errors import (KNotOne, NotTriangulation, ReductionStuck,
                      SearchSpaceTooLarge)
 from .instance_io import CrossingEvent, Instance, Route, Solution
-from .plane_graph import PlaneGraph, _zeros, is_triangulation, succ_array
+from .plane_graph import (PlaneGraph, _csr, _zeros, is_triangulation,
+                          succ_array)
 from .search import backtrack
 from .twosat import TwoSatFormula
 from .twosat import solve as twosat_solve
@@ -98,14 +102,12 @@ class OptionCatalog:
         self.crossed = crossed
         self.options: list[int] = crossed.tolist()
         self.f_of: list[int] = f_edge.tolist()
-        counts = np.bincount(f_edge, minlength=len(inst.F))
-        self.by_f, by_f = _zeros(len(crossed))
-        by_f[:] = np.argsort(f_edge, kind="stable")
-        self.f_start, f_start = _zeros(len(counts) + 1)
-        np.cumsum(counts, out=f_start[1:])
+        m = len(inst.F)
+        self.f_start, self.by_f = _csr(
+            f_edge, np.arange(len(crossed), dtype=np.int64), m)
         self.alive: bytearray = bytearray(b"\x01") * len(crossed)
-        self.live_count, live = _zeros(len(counts))
-        live[:] = counts
+        self.live_count, live = _zeros(m)
+        live[:] = np.diff(np.frombuffer(self.f_start, dtype=np.int64))
         self.committed: dict[int, int] = {}
 
     def alive_options(self, f_edge: int) -> list[int]:
@@ -148,12 +150,8 @@ class ClashGraph:
         # Row r holds the pairs with hi == r, whose lo < r puts them first,
         # then those with lo == r, each group in pair order: a stable sort
         # of the rows hi ..., lo ... gives exactly that order.
-        rows = np.concatenate([hi, lo])
-        order = np.argsort(rows, kind="stable")
-        self.start, start = _zeros(n_options + 1)
-        np.cumsum(np.bincount(rows, minlength=n_options), out=start[1:])
-        self.to, to = _zeros(len(rows))
-        to[:] = np.concatenate([lo, hi])[order]
+        self.start, self.to = _csr(np.concatenate([hi, lo]),
+                                   np.concatenate([lo, hi]), n_options)
 
     @property
     def adj(self) -> Sequence:
@@ -211,10 +209,8 @@ def enumerate_options(inst: Instance) -> OptionCatalog:
     count -= first
     del code, fcode
     # Run r covers sorted positions first[r] .. first[r] + count[r] - 1.
-    at = np.repeat(first - (np.cumsum(count) - count), count)
-    at += np.arange(len(at), dtype=np.int64)
-    es = by_code[at]
-    del by_code, at, first
+    es = by_code[_ranges(first, first + count)]
+    del by_code, first
     order = np.argsort(es)
     es = es[order]
     f_edge = np.repeat(forder, count)[order]
@@ -663,37 +659,26 @@ def first_clash_free(adj: Sequence[Sequence[int]],
 
 def _formula(catalog: OptionCatalog,
              clashes: ClashGraph) -> tuple[TwoSatFormula, np.ndarray]:
-    """The 2-SAT formula of a reduced catalog and its variables' options.
+    """The 2-SAT formula of a reduced catalog and its literals' options.
 
-    Variables are the live options of the uncommitted edges, by edge and
-    then by id, so edge i owns variables 2i and 2i + 1.  The clauses are,
-    in order: for each edge, (2i or 2i + 1) and (not 2i or not 2i + 1);
-    then for each variable, in order, and each clash partner p of its
-    option, in row order, that is a variable with a larger option id,
-    (not the variable or not p's variable)."""
+    The literals are the live options of the uncommitted edges, by edge
+    and then by id: literal 2i is the i-th such edge's lower option and
+    its negation 2i + 1 the other.  The clauses are, for each literal in
+    order and each clash partner p of its option, in row order, that is
+    live with a larger id, (not the option or not p)."""
     by_f = np.frombuffer(catalog.by_f, dtype=np.int64)
     alive = np.frombuffer(catalog.alive, dtype=np.uint8)
-    var_options = by_f[alive[by_f] != 0]
-    n_vars = len(var_options)
-    var = np.full(len(alive), -1, dtype=np.int64)
-    var[var_options] = np.arange(n_vars, dtype=np.int64)
-    # Literal codes 2v (v true) and 2v + 1 (v false): edge i's clauses are
-    # 4i, 4i + 2 and 4i + 1, 4i + 3.
-    edge_codes = np.arange(0, 2 * n_vars, 4, dtype=np.int64)[:, None]
-    edge_codes = edge_codes + np.array([0, 2, 1, 3], dtype=np.int64)
+    lit_options = by_f[alive[by_f] != 0]
+    lit = np.full(len(alive), -1, dtype=np.int64)
+    lit[lit_options] = np.arange(len(lit_options), dtype=np.int64)
     start = np.frombuffer(clashes.start, dtype=np.int64)
-    lo, hi = start[var_options], start[var_options + 1]
+    lo, hi = start[lit_options], start[lit_options + 1]
     partner = np.frombuffer(clashes.to, dtype=np.int64)[_ranges(lo, hi)]
-    option = np.repeat(var_options, hi - lo)
+    option = np.repeat(lit_options, hi - lo)
     keep = partner > option
-    keep &= var[partner] >= 0
-    clash_codes = np.empty((np.count_nonzero(keep), 2), dtype=np.int64)
-    clash_codes[:, 0] = var[option[keep]]
-    clash_codes[:, 1] = var[partner[keep]]
-    clash_codes *= 2
-    clash_codes += 1
-    codes = np.concatenate([edge_codes.ravel(), clash_codes.ravel()])
-    return TwoSatFormula(n_vars, codes), var_options
+    keep &= lit[partner] >= 0
+    codes = np.stack([lit[option[keep]], lit[partner[keep]]], axis=1) ^ 1
+    return TwoSatFormula(len(lit_options) // 2, codes.ravel()), lit_options
 
 
 def _choose_options(catalog: OptionCatalog,
@@ -701,7 +686,7 @@ def _choose_options(catalog: OptionCatalog,
     """The option of every insertion edge: the committed one, or the one
     the canonical 2-SAT model picks among the two live ones.  None when
     the 2-SAT formula is unsatisfiable."""
-    formula, var_options = _formula(catalog, clashes)
+    formula, lit_options = _formula(catalog, clashes)
     model = twosat_solve(formula)
     if model is None:
         return None
@@ -709,7 +694,7 @@ def _choose_options(catalog: OptionCatalog,
     chosen = np.empty(len(catalog.live_count), dtype=np.int64)
     chosen[np.fromiter(committed, np.int64, len(committed))] = np.fromiter(
         committed.values(), np.int64, len(committed))
-    first, second = var_options[0::2], var_options[1::2]
-    chosen[catalog.f_edge[first]] = np.where(
-        np.array(model[0::2], dtype=bool), first, second)
+    lower, upper = lit_options[0::2], lit_options[1::2]
+    chosen[catalog.f_edge[lower]] = np.where(
+        np.array(model, dtype=bool), lower, upper)
     return chosen

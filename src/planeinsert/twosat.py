@@ -17,16 +17,20 @@ topological order.  The returned model always satisfies every clause.
 A formula stores its clauses as packed literal codes only, two int64 codes
 per clause in one array("q").  TwoSatFormula(n, codes) takes them whole,
 for callers that build a formula with array passes; add_clause appends one
-clause.  The clauses attribute decodes the same store, so there is no
-second copy to keep in step.
+clause.  The clauses property decodes the same store on each read.
+
+The k = 1 solver's literals are its options: node 2i is the i-th
+two-option edge's lower option and its negation 2i + 1 the sibling option,
+so the only clauses are the clash pairs (not o or not p).
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
 
 import numpy as np
+
+from .plane_graph import _csr
 
 Literal = tuple[int, bool]
 
@@ -58,8 +62,12 @@ class TwoSatFormula:
         return self._packed
 
     @property
-    def clauses(self) -> "_Clauses":
-        return _Clauses(self._packed)
+    def clauses(self) -> list[tuple[Literal, Literal]]:
+        """The clauses as pairs of (variable, polarity), decoded on each
+        read."""
+        p = self._packed
+        return [((a >> 1, not a & 1), (b >> 1, not b & 1))
+                for a, b in zip(p[0::2], p[1::2])]
 
     def evaluate(self, model: list[bool]) -> bool:
         return all(
@@ -69,40 +77,16 @@ class TwoSatFormula:
 
     def __repr__(self) -> str:
         return (f"TwoSatFormula(variable_count={self.variable_count}, "
-                f"clauses={list(self.clauses)})")
-
-
-class _Clauses(Sequence):
-    """The clauses of packed codes, as pairs of (variable, polarity)."""
-
-    __slots__ = ("_packed",)
-
-    def __init__(self, packed: array):
-        self._packed = packed
-
-    def __len__(self) -> int:
-        return len(self._packed) // 2
-
-    def __getitem__(self, i: int) -> tuple[Literal, Literal]:
-        if not 0 <= i < len(self._packed) // 2:
-            raise IndexError(i)
-        a, b = self._packed[2 * i], self._packed[2 * i + 1]
-        return (a >> 1, not a & 1), (b >> 1, not b & 1)
+                f"clauses={self.clauses})")
 
 
 def solve(formula: TwoSatFormula) -> list[bool] | None:
     """Canonical model of the formula, or None when unsatisfiable."""
     n = formula.variable_count
-    if n == 0:
-        if formula.packed_codes():
-            raise ValueError("clauses without variables")
-        return []
     nodes = 2 * n
     packed = formula.packed_codes()
-
     if len(packed) == 0:
         return [True] * n
-
     lits = np.frombuffer(packed, dtype=np.int64)
     if lits.min() < 0 or lits.max() >= nodes:
         raise ValueError("clause variable out of range")
@@ -122,15 +106,9 @@ def _implication_csr(nodes: int,
     targets[start[v]:start[v + 1]]."""
     la = lits[0::2]
     lb = lits[1::2]
-    src = np.concatenate([la ^ 1, lb ^ 1])
-    dst = np.concatenate([lb, la])
-    order = np.argsort(src, kind="stable")
-    targets = dst[order].tolist()
-    counts = np.bincount(src, minlength=nodes)
-    indptr = np.empty(nodes + 1, dtype=np.int64)
-    indptr[0] = 0
-    np.cumsum(counts, out=indptr[1:])
-    return indptr.tolist(), targets
+    start, targets = _csr(np.concatenate([la ^ 1, lb ^ 1]),
+                          np.concatenate([lb, la]), nodes)
+    return start.tolist(), targets.tolist()
 
 
 def _pearce_scc(nodes: int, start: list[int], targets: list[int]) -> list[int]:

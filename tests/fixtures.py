@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from planeinsert.instance_io import make_instance
 from planeinsert.plane_graph import PlaneGraph, build_from_rotation
 
 # Octahedron: poles 0 and 5, equator cycle 1-2-3-4.  Antipodal (non-edge)
@@ -62,6 +63,16 @@ def bipyramid_chords(c: int) -> list[tuple[int, int]]:
     """The chords (x_i, x_{i+2}), i < c: with (0, 1) the only non-edges of
     bipyramid(c), c >= 5, that have a single-crossing option."""
     return [(2 + i, 2 + (i + 2) % c) for i in range(c)]
+
+
+def chord_subsets(c: int):
+    """Instances with F = (0, 1) plus each subset of bipyramid(c)'s chords,
+    the subset of mask i being the chords at the set bits of i."""
+    g = bipyramid(c)
+    chords = bipyramid_chords(c)
+    for mask in range(1 << c):
+        yield make_instance(g, [(0, 1)] + [
+            p for i, p in enumerate(chords) if mask >> i & 1])
 
 
 def windowed_bipyramid_f(c: int) -> list[tuple[int, int]]:

@@ -174,6 +174,40 @@ class TestInstance:
             # Read as 1, true would make the non-edge (1, 3).
             make_instance(octahedron(), [(True, 3)])
 
+    @pytest.mark.parametrize("k", [True, 1.5, "1", None, 0, -1, False])
+    def test_k_must_be_a_positive_integer(self, k):
+        # true used to be written as "k":true, which parse_instance
+        # rejects, 1.5 as "k":1.5, and "1" raised a bare TypeError.
+        with pytest.raises(SchemaError, match="k must be a positive integer"):
+            make_instance(octahedron(), [(0, 5)], k=k)
+
+    @pytest.mark.parametrize("k", [1, 2, np.int64(3), np.int32(2)])
+    def test_k_round_trips_as_an_exact_int(self, k):
+        inst = make_instance(octahedron(), [(0, 5)], k=k)
+        assert type(inst.k) is int and inst.k == k
+        text = write_instance(inst)
+        assert f'"k":{int(k)},' in text
+        again = parse_instance(text)
+        assert again.k == k and write_instance(again) == text
+
+    @pytest.mark.parametrize("coords", [
+        [(0, 0, 0)] + K4_COORDS[1:],
+        [(0,)] + K4_COORDS[1:],
+        [("a", 0)] + K4_COORDS[1:],
+        [(0, None)] + K4_COORDS[1:],
+        [(0, float("nan"))] + K4_COORDS[1:],
+        [(0, float("inf"))] + K4_COORDS[1:],
+        [(0, "1/0")] + K4_COORDS[1:],
+        [0, 1, 2, 3],
+        5,
+    ], ids=["three values", "one value", "letter", "none", "nan", "inf",
+            "zero denominator", "scalars", "not a list"])
+    def test_unconvertible_coords_are_schema_errors(self, coords):
+        # Rows of the wrong arity and entries like "a" used to raise a bare
+        # ValueError, others a bare TypeError.
+        with pytest.raises(SchemaError, match="coords must be"):
+            make_instance(k4(), [], coords=coords)
+
     def test_over_long_integer_is_schema_error(self, digit_limit):
         # json.loads raises a plain ValueError past the digit limit.
         text = write_instance(make_instance(octahedron(), [(0, 5)]))

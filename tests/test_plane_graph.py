@@ -209,6 +209,22 @@ class TestStackedGenerator:
         with pytest.raises(PlaneInsertError, match="n >= 4"):
             generate_stacked_triangulation(3, 0)
 
+    @pytest.mark.parametrize("n, seed", [
+        (5.0, 0), (6, 1.5), (True, 0), (6, True), ("6", 0), (6, None),
+    ])
+    def test_non_integer_arguments_are_typed_errors(self, n, seed):
+        # (5.0, 0) and (6, 1.5) used to raise a bare TypeError, and a bool
+        # seed was read as 0 or 1.
+        with pytest.raises(InvalidArgument, match="must be an integer"):
+            generate_stacked_triangulation(n, seed)
+
+    def test_numpy_integer_arguments_are_read_as_ints(self):
+        g = generate_stacked_triangulation(np.int64(17), np.int32(4))
+        want = generate_stacked_triangulation(17, 4)
+        assert g.rotation() == want.rotation()
+        assert (sample_complement_edges(g, np.int64(3), np.int64(9))
+                == sample_complement_edges(g, 3, 9))
+
     def test_seeded_output_is_pinned(self):
         # Seeded instances must stay byte-identical across refactors.
         h = hashlib.sha256()
@@ -246,6 +262,16 @@ class TestComplementSampler:
         with pytest.raises(PlaneInsertError, match=message) as info:
             sample_complement_edges(octahedron(), m, 0, structure=structure)
         assert isinstance(info.value, InvalidArgument)
+
+    @pytest.mark.parametrize("m, seed", [
+        (1.5, 0), (True, 0), ("1", 0), (1, 0.5), (0, 0.5), (1, True),
+        (0, None),
+    ])
+    def test_non_integer_arguments_are_typed_errors(self, m, seed):
+        # (1.5, 0) used to raise a bare TypeError and (True, 0) to return
+        # a pair.
+        with pytest.raises(InvalidArgument, match="must be an integer"):
+            sample_complement_edges(octahedron(), m, seed)
 
     def test_zero_is_empty(self):
         assert sample_complement_edges(octahedron(), 0, 0) == []

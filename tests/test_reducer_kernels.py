@@ -1,9 +1,10 @@
 """The k = 1 reducer's frontier drain and its array-built 2-SAT formula
 against the heap drain and the one-clause-at-a-time formula of
-reducer_reference.py: the same verdicts, reduced states, packed codes and
-chosen options, also under ``python -O``.  The drain's work is pinned by a
-count of the elements it reads, and the compact case by an exhaustive
-solver / oracle / verifier differential over the bipyramid family."""
+reducer_reference.py: the same verdicts, reduced states and chosen options,
+and the reference's clash clauses over half its variables, also under
+``python -O``.  The drain's work is pinned by a count of the elements it
+reads, and the compact case by an exhaustive solver / oracle / verifier
+differential over the bipyramid family."""
 
 from __future__ import annotations
 
@@ -33,19 +34,11 @@ from fixtures import (
     apollonian7,
     bipyramid,
     bipyramid_chords,
+    chord_subsets,
     octahedron,
     windowed_bipyramid_f,
 )
 from instance_gen import instance_stream, planted_instance
-
-
-def chord_subsets(c: int):
-    """F = (0, 1) plus each subset of bipyramid(c)'s chords."""
-    g = bipyramid(c)
-    chords = bipyramid_chords(c)
-    for mask in range(1 << c):
-        yield make_instance(g, [(0, 1)] + [
-            p for i, p in enumerate(chords) if mask >> i & 1])
 
 
 def inputs():
@@ -91,20 +84,25 @@ def mismatches(reached: Counter | None = None) -> list[str]:
                 != (state.committed, state.alive, state.live_count)):
             out.append(f"{name}: reduced state differs")
             continue
-        formula, var_options = _formula(cat, cl)
+        formula, lit_options = _formula(cat, cl)
         want_formula, want_vars = ref.formula(state)
-        if ((formula.variable_count, formula.packed_codes(),
-             var_options.tolist())
-                != (want_formula.variable_count, want_formula.packed_codes(),
-                    want_vars)):
+        # The reference gives each option a variable a and ties the two of
+        # an edge with two clauses; the solver's literals are the options,
+        # so it has half the variables and no tie clauses, and a reference
+        # clash clause with codes (2a + 1, 2b + 1) becomes (a ^ 1, b ^ 1).
+        n_ref = want_formula.variable_count
+        want_codes = [(c >> 1) ^ 1 for c in want_formula.packed_codes()[
+            2 * n_ref:]]
+        if ((2 * formula.variable_count, lit_options.tolist(),
+             formula.packed_codes().tolist())
+                != (n_ref, want_vars, want_codes)):
             out.append(f"{name}: 2-SAT formula differs")
         chosen = _choose_options(cat, cl)
         want_chosen = ref.choose_options(state)
         if (None if chosen is None else chosen.tolist()) != want_chosen:
             out.append(f"{name}: chosen options differ")
         if reached is not None:
-            reached["clash clauses"] += (len(formula.clauses)
-                                         > formula.variable_count)
+            reached["clash clauses"] += len(formula.clauses) > 0
             reached["unsatisfiable"] += chosen is None
     return out
 

@@ -5,12 +5,14 @@ the builder's position, edge and angular-order checks."""
 from __future__ import annotations
 
 import hashlib
+import sys
 from fractions import Fraction
 
 import pytest
 
 from planeinsert.errors import (
     InvalidArgument,
+    InvalidFormula,
     KNotOne,
     LayoutInfeasible,
     NonPlaneCoordinates,
@@ -73,6 +75,50 @@ def test_formula_text_roundtrips_and_rejects_malformed_json():
     for text in ('{"variables": 2,', '{"variables": 2}', '[1, 2]'):
         with pytest.raises(SchemaError):
             parse_formula(text)
+
+
+FORMULA_TEXT = ('{"variables":2,"clauses":[{"polarity":"pos","layer":2,'
+                '"literals":[0,1]}],"order":[0,1]}')
+
+
+@pytest.mark.parametrize("old, new, error, message", [
+    ('"variables":2', '"variables":true', InvalidFormula, "one variable"),
+    ('"variables":2', '"variables":2.0', InvalidFormula, "one variable"),
+    ('"layer":2', '"layer":true', InvalidFormula, "layers start"),
+    ('"literals":[0,1]', '"literals":[true,0]', InvalidFormula,
+     "literal True"),
+    ('"literals":[0,1]', '"literals":[0.0,1]', InvalidFormula,
+     "literal 0.0"),
+    ('"literals":[0,1]', '"literals":"01"', InvalidFormula, "literal '0'"),
+    ('"order":[0,1]', '"order":[false,true]', InvalidFormula, "permutation"),
+    ('"order":[0,1]', '"order":[0.0,1]', InvalidFormula, "permutation"),
+    ('"order":[0,1]', '"order":' + "[" * 100_000 + "]" * 100_000,
+     SchemaError, "^bad JSON: maximum recursion"),
+], ids=["bool variables", "float variables", "bool layer", "bool literal",
+        "float literal", "string literals", "bool order", "float order",
+        "deep nesting"])
+def test_formula_values_must_be_exact_integers(old, new, error, message):
+    # Each of these used to parse (and, but for the floats, compile, with
+    # true written back by write_formula) or to raise a bare TypeError or
+    # RecursionError.
+    assert parse_formula(FORMULA_TEXT) == TWO_VARS_ONE_CLAUSE
+    assert old in FORMULA_TEXT
+    with pytest.raises(error, match=message):
+        parse_formula(FORMULA_TEXT.replace(old, new))
+
+
+def test_over_long_formula_integer_is_schema_error():
+    # json.loads raises a plain ValueError past Python's digit limit.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on integer digits")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(SchemaError, match="^bad JSON: Exceeds"):
+            parse_formula(FORMULA_TEXT.replace('"variables":2',
+                                               '"variables":' + "1" * 5000))
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_builder_rejects_duplicate_edges_and_loops():

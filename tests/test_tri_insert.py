@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations, product
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from planeinsert._rng import Lcg64
 from planeinsert.errors import KNotOne, NotTriangulation, ReductionStuck
 from planeinsert.instance_io import (CrossingEvent, Route, Solution,
-                                     make_instance)
+                                     make_instance, write_solution)
 from planeinsert.oracle import exact_solve_triangulation
 from planeinsert.plane_graph import build_from_rotation
 from planeinsert.tri_insert import (
@@ -24,7 +25,8 @@ from planeinsert.tri_insert import (
 from planeinsert.verdicts import Verdict
 from planeinsert.verifier import verify
 
-from fixtures import apollonian7, bipyramid, cube, octahedron
+from fixtures import (apollonian7, bipyramid, bipyramid_chords,
+                      chord_subsets, cube, octahedron)
 from instance_gen import instance_stream, planted_instance
 
 
@@ -358,3 +360,28 @@ def test_case_c_commits_first_clash_free_assignment(graph, F):
             assert assignment == tuple(zip(inside, picks[0])), ev
             case_c += 1
     assert case_c == 1
+
+
+def certificate_inputs():
+    yield from instance_stream(300)
+    for s in range(3):
+        yield planted_instance(3000, s)
+    for c in (6, 8, 10):
+        yield from chord_subsets(c)
+    for c in range(5, 16):
+        yield make_instance(bipyramid(c), bipyramid_chords(c))
+
+
+def test_solver_certificates_are_pinned():
+    # sha256 over solve's answer on each input, in order: the write_solution
+    # text of a certificate, or the verdict's name.  A change to the option
+    # order, the reducer or the 2-SAT encoding that picks other options
+    # shows here.
+    digest = hashlib.sha256()
+    for inst in certificate_inputs():
+        answer = solve(inst)
+        text = (write_solution(answer) if isinstance(answer, Solution)
+                else answer.name)
+        digest.update(text.encode("utf-8"))
+    assert digest.hexdigest() == (
+        "7d530a8fa5970f40a49de8cac23422b58d41b574f448733c9647c26fc08f2fcb")
