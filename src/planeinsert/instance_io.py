@@ -21,16 +21,24 @@ they give (no crossings, neighbor order equal to the rotation) without
 touching floating point.  Serialization is canonical: re-serializing a
 parsed file reproduces it byte for byte.
 
-In memory a solution is a frozen Solution of Route records, each a
-NamedTuple (f_edge, events) whose events are CrossingEvent NamedTuples
-(kind, target).  Solution's constructor is the one place routes and events
-are checked, in one walk: every f_edge, kind and target, the forward
-references, and that each integer is exactly an int (so not a bool).  A
-record on its own is not checked and, being a tuple, equals a plain tuple
-of the same values.  parse_solution checks only what JSON can get wrong
-(objects, keys, integer types) before building the records; write_solution
-emits the canonical text directly, byte for byte what json.dumps with
-separators (",", ":") gives for the same routes.
+In memory a solution is a read-only Solution of four columns over the
+events of all routes, route by route: start (int64, length m + 1; route
+i's events are start[i]:start[i+1]), kind (int8: GRAPH_EDGE or INSERTED),
+and a, b (int64: a graph edge's endpoints, smaller first, or an inserted
+event's F index and -1).  The k = 1 solver's certificate is two gathers
+into these columns; write_solution formats the text from them,
+parse_solution reads the text into them, and the verifier's static pass
+reads them, so none of these builds a record.  Solution(routes) also takes
+Route records, NamedTuples (f_edge, events) whose events are
+CrossingEvent NamedTuples (kind, target); its conversion walk checks what
+the columns cannot hold (the f_edge labels, the kind strings, the pair
+shape, and that each integer is exactly an int, so not a bool, within
+int64).  Either way one array pass checks the columns: the route starts,
+the kinds, the endpoint order, and the forward references.  .routes builds
+the records back, on first use; a record on its own is not checked and,
+being a tuple, equals a plain tuple of the same values.  write_solution
+emits byte for byte what json.dumps with separators (",", ":") gives for
+the same routes.
 
 parse_instance has two readers.  Canonical text, as write_instance emits
 it, goes through an array tokenizer: the fixed key order locates the
@@ -89,32 +97,176 @@ class Route(NamedTuple):
     events: tuple[CrossingEvent, ...]
 
 
-@dataclass(frozen=True)
-class Solution:
-    routes: tuple[Route, ...]
+# Event kinds in Solution.kind.
+GRAPH_EDGE, INSERTED = 0, 1
+_INT64 = range(-2**63, 2**63)
 
-    def __post_init__(self):
-        # The one check of every route and event.  Integers must be exact
-        # ints: bool is an int subclass, and true must not pass as 1.
-        for i, (f_edge, events) in enumerate(self.routes):
-            if f_edge != i or type(f_edge) is not int:
-                raise SchemaError(f"route {i} labeled f_edge={f_edge}")
-            for kind, target in events:
-                if kind == "graph_edge":
-                    if not (isinstance(target, tuple) and len(target) == 2
-                            and type(target[0]) is int
-                            and type(target[1]) is int):
-                        raise SchemaError(
-                            "graph_edge event needs endpoint pair")
-                elif kind == "inserted":
-                    if type(target) is not int:
-                        raise SchemaError(
-                            "inserted event needs an integer index")
-                    if not 0 <= target < i:
-                        raise SchemaError(
-                            f"route {i} references inserted edge {target}")
-                else:
-                    raise SchemaError(f"unknown event kind {kind!r}")
+
+class Solution:
+    """The routes of a solution as four read-only columns over all events,
+    route by route (see the module docstring).  Solution(routes) takes
+    Route/CrossingEvent records, Solution.from_columns the columns; .routes
+    gives the records back, built on first use.  Two solutions are equal
+    when their columns are."""
+
+    __slots__ = ("start", "kind", "a", "b", "_routes")
+
+    def __init__(self, routes):
+        cols = _Columns()
+        try:
+            for i, (f_edge, events) in enumerate(routes):
+                # Integers must be exact ints: bool is an int subclass, and
+                # true must not pass as 1.
+                if f_edge != i or type(f_edge) is not int:
+                    raise SchemaError(f"route {i} labeled f_edge={f_edge}")
+                for ev_kind, target in events:
+                    if ev_kind == "graph_edge":
+                        if not (isinstance(target, tuple) and len(target) == 2
+                                and type(target[0]) is int
+                                and type(target[1]) is int):
+                            raise SchemaError(
+                                "graph_edge event needs endpoint pair")
+                        cols.graph_edge(*target)
+                    elif ev_kind == "inserted":
+                        if type(target) is not int:
+                            raise SchemaError(
+                                "inserted event needs an integer index")
+                        cols.inserted(i, target)
+                    else:
+                        raise SchemaError(f"unknown event kind {ev_kind!r}")
+                cols.end_route()
+        except (SchemaError, TypeError, ValueError):
+            # A bad reference before the failing record is the first error:
+            # check the columns read so far, the failing route's events too.
+            cols.end_route()
+            _check_columns(*cols.arrays())
+            raise
+        self._set(*cols.arrays())
+
+    @classmethod
+    def from_columns(cls, start, kind, a, b) -> Solution:
+        """The solution with these columns (start and the endpoints as
+        int64, kind as int8), after the same check as Solution(routes)."""
+        sol = cls.__new__(cls)
+        sol._set(*_frozen(start, kind, a, b))
+        return sol
+
+    def _set(self, start, kind, a, b) -> None:
+        _check_columns(start, kind, a, b)
+        for name, value in (("start", start), ("kind", kind), ("a", a),
+                            ("b", b), ("_routes", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Solution is read-only")
+
+    @property
+    def routes(self) -> tuple[Route, ...]:
+        if self._routes is None:
+            object.__setattr__(self, "_routes", self._records())
+        return self._routes
+
+    def _records(self) -> tuple[Route, ...]:
+        events = [CrossingEvent("graph_edge", (x, y)) if k == GRAPH_EDGE
+                  else CrossingEvent("inserted", x)
+                  for k, x, y in zip(self.kind.tolist(), self.a.tolist(),
+                                     self.b.tolist())]
+        start = self.start.tolist()
+        return tuple(Route(i, tuple(events[s:e]))
+                     for i, (s, e) in enumerate(zip(start, start[1:])))
+
+    def __repr__(self) -> str:
+        return f"Solution(routes={self.routes!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, c), getattr(other, c))
+                   for c in ("start", "kind", "a", "b"))
+
+    def __hash__(self) -> int:
+        return hash((self.start.tobytes(), self.kind.tobytes(),
+                     self.a.tobytes(), self.b.tobytes()))
+
+
+class _Columns:
+    """Solution columns read one event at a time into array buffers; an
+    integer outside int64 is an error, not an overflow."""
+
+    __slots__ = ("start", "kind", "a", "b")
+
+    def __init__(self):
+        self.start, self.kind = array("q", [0]), bytearray()
+        self.a, self.b = array("q"), array("q")
+
+    def graph_edge(self, u: int, v: int) -> None:
+        if v < u:
+            u, v = v, u
+        if u not in _INT64 or v not in _INT64:
+            raise SchemaError(f"graph_edge endpoints ({u},{v}) out of range")
+        self.kind.append(GRAPH_EDGE)
+        self.a.append(u)
+        self.b.append(v)
+
+    def inserted(self, route: int, index: int) -> None:
+        if index not in _INT64:
+            # Far past every route: a forward (or negative) reference.
+            raise SchemaError(f"route {route} references inserted edge "
+                              f"{index}")
+        self.kind.append(INSERTED)
+        self.a.append(index)
+        self.b.append(-1)
+
+    def end_route(self) -> None:
+        self.start.append(len(self.kind))
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return _frozen(self.start, self.kind, self.a, self.b)
+
+
+def _frozen(start, kind, a, b) -> tuple[np.ndarray, ...]:
+    """The columns as read-only arrays of their dtypes, sharing memory
+    where the input already has the dtype."""
+    out = []
+    for col, dtype in ((start, np.int64), (kind, np.int8), (a, np.int64),
+                       (b, np.int64)):
+        view = np.asarray(col, dtype).view()
+        view.flags.writeable = False
+        out.append(view)
+    return tuple(out)
+
+
+def _check_columns(start: np.ndarray, kind: np.ndarray, a: np.ndarray,
+                   b: np.ndarray) -> None:
+    """The one check of a solution's columns, in whole-array passes:
+    start rises from 0 to the event count, every kind is GRAPH_EDGE or
+    INSERTED, a graph edge lists its smaller endpoint first, and route i
+    references inserted edges 0..i-1 only.  Raises the error of the first
+    bad event."""
+    count = len(kind)
+    if not (start.ndim == kind.ndim == a.ndim == b.ndim == 1
+            and len(a) == len(b) == count):
+        raise SchemaError("solution columns must be 1-d, one entry an event")
+    if (not len(start) or start[0] != 0 or start[-1] != count
+            or (start[1:] < start[:-1]).any()):
+        raise SchemaError("route starts must rise from 0 to the event count")
+    graph_edge = kind == GRAPH_EDGE
+    bad = ~graph_edge & (kind != INSERTED)
+    bad |= graph_edge & (a > b)
+    inserted = kind == INSERTED
+    if inserted.any():
+        route = np.repeat(np.arange(len(start) - 1), np.diff(start))
+        bad |= inserted & ((a < 0) | (a >= route))
+    if not bad.any():
+        return
+    j = int(bad.argmax())
+    i = int(np.searchsorted(start, j, side="right")) - 1
+    if inserted[j]:
+        raise SchemaError(f"route {i} references inserted edge {a[j]}")
+    if graph_edge[j]:
+        raise SchemaError(f"route {i} graph_edge event ({a[j]},{b[j]}) "
+                          "lists its larger endpoint first")
+    raise SchemaError(f"unknown event kind {int(kind[j])!r}")
 
 
 @dataclass(frozen=True)
@@ -194,18 +346,13 @@ def _f_pairs(graph: PlaneGraph, uv: np.ndarray,
     n = graph.vertex_count
     lo = np.minimum(uv[:, 0], uv[:, 1])
     hi = np.maximum(uv[:, 0], uv[:, 1])
-    # Sorted pair codes lo*n + hi: a duplicate is two equal neighbours, and
-    # a graph edge is a code found among the sorted edge codes eu*n + ev.
+    # Sorted pair codes lo*n + hi: a duplicate is two equal neighbours.
     ok = lo.min() >= 0 and hi.max() < n and not (lo == hi).any()
     if ok:
         code = lo * n + hi
         code.sort()
-        ecode = graph.table("eu") * n
-        ecode += graph.table("ev")
-        ecode.sort()
-        pos = np.searchsorted(ecode, code)
-        np.minimum(pos, len(ecode) - 1, out=pos)
-        ok = not ((code[1:] == code[:-1]).any() or (ecode[pos] == code).any())
+        ok = not ((code[1:] == code[:-1]).any()
+                  or (graph.edges_between(lo, hi) >= 0).any())
     flat = uv.ravel().tolist()
     pairs = tuple(zip(flat[0::2], flat[1::2]))
     if not ok:
@@ -520,8 +667,8 @@ def parse_solution(text: str) -> Solution:
     if not isinstance(obj["routes"], list):
         raise SchemaError("routes must be a list")
     # A JSON integer parses to exactly int; true parses to bool and 1.0 to
-    # float, and neither is an index.
-    routes = []
+    # float, and neither is an index.  Events go straight into the columns.
+    cols = _Columns()
     for i, r in enumerate(obj["routes"]):
         f_edge = r.get("f_edge") if type(r) is dict else None
         if type(f_edge) is not int or f_edge != i:
@@ -529,46 +676,57 @@ def parse_solution(text: str) -> Solution:
         evs = r.get("events", [])
         if type(evs) is not list:
             raise SchemaError(f"route {i} events must be a list")
-        events = []
         for ev in evs:
             if type(ev) is not dict:
                 raise SchemaError("event must be an object")
-            kind = ev.get("kind")
-            if kind == "graph_edge":
+            ev_kind = ev.get("kind")
+            if ev_kind == "graph_edge":
                 u, v = ev.get("u"), ev.get("v")
                 if type(u) is not int or type(v) is not int:
                     raise SchemaError("graph_edge event needs ints u, v")
-                events.append(CrossingEvent("graph_edge",
-                                            (u, v) if u < v else (v, u)))
-            elif kind == "inserted":
+                cols.graph_edge(u, v)
+            elif ev_kind == "inserted":
                 index = ev.get("index")
                 if type(index) is not int:
                     raise SchemaError("inserted event needs int index")
-                events.append(CrossingEvent("inserted", index))
+                cols.inserted(i, index)
             else:
-                raise SchemaError(f"unknown event kind {kind!r}")
-        routes.append(Route(i, tuple(events)))
-    return Solution(tuple(routes))
+                raise SchemaError(f"unknown event kind {ev_kind!r}")
+        cols.end_route()
+    return Solution.from_columns(*cols.arrays())
 
 
 def write_solution(sol: Solution) -> str:
     """The canonical text: json.dumps of {"routes": [{"f_edge": i,
-    "events": [...]}, ...]} with separators (",", ":"), written directly.
-    Solution has checked that every number is an exact int and every kind
-    one of the two, so each piece is a fixed template."""
-    parts = []
-    for f_edge, events in sol.routes:
-        texts = []
-        for kind, target in events:
-            if kind == "graph_edge":
-                u, v = target
-                if v < u:
-                    u, v = v, u
-                texts.append(f'{{"kind":"graph_edge","u":{u},"v":{v}}}')
-            else:
-                texts.append(f'{{"kind":"inserted","index":{target}}}')
-        parts.append(f'{{"f_edge":{f_edge},"events":[{",".join(texts)}]}}')
-    return f'{{"routes":[{",".join(parts)}]}}\n'
+    "events": [...]}, ...]} with separators (",", ":"), written directly
+    from the columns.  Solution has checked every number and kind, so each
+    piece is a fixed template."""
+    start, kind = sol.start, sol.kind
+    routes = len(start) - 1
+    if not routes:
+        return '{"routes":[]}\n'
+    # Each event's text opens with what comes before it: "," within a
+    # route, or at a route's first event "]}," closing the route before and
+    # the route's head.  An empty route is its opening alone.
+    opens = start[:-1] < start[1:]
+    head = np.full(len(kind), -1)
+    head[start[:-1][opens]] = np.flatnonzero(opens)
+    texts = [(f']}},{{"f_edge":{r},"events":[{{"kind":"graph_edge",'
+              f'"u":{x},"v":{y}}}' if k == GRAPH_EDGE else
+              f']}},{{"f_edge":{r},"events":[{{"kind":"inserted",'
+              f'"index":{x}}}') if r >= 0 else
+             (f',{{"kind":"graph_edge","u":{x},"v":{y}}}' if k == GRAPH_EDGE
+              else f',{{"kind":"inserted","index":{x}}}')
+             for r, k, x, y in zip(head.tolist(), kind.tolist(),
+                                   sol.a.tolist(), sol.b.tolist())]
+    empty = np.flatnonzero(~opens)
+    if len(empty):
+        # Before the first event after it, or at the end.
+        texts = np.insert(np.array(texts, dtype=object), start[empty],
+                          [f']}},{{"f_edge":{r},"events":['
+                           for r in empty.tolist()]).tolist()
+    # The text of route 0 opens with no route before it to close.
+    return f'{{"routes":[{"".join(texts)[3:]}]}}]}}\n'
 
 
 # --- SVG rendering -----------------------------------------------------------
@@ -630,7 +788,7 @@ def render_svg(inst: Instance, sol: Solution | None = None) -> str:
     lines.append('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
                  'width="800" height="800">')
     for e, u, v in inst.graph.edges():
-        stroke_width = 3 if _norm((u, v)) in crossed_graph_edges else 1
+        stroke_width = 3 if (u, v) in crossed_graph_edges else 1
         lines.append(
             f'<line x1="{sx(pts[u][0]):.3f}" y1="{sy(pts[u][1]):.3f}" '
             f'x2="{sx(pts[v][0]):.3f}" y2="{sy(pts[v][1]):.3f}" '

@@ -81,6 +81,9 @@ class PlaneGraph:
         "_ev",
         "_edge_dart",
         "_face_dart",
+        # Not a table: the edge ids in edges_between's code order, None
+        # until its first call.
+        "edge_order",
     )
 
     def __init__(self, offsets, head, tail, twin, edge, face, eu, ev,
@@ -99,6 +102,7 @@ class PlaneGraph:
         self._ev = ev
         self._edge_dart = edge_dart
         self._face_dart = face_dart
+        self.edge_order = None
 
     # -- dart primitives ---------------------------------------------------
 
@@ -187,6 +191,36 @@ class PlaneGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.dart_between(u, v) is not None
+
+    def edges_between(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """edge_between over int64 arrays: the edge between u[i] and v[i],
+        or -1 where there is none, also where u[i] or v[i] is no vertex.
+
+        One sorted search over the codes lo*n + hi of the edges.  The edge
+        ids in code order are built on the first call and kept with the
+        graph, in the smallest unsigned type that holds them; eu does not
+        decrease, so eu*n + ev[order] are the codes in order."""
+        n = self.vertex_count
+        eu, ev = self.table("eu"), self.table("ev")
+        if self.edge_order is None:
+            order = np.argsort(eu * n + ev)
+            self.edge_order = order.astype(np.min_scalar_type(len(order)))
+        ids = self.edge_order
+        # A sentinel above every vertex pair's code ends the codes, so
+        # every search lands on an entry.
+        codes = np.append(eu * n + ev[ids], n * n)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        # A pair outside the vertices gets code -1, found nowhere; its
+        # lo*n may have wrapped, and np.where drops it.
+        code = np.where((lo >= 0) & (hi < n), lo * n + hi, -1)
+        # Searching in increasing order is several times faster.
+        order = np.argsort(code)
+        code = code[order]
+        pos = np.searchsorted(codes, code)
+        hit = codes[pos] == code
+        found = np.full(len(code), -1)
+        found[order[hit]] = ids[pos[hit]]
+        return found
 
     def edges(self) -> Iterable[tuple[int, int, int]]:
         for e in range(self.edge_count):

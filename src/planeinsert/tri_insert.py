@@ -80,7 +80,7 @@ import numpy as np
 
 from .errors import (KNotOne, NotTriangulation, ReductionStuck,
                      SearchSpaceTooLarge)
-from .instance_io import CrossingEvent, Instance, Route, Solution
+from .instance_io import Instance, Solution
 from .plane_graph import (PlaneGraph, _csr, _zeros, is_triangulation,
                           succ_array)
 from .search import backtrack
@@ -606,24 +606,16 @@ def solve(inst: Instance) -> Solution | Verdict:
     chosen = _choose_options(catalog, clashes)
     if chosen is None:
         return Verdict.INFEASIBLE
-    crossed = catalog.crossed[chosen]
-    # The routes are built once the catalog is gone, in the memory it held.
-    del catalog, clashes, reduced, chosen
-    return certificate(inst.graph, crossed)
+    return certificate(inst.graph, catalog.crossed[chosen])
 
 
 def certificate(g: PlaneGraph, crossed: np.ndarray) -> Solution:
-    """The k = 1 solution whose route f crosses graph edge crossed[f]."""
-    # tuple.__new__ builds each NamedTuple record from its fields' tuple
-    # without a call to the record's Python-level __new__.
-    new, repeat = tuple.__new__, itertools.repeat
-    events = map(new, repeat(CrossingEvent),
-                 zip(repeat("graph_edge"),
-                     zip(g.table("eu")[crossed].tolist(),
-                         g.table("ev")[crossed].tolist())))
-    # zip over one iterable yields 1-tuples: each route's events.
-    return Solution(tuple(map(new, repeat(Route),
-                              zip(itertools.count(), zip(events)))))
+    """The k = 1 solution whose route f crosses graph edge crossed[f]: one
+    graph-edge event per route, its endpoints gathered from eu < ev."""
+    m = len(crossed)
+    return Solution.from_columns(np.arange(m + 1), np.zeros(m, np.int8),
+                                 g.table("eu")[crossed],
+                                 g.table("ev")[crossed])
 
 
 def clash_free_assignments(adj: Sequence[Sequence[int]],

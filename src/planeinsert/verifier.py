@@ -48,11 +48,14 @@ edge go with them), and puts each split edge back, last crossing first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from ._rng import Lcg64
 from .errors import InvalidRealization
-from .instance_io import Instance, Solution
+from .instance_io import INSERTED, Instance, Solution
 from .plane_graph import PlaneGraph
 from .search import backtrack
 
@@ -364,55 +367,15 @@ def verify(inst: Instance, sol: Solution, seed: int | None = None,
     """Replay a solution; Accepted iff some joint realization of all routes
     exists and every edge ends with at most k crossings.  Raises
     SearchBudgetExceeded past node_budget inserted realizations."""
-    if len(sol.routes) != len(inst.F):
-        return VerifyResult(False, "no_realization", None,
-                            f"{len(sol.routes)} routes for {len(inst.F)} edges")
-    g = inst.graph
-    k = inst.k
     m = len(inst.F)
-
-    # Resolve events to logical ids and run the static checks.
-    pinned_all: list[list[int]] = []
-    counts = [0] * (g.edge_count + m)
-    for i, route in enumerate(sol.routes):
-        u, v = inst.F[i]
-        if len(route.events) > k:
-            return VerifyResult(False, "crossing_budget_exceeded", i,
-                                f"inserted edge {i} would cross "
-                                f"{len(route.events)} times")
-        named: set[int] = set()
-        pinned: list[int] = []
-        for ev in route.events:
-            if ev.kind == "graph_edge":
-                a, b = ev.target
-                e = g.edge_between(a, b)
-                if e is None:
-                    return VerifyResult(False, "no_realization", i,
-                                        f"({a},{b}) is not a graph edge")
-                logical = e
-                la, lb = a, b
-            else:
-                logical = g.edge_count + ev.target
-                la, lb = inst.F[ev.target]
-            if logical in named:
-                return VerifyResult(False, "no_realization", i,
-                                    "route crosses one edge twice")
-            if la in (u, v) or lb in (u, v):
-                return VerifyResult(False, "no_realization", i,
-                                    "route crosses an adjacent edge")
-            named.add(logical)
-            counts[logical] += 1
-            pinned.append(logical)
-        counts[g.edge_count + i] += len(route.events)
-        pinned_all.append(pinned)
-    for logical, c in enumerate(counts):
-        if c > k:
-            if logical < g.edge_count:
-                detail = f"graph edge {g.edge_endpoints(logical)}"
-            else:
-                detail = f"inserted edge {logical - g.edge_count}"
-            return VerifyResult(False, "crossing_budget_exceeded",
-                                None, f"{detail} crossed {c} > {k} times")
+    if len(sol.start) - 1 != m:
+        return VerifyResult(False, "no_realization", None,
+                            f"{len(sol.start) - 1} routes for {m} edges")
+    k = inst.k
+    logical = _static_pass(inst, sol)
+    if isinstance(logical, VerifyResult):
+        return logical
+    start = sol.start.tolist()
 
     pd = PlanarizedDrawing(inst)
     rng = Lcg64(seed) if seed is not None else None
@@ -423,8 +386,8 @@ def verify(inst: Instance, sol: Solution, seed: int | None = None,
         nonlocal deepest
         deepest = max(deepest, i)
         u, v = inst.F[i]
-        return pd.enumerate_realizations(u, v, pinned_all[i],
-                                         len(pinned_all[i]), rng=rng)
+        pinned = logical[start[i]:start[i + 1]]
+        return pd.enumerate_realizations(u, v, pinned, len(pinned), rng=rng)
 
     def enter(i: int, real: Realization) -> None:
         tokens.append(pd.insert(*inst.F[i], real))
@@ -435,7 +398,84 @@ def verify(inst: Instance, sol: Solution, seed: int | None = None,
     for _ in backtrack(m, choices, enter, leave, node_budget):
         # Internal invariant: a pinned route bumps exactly the edges it
         # names and itself, so the counts are the static pass's, all <= k.
-        assert all(c <= k for c in pd.count)
+        assert max(pd.count, default=0) <= k
         return VerifyResult(True)
     return VerifyResult(False, "no_realization", deepest,
                         "no joint realization of the routes")
+
+
+def _static_pass(inst: Instance, sol: Solution) -> list[int] | VerifyResult:
+    """Every event's logical id (graph edge e is e, inserted edge i is
+    E + i), or the rejection of the first route over its budget or naming
+    a non-edge, one edge twice, or an edge sharing an endpoint with its
+    own, and then of the first logical edge crossed more than k times.
+
+    The checks are array passes; a graph-edge event is resolved by one
+    sorted search over the edge codes.  When a route fails, _route_error
+    scans it event by event for the rejection."""
+    g, k, m = inst.graph, inst.k, len(inst.F)
+    edges = g.edge_count
+    start, kind, a, b = sol.start, sol.kind, sol.a, sol.b
+    length = np.diff(start)
+    route = np.repeat(np.arange(m), length)
+    fuv = np.fromiter(chain.from_iterable(inst.F), np.int64,
+                      2 * m).reshape(-1, 2)
+    inserted = kind == INSERTED
+    index = np.where(inserted, a, 0)
+    logical = np.where(inserted, edges + index, g.edges_between(a, b))
+    # The crossed edge's endpoints against the route's own.
+    la = np.where(inserted, fuv[index, 0], a)
+    lb = np.where(inserted, fuv[index, 1], b)
+    u, v = fuv[route, 0], fuv[route, 1]
+    bad = (logical < 0) | (la == u) | (la == v) | (lb == u) | (lb == v)
+    failing = route[bad]
+    # A logical edge twice in a route: two equal (route, logical) codes.
+    named = ~bad
+    code = np.sort(route[named] * (edges + m) + logical[named])
+    twice = code[1:] == code[:-1]
+    failing = np.concatenate((failing, code[1:][twice] // (edges + m),
+                              np.flatnonzero(length > k)))
+    if len(failing):
+        return _route_error(inst, sol, int(failing.min()))
+    count = np.bincount(logical, minlength=edges + m)
+    count[edges:] += length
+    over = np.flatnonzero(count > k)
+    if len(over):
+        e = int(over[0])
+        detail = (f"graph edge {g.edge_endpoints(e)}" if e < edges
+                  else f"inserted edge {e - edges}")
+        return VerifyResult(False, "crossing_budget_exceeded", None,
+                            f"{detail} crossed {count[e]} > {k} times")
+    return logical.tolist()
+
+
+def _route_error(inst: Instance, sol: Solution, i: int) -> VerifyResult:
+    """The rejection of route i, which failed a check of _static_pass
+    while every route before it passed: its checks in turn, event by
+    event."""
+    g, k = inst.graph, inst.k
+    u, v = inst.F[i]
+    s, e = sol.start[i:i + 2].tolist()
+    if e - s > k:
+        return VerifyResult(False, "crossing_budget_exceeded", i,
+                            f"inserted edge {i} would cross {e - s} times")
+    named: set[int] = set()
+    for kind, a, b in zip(sol.kind[s:e].tolist(), sol.a[s:e].tolist(),
+                          sol.b[s:e].tolist()):
+        if kind == INSERTED:
+            logical = g.edge_count + a
+            la, lb = inst.F[a]
+        else:
+            logical = g.edge_between(a, b)
+            if logical is None:
+                return VerifyResult(False, "no_realization", i,
+                                    f"({a},{b}) is not a graph edge")
+            la, lb = a, b
+        if logical in named:
+            return VerifyResult(False, "no_realization", i,
+                                "route crosses one edge twice")
+        if la in (u, v) or lb in (u, v):
+            return VerifyResult(False, "no_realization", i,
+                                "route crosses an adjacent edge")
+        named.add(logical)
+    raise AssertionError(f"route {i} passed every per-event check")

@@ -350,6 +350,12 @@ class TestRender:
         with pytest.raises(InvalidRoute):
             render_svg(inst, bad)
 
+    @pytest.mark.parametrize("pair", [(1, 2), (2, 1)])
+    def test_crossed_edge_drawn_thick_in_either_order(self, pair):
+        inst = self._inst(F=[(0, 5)])
+        sol = Solution((Route(0, (CrossingEvent("graph_edge", pair),)),))
+        assert render_svg(inst, sol).count('stroke-width="3"') == 1
+
     def test_deterministic(self):
         inst = self._inst(F=[(0, 5)])
         sol = Solution((Route(0, (CrossingEvent("graph_edge", (1, 2)),)),))

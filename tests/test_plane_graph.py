@@ -149,6 +149,22 @@ class TestTriangulation:
             assert not all(h.face_degree(f) == 3 for f in range(h.face_count))
 
 
+def test_edges_between_matches_edge_between():
+    # Every vertex pair of small graphs, both orders, plus pairs outside
+    # the vertices, some so large that lo*n wraps in int64.
+    for g in (cube(), octahedron(), build_from_rotation(4, K4_ROTATION),
+              generate_stacked_triangulation(40, 3)):
+        n = g.vertex_count
+        u, v = np.divmod(np.arange(-2 * (n + 2), (n + 2) ** 2), n + 2)
+        u = np.concatenate((u, [2**62, -2**62, 3]))
+        v = np.concatenate((v, [1, 2**62, -2**63]))
+        want = [-1 if e is None else e for e in
+                (g.edge_between(a, b) for a, b in zip(u.tolist(),
+                                                      v.tolist()))]
+        assert g.edges_between(u, v).tolist() == want
+        assert g.edges_between(u, v).tolist() == want  # the kept order
+
+
 class TestApex:
     def test_triangle(self):
         g = build_from_rotation(3, [[1, 2], [2, 0], [0, 1]])

@@ -4,13 +4,16 @@ reprs, and the same error type and message on malformed input."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from planeinsert import instance_io as new
+from planeinsert.errors import SchemaError
 from planeinsert.instance_io import make_instance
 from planeinsert.oracle import iter_solutions
 from planeinsert.tri_insert import solve
 from planeinsert.verdicts import Verdict
+from planeinsert.verifier import verify
 
 import solution_reference as ref
 from fixtures import cube, octahedron
@@ -26,12 +29,17 @@ def as_reference(sol: new.Solution) -> ref.Solution:
 
 def solutions() -> list[new.Solution]:
     # Endpoint pairs in both orders: the writer must put the smaller first.
+    # Empty routes first, last and in a row: the writer places their heads.
     ev = new.CrossingEvent
     out = [new.Solution(()), new.Solution((
         new.Route(0, (ev("graph_edge", (5, 2)), ev("graph_edge", (2, 7)))),
         new.Route(1, ()),
         new.Route(2, (ev("inserted", 1), ev("graph_edge", (9, 0)),
                       ev("inserted", 0))),
+    )), new.Solution((new.Route(0, ()), new.Route(1, ()))), new.Solution((
+        new.Route(0, ()), new.Route(1, ()),
+        new.Route(2, (ev("graph_edge", (3, 1)), ev("inserted", 0))),
+        new.Route(3, ()),
     ))]
     insts = list(instance_stream(300))
     insts += [planted_instance(3000, s) for s in range(3)]
@@ -126,3 +134,106 @@ def test_malformed_record_errors_match_reference(name):
     want = raised(lambda: build(ref))
     assert want[0] != "no error"
     assert raised(lambda: build(new)) == want
+
+
+def test_columns_of_records():
+    ev = new.CrossingEvent
+    sol = new.Solution((
+        new.Route(0, (ev("graph_edge", (5, 2)), ev("graph_edge", (2, 7)))),
+        new.Route(1, ()),
+        new.Route(2, (ev("inserted", 1), ev("graph_edge", (9, 0)))),
+    ))
+    assert sol.start.tolist() == [0, 2, 2, 4]
+    assert sol.kind.dtype == np.int8
+    assert sol.kind.tolist() == [new.GRAPH_EDGE, new.GRAPH_EDGE,
+                                 new.INSERTED, new.GRAPH_EDGE]
+    assert sol.a.tolist() == [2, 2, 1, 0]
+    assert sol.b.tolist() == [5, 7, -1, 9]
+    assert not sol.a.flags.writeable
+    with pytest.raises(AttributeError):
+        sol.a = sol.b
+    # The record view lists every pair smaller endpoint first.
+    assert sol.routes[0].events[0] == ("graph_edge", (2, 5))
+    same = new.Solution.from_columns([0, 2, 2, 4], [0, 0, 1, 0],
+                                     [2, 2, 1, 0], [5, 7, -1, 9])
+    assert same == sol and hash(same) == hash(sol)
+    assert same != new.Solution(())
+
+
+@pytest.mark.parametrize("columns, message", [
+    (([1, 1], [0], [1], [2]), "route starts must rise"),
+    (([0, 2, 1], [0], [1], [2]), "route starts must rise"),
+    (([0, 1], [0], [1, 2], [2]), "one entry an event"),
+    (([0, 1], [2], [1], [2]), "unknown event kind 2"),
+    (([0, 1], [0], [3], [2]), r"route 0 graph_edge event \(3,2\) lists"),
+    (([0, 1, 2], [0, 1], [1, 1], [2, -1]),
+     "route 1 references inserted edge 1"),
+    (([0, 0, 1], [1], [-1], [-1]), "route 1 references inserted edge -1"),
+])
+def test_column_check(columns, message):
+    with pytest.raises(SchemaError, match=message):
+        new.Solution.from_columns(*columns)
+
+
+def test_first_bad_route_wins():
+    # A bad reference before a malformed record is the error, as in a
+    # walk that checks each event in turn.
+    ev = new.CrossingEvent
+    with pytest.raises(SchemaError, match="route 0 references inserted"):
+        new.Solution((new.Route(0, (ev("inserted", 0),)),
+                      new.Route(1, (ev("vertex", 1),))))
+    with pytest.raises(SchemaError, match="route 1 references inserted"):
+        new.Solution((new.Route(0, ()), new.Route(
+            1, (ev("inserted", 1), ev("graph_edge", [1])))))
+    with pytest.raises(SchemaError, match="labeled f_edge=2"):
+        new.Solution((new.Route(0, (ev("graph_edge", (1, 2)),)),
+                      new.Route(2, (ev("inserted", 5),))))
+
+
+BIG = 10**23
+
+
+@pytest.mark.parametrize("u, v", [(1, BIG), (-BIG, 1), (2**63, 0)])
+def test_endpoints_outside_int64_are_schema_errors(u, v):
+    route = (f'{{"routes":[{{"f_edge":0,"events":[{{"kind":"graph_edge",'
+             f'"u":{u},"v":{v}}}]}}]}}')
+    with pytest.raises(SchemaError, match="out of range"):
+        new.parse_solution(route)
+    with pytest.raises(SchemaError, match="out of range"):
+        new.Solution((new.Route(0, (new.CrossingEvent("graph_edge",
+                                                      (u, v)),)),))
+
+
+@pytest.mark.parametrize("index", [BIG, -BIG])
+def test_index_outside_int64_is_schema_error(index):
+    text = ('{"routes":[{"f_edge":0,"events":[]},{"f_edge":1,"events":'
+            f'[{{"kind":"inserted","index":{index}}}]}}]}}')
+    with pytest.raises(SchemaError,
+                       match=f"route 1 references inserted edge {index}"):
+        new.parse_solution(text)
+    with pytest.raises(SchemaError,
+                       match=f"route 1 references inserted edge {index}"):
+        new.Solution((new.Route(0, ()), new.Route(
+            1, (new.CrossingEvent("inserted", index),))))
+
+
+def test_negative_endpoint_parses_and_is_rejected():
+    inst = make_instance(octahedron(), [(0, 5)])
+    sol = new.parse_solution('{"routes":[{"f_edge":0,"events":'
+                             '[{"kind":"graph_edge","u":2,"v":-1}]}]}')
+    assert sol.routes[0].events == (("graph_edge", (-1, 2)),)
+    res = verify(inst, sol)
+    assert (res.reason, res.detail) == ("no_realization",
+                                        "(-1,2) is not a graph edge")
+
+
+def test_answer_path_builds_no_records(monkeypatch):
+    def no_records(self):
+        raise AssertionError("the record view was built")
+
+    monkeypatch.setattr(new.Solution, "_records", no_records)
+    inst = planted_instance(3000, 0)
+    text = new.write_solution(solve(inst))
+    assert verify(inst, new.parse_solution(text)).accepted
+    with pytest.raises(AssertionError, match="record view"):
+        new.parse_solution(text).routes

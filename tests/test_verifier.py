@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from planeinsert.errors import (
@@ -20,6 +22,8 @@ from planeinsert.tri_insert import solve
 from planeinsert.verifier import (
     PlanarizedDrawing,
     Realization,
+    VerifyResult,
+    _static_pass,
     planarize_insert,
     verify,
 )
@@ -241,3 +245,117 @@ class TestEngine:
         pd.insert(4, 6, real)  # reuses logical id E, freed by the undo
         assert g.edge_count in pd.adjacent_logicals(4, 5)
         assert g.edge_count not in pd.adjacent_logicals(0, 1)
+
+
+def reference_static_pass(inst, sol):
+    """verify's static pass as a scan of the records, route by route and
+    event by event: the pinned logical ids of every route, or the first
+    rejection."""
+    g = inst.graph
+    k = inst.k
+    m = len(inst.F)
+    pinned_all: list[list[int]] = []
+    counts = [0] * (g.edge_count + m)
+    for i, route in enumerate(sol.routes):
+        u, v = inst.F[i]
+        if len(route.events) > k:
+            return VerifyResult(False, "crossing_budget_exceeded", i,
+                                f"inserted edge {i} would cross "
+                                f"{len(route.events)} times")
+        named: set[int] = set()
+        pinned: list[int] = []
+        for ev in route.events:
+            if ev.kind == "graph_edge":
+                a, b = ev.target
+                e = g.edge_between(a, b)
+                if e is None:
+                    return VerifyResult(False, "no_realization", i,
+                                        f"({a},{b}) is not a graph edge")
+                logical = e
+                la, lb = a, b
+            else:
+                logical = g.edge_count + ev.target
+                la, lb = inst.F[ev.target]
+            if logical in named:
+                return VerifyResult(False, "no_realization", i,
+                                    "route crosses one edge twice")
+            if la in (u, v) or lb in (u, v):
+                return VerifyResult(False, "no_realization", i,
+                                    "route crosses an adjacent edge")
+            named.add(logical)
+            counts[logical] += 1
+            pinned.append(logical)
+        counts[g.edge_count + i] += len(route.events)
+        pinned_all.append(pinned)
+    for logical, c in enumerate(counts):
+        if c > k:
+            if logical < g.edge_count:
+                detail = f"graph edge {g.edge_endpoints(logical)}"
+            else:
+                detail = f"inserted edge {logical - g.edge_count}"
+            return VerifyResult(False, "crossing_budget_exceeded",
+                                None, f"{detail} crossed {c} > {k} times")
+    return [e for pinned in pinned_all for e in pinned]
+
+
+def random_solution(inst, rng: random.Random) -> Solution:
+    """Routes of 0-3 events: graph edges (adjacent ones included), vertex
+    pairs that are no edge, pairs outside the vertices, and earlier
+    inserted edges, each of them sometimes twice.  One time in three the
+    routes instead cross at most one graph edge, from a pool of three, and
+    at most one of the first three inserted edges, never an edge at their
+    ends: within the budget they pass every per-route check."""
+    g = inst.graph
+    n = g.vertex_count
+    pool = [g.edge_endpoints(e) for e in rng.sample(range(g.edge_count), 3)]
+    clean = rng.random() < 1 / 3
+    routes = []
+    for i, (u, v) in enumerate(inst.F):
+        events = []
+        if clean:
+            free = [p for p in pool if not {u, v} & set(p)]
+            if free and rng.random() < 0.5:
+                events.append(CrossingEvent("graph_edge", rng.choice(free)))
+            earlier = [j for j in range(min(i, 3))
+                       if not {u, v} & set(inst.F[j])]
+            if earlier and rng.random() < 0.3:
+                events.append(CrossingEvent("inserted", rng.choice(earlier)))
+            routes.append(Route(i, tuple(events)))
+            continue
+        for _ in range(rng.choice((0, 1, 1, 1, 2, 3))):
+            roll = rng.random()
+            if roll < 0.75:
+                pair = g.edge_endpoints(rng.randrange(g.edge_count))
+            elif roll < 0.8:
+                pair = (rng.randrange(n), rng.randrange(n))
+            elif roll < 0.85:
+                pair = (rng.randrange(-2, n + 2), rng.randrange(-2, n + 2))
+            elif i:
+                events.append(CrossingEvent("inserted", rng.randrange(i)))
+                continue
+            else:
+                continue
+            events.append(CrossingEvent("graph_edge", pair))
+        if events and rng.random() < 0.1:
+            events.append(events[0])
+        routes.append(Route(i, tuple(events)))
+    return Solution(tuple(routes))
+
+
+def test_static_pass_matches_reference_scan():
+    rng = random.Random(7)
+    details = []
+    for trial in range(400):
+        inst = planted_instance(rng.randrange(8, 40), trial)
+        if not inst.F:
+            continue
+        inst = make_instance(inst.graph, inst.F, k=rng.choice((1, 1, 2, 3)))
+        sol = random_solution(inst, rng)
+        want = reference_static_pass(inst, sol)
+        assert _static_pass(inst, sol) == want, trial
+        details.append(want.detail if isinstance(want, VerifyResult)
+                       else "passed")
+    # Every outcome of the scan occurs.
+    for part in ("passed", "would cross", "is not a graph edge", "twice",
+                 "adjacent edge", "graph edge (", "inserted edge 0 crossed"):
+        assert any(part in d for d in details), part
