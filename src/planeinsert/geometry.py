@@ -1,7 +1,8 @@
 """Exact plane geometry: orientation, angular order and drawing checks.
 
 This is the package's only module with orientation or angle code.  All
-tests are exact; none touches floating point.
+tests are exact.  Floating point only proposes an angular order, which
+an exact pass then checks (see below).
 
 - **Integer scaling.**  ``check_coords`` multiplies every rational
   coordinate once by the least common multiple of all denominators.  A
@@ -43,7 +44,20 @@ tests are exact; none touches floating point.
   errors the least current segment j, then the least active segment i, in
   the sorted order.  Each candidate piece reports its least error in that
   order, so the message does not depend on the piece size.
-- **Rotation.**  ``check_rotation`` compares each vertex's exact
+- **Angular order.**  ``angular_order`` is the one kernel for the
+  counterclockwise order of darts around their tails, from the positive x
+  axis.  It sorts the darts by (tail, float key) with one ``lexsort``,
+  the key a float that increases with the angle (``_angle_keys``), and
+  then checks every adjacent pair of a row exactly, with the half-plane
+  and cross-product predicate ``_angle_sign`` (``angle_cmp`` over
+  arrays).  A row whose adjacent pairs all increase strictly is in exact
+  order: the order is transitive.  So the float keys only have to be
+  close; a row they misorder or tie, such as near-parallel directions
+  whose keys round to one float, fails the check and goes to the one
+  comparator sort, with ``angle_cmp``, over its darts in input order.
+  That sort also reports the rows in which it met two darts of one
+  direction.  The compiler derives its rotations with this kernel.
+- **Rotation check.**  ``check_rotation`` compares each vertex's exact
   counterclockwise neighbor order with its rotation row.  It runs only
   when an instance carries coordinates, after the plane check passed, so
   no two edges at a vertex share a direction.  A cyclic sequence of
@@ -51,12 +65,13 @@ tests are exact; none touches floating point.
   has one cyclic descent: a shifted sorted order descends only where the
   largest value is followed by the least, and a sequence with one
   descent, read from just after it, ascends all the way round.  So one
-  array pass compares every dart with its successor in its row, by angle
-  from the positive x axis, and a row of degree >= 3 fails exactly when
-  its descent count is not 1.  A failing row, or one with a zero-length
-  edge (two adjacent vertices on one point, which the plane check allows),
-  is then settled by the comparator sort, which also builds the message.
-  Instances without coordinates pay nothing.
+  array pass compares every dart with its successor in its row with
+  ``_angle_sign``, and a row of degree >= 3 fails exactly when its
+  descent count is not 1.  A failing row, or one with a zero-length edge
+  (two adjacent vertices on one point, which only a direct caller can
+  pass, since the plane check rejects them), is then ordered by
+  ``angular_order``, which also builds the message.  Instances without
+  coordinates pay nothing.
 """
 
 from __future__ import annotations
@@ -102,6 +117,67 @@ def angle_cmp(a: Point, b: Point) -> int:
         return -1 if ha < hb else 1
     cross = a[0] * b[1] - a[1] * b[0]
     return (cross < 0) - (cross > 0)
+
+
+def _angle_sign(ax, ay, bx, by) -> np.ndarray:
+    """angle_cmp over arrays of direction pairs (int64 or object arrays):
+    -1 where a comes first, 1 where b does, 0 where both point the same
+    way."""
+    ua = (ay > 0) | ((ay == 0) & (ax > 0))  # angle in [0, pi)
+    ub = (by > 0) | ((by == 0) & (bx > 0))
+    cross = ax * by - ay * bx
+    return np.where(ua == ub, (cross < 0) * 1 - (cross > 0) * 1,
+                    ub * 1 - ua * 1)
+
+
+def _angle_keys(dx, dy) -> np.ndarray:
+    """Float sort keys in [0, 4) that increase with the directions' angle
+    from the positive x axis: the "diamond angle", dy / (|dx| + |dy|) put
+    on the quadrant it belongs to; 0 for a zero direction.  On Python ints
+    the division is Python's, correctly rounded at any size."""
+    s = abs(dx) + abs(dy)
+    p = (dy / np.where(s == 0, 1, s)).astype(float)
+    return np.where(dx >= 0, np.where(dy >= 0, p, 4 + p), 2 - p)
+
+
+def _comparator_sort(xs: list, ys: list) -> tuple[list[int], bool]:
+    """The positions of the directions (xs[i], ys[i]) sorted with angle_cmp
+    (stably), and whether the sort met two of one direction."""
+    tied = False
+
+    def cmp(p: int, q: int) -> int:
+        nonlocal tied
+        c = angle_cmp((xs[p], ys[p]), (xs[q], ys[q]))
+        tied = tied or c == 0
+        return c
+
+    return sorted(range(len(xs)), key=cmp_to_key(cmp)), tied
+
+
+def angular_order(pts: Sequence[tuple[int, int]], tail: np.ndarray,
+                  head: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The darts tail[i] -> head[i] between integer points, sorted by tail
+    and then counterclockwise by direction from the positive x axis, as
+    positions into tail; and the tails at which the comparator sort met
+    two darts of one direction.  tail must not decrease.
+
+    Float keys propose the order and one exact pass over adjacent pairs
+    checks it; a row that fails is sorted again with angle_cmp, its darts
+    taken in input order (see the module docstring)."""
+    X, Y = _columns(pts)
+    dx, dy = X[head] - X[tail], Y[head] - Y[tail]
+    order = np.lexsort((_angle_keys(dx, dy), tail))
+    sx, sy = dx[order], dy[order]
+    bad = (tail[1:] == tail[:-1]) & (
+        _angle_sign(sx[:-1], sy[:-1], sx[1:], sy[1:]) >= 0)
+    tied = []
+    for v in dict.fromkeys(tail[1:][bad].tolist()):
+        lo, hi = np.searchsorted(tail, (v, v + 1)).tolist()
+        perm, tie = _comparator_sort(dx[lo:hi].tolist(), dy[lo:hi].tolist())
+        order[lo:hi] = np.add(perm, lo)
+        if tie:
+            tied.append(v)
+    return order, tied
 
 
 def scale_to_integers(pts: Sequence[tuple[Fraction, Fraction]]
@@ -263,28 +339,24 @@ def check_rotation(graph: PlaneGraph, pts: Sequence[tuple[int, int]]) -> None:
     d = np.arange(len(head))
     nxt = np.where(d + 1 == offsets[tail + 1], offsets[tail], d + 1)
     dx, dy = X[head] - X[tail], Y[head] - Y[tail]
-    upper = (dy > 0) | ((dy == 0) & (dx > 0))  # angle in [0, pi)
-    cross = dx * dy[nxt] - dy * dx[nxt]
-    descent = (upper[nxt] & ~upper) | ((upper == upper[nxt]) & (cross < 0))
+    descent = _angle_sign(dx, dy, dx[nxt], dy[nxt]) > 0
     n = graph.vertex_count
     zero = (dx == 0) & (dy == 0)
     suspect = ((np.bincount(tail[descent], minlength=n) != 1)
                | (np.bincount(tail[zero], minlength=n) > 0))
     suspect &= np.diff(offsets) >= 3
+    if not suspect.any():
+        return
+    darts = np.flatnonzero(suspect[tail])
+    order, _ = angular_order(pts, tail[darts], head[darts])
+    drawn = head[darts[order]].tolist()
+    start = 0
     for v in np.flatnonzero(suspect).tolist():
-        _check_row(graph, pts, v)
-
-
-def _check_row(graph: PlaneGraph, pts: Sequence[tuple[int, int]],
-               v: int) -> None:
-    """The comparator-sort check of vertex v's rotation row."""
-    row = graph.neighbors(v)
-    vx, vy = pts[v]
-    dirs = {w: (pts[w][0] - vx, pts[w][1] - vy) for w in row}
-    drawn = sorted(row, key=cmp_to_key(
-        lambda p, q: angle_cmp(dirs[p], dirs[q])))
-    i = row.index(drawn[0])
-    if row[i:] + row[:i] != drawn:
-        raise NonPlaneCoordinates(
-            f"neighbors of vertex {v} are drawn in the order {drawn}, "
-            f"not the rotation {row}")
+        row = graph.neighbors(v)
+        got = drawn[start:start + len(row)]
+        start += len(row)
+        i = row.index(got[0])
+        if row[i:] + row[:i] != got:
+            raise NonPlaneCoordinates(
+                f"neighbors of vertex {v} are drawn in the order {got}, "
+                f"not the rotation {row}")

@@ -23,6 +23,10 @@ numbering is fixed:
   dart is the f-th smallest of all orbit minima.  The builder finds each
   dart's orbit minimum by pointer doubling over succ.
 
+The graph keeps two derived tables from its build: succ for every dart,
+and edge_order, the edge ids in the order of their codes eu*n + ev, which
+the twin-pairing sort has already found (edges_between searches them).
+
 There is one array builder, build_from_rows, over (n, row lengths, head).
 build_from_rotation flattens neighbor lists into those arrays;
 instance_io's canonical-text tokenizer reads them from the text itself.
@@ -81,13 +85,20 @@ class PlaneGraph:
         "_ev",
         "_edge_dart",
         "_face_dart",
-        # Not a table: the edge ids in edges_between's code order, None
-        # until its first call.
+        # Derived from offsets and twin: succ(d) for every dart, as 32-bit
+        # dart ids below 2**31 darts.
+        "_succ",
+        # Not a table: the edge ids in edges_between's code order, in the
+        # smallest unsigned type that holds them.
         "edge_order",
     )
 
     def __init__(self, offsets, head, tail, twin, edge, face, eu, ev,
-                 edge_dart, face_dart, outer_face=0):
+                 edge_dart, face_dart, outer_face=0, succ=None,
+                 edge_order=None):
+        """The tables as array("q") buffers (succ as _dart_table makes
+        it).  succ and edge_order, when not given, are computed from the
+        others."""
         self.vertex_count = len(offsets) - 1
         self.edge_count = len(eu)
         self.face_count = len(face_dart)
@@ -102,7 +113,15 @@ class PlaneGraph:
         self._ev = ev
         self._edge_dart = edge_dart
         self._face_dart = face_dart
-        self.edge_order = None
+        if succ is None:
+            succ = _dart_table(_succ(self.table("offsets"),
+                                     self.table("twin")))
+        self._succ = succ
+        if edge_order is None:
+            n = self.vertex_count
+            edge_order = _narrow(np.argsort(self.table("eu") * n
+                                            + self.table("ev")))
+        self.edge_order = edge_order
 
     # -- dart primitives ---------------------------------------------------
 
@@ -119,16 +138,9 @@ class PlaneGraph:
     def twin(self, d: int) -> int:
         return self._twin[d]
 
-    def next(self, d: int) -> int:
-        """Next dart counterclockwise around tail(d)."""
-        t = self._tail[d]
-        base = self._offsets[t]
-        deg = self._offsets[t + 1] - base
-        return base + (d - base + 1) % deg
-
     def succ(self, d: int) -> int:
         """Next dart along the face of d (next of twin)."""
-        return self.next(self._twin[d])
+        return self._succ[d]
 
     def edge_of(self, d: int) -> int:
         return self._edge[d]
@@ -137,9 +149,11 @@ class PlaneGraph:
         return self._face[d]
 
     def table(self, name: str) -> np.ndarray:
-        """Read-only int64 view of a dart or edge table ("head", "twin",
-        "edge", "edge_dart", "eu", ...), for whole-array kernels."""
-        view = np.frombuffer(getattr(self, "_" + name), dtype=np.int64)
+        """Read-only view of a dart or edge table ("head", "twin", "edge",
+        "edge_dart", "eu", ...), for whole-array kernels: int64, but for
+        "succ" int32 below 2**31 darts."""
+        buf = getattr(self, "_" + name)
+        view = np.frombuffer(buf, dtype=buf.typecode)
         view.flags.writeable = False
         return view
 
@@ -196,15 +210,11 @@ class PlaneGraph:
         """edge_between over int64 arrays: the edge between u[i] and v[i],
         or -1 where there is none, also where u[i] or v[i] is no vertex.
 
-        One sorted search over the codes lo*n + hi of the edges.  The edge
-        ids in code order are built on the first call and kept with the
-        graph, in the smallest unsigned type that holds them; eu does not
+        One sorted search over the codes lo*n + hi of the edges.  The
+        graph keeps the edge ids in code order from its build; eu does not
         decrease, so eu*n + ev[order] are the codes in order."""
         n = self.vertex_count
         eu, ev = self.table("eu"), self.table("ev")
-        if self.edge_order is None:
-            order = np.argsort(eu * n + ev)
-            self.edge_order = order.astype(np.min_scalar_type(len(order)))
         ids = self.edge_order
         # A sentinel above every vertex pair's code ends the codes, so
         # every search lands on an entry.
@@ -248,10 +258,10 @@ class PlaneGraph:
         return [self._tail[d] for d in self.face_boundary(f)]
 
     def with_outer_face(self, f: int) -> "PlaneGraph":
-        g = PlaneGraph(self._offsets, self._head, self._tail, self._twin,
-                       self._edge, self._face, self._eu, self._ev,
-                       self._edge_dart, self._face_dart, outer_face=f)
-        return g
+        return PlaneGraph(self._offsets, self._head, self._tail, self._twin,
+                          self._edge, self._face, self._eu, self._ev,
+                          self._edge_dart, self._face_dart, outer_face=f,
+                          succ=self._succ, edge_order=self.edge_order)
 
 
 def build_from_rotation(vertex_count: int, rotation: Sequence[Sequence[int]]) -> PlaneGraph:
@@ -325,7 +335,9 @@ def _build(n: int, lengths: np.ndarray, head: array,
 
     # Twins: each undirected key min*n + max must occur exactly twice, with
     # two different tails.  Sorted keys then come in twin pairs, in either
-    # order, so the sort need not be stable.
+    # order, so the sort need not be stable.  The pairs' keys key[0::2] are
+    # the edge codes eu*n + ev in increasing order, so the edges of the
+    # darts a = order[0::2] are the edge ids in code order.
     key = np.minimum(hd, tl)
     key *= n
     key += np.maximum(hd, tl)
@@ -340,7 +352,7 @@ def _build(n: int, lengths: np.ndarray, head: array,
     twin, tw = _zeros(m2)
     tw[a] = b
     tw[b] = a
-    del order, a, b
+    del b
 
     # Edge e is the e-th u < v dart in dart order.
     n_edges = m2 // 2
@@ -350,6 +362,10 @@ def _build(n: int, lengths: np.ndarray, head: array,
     np.take(tl, ed, out=lo)
     ev, hi = _zeros(n_edges)
     np.take(hd, ed, out=hi)
+    edge, eg = _zeros(m2)
+    eg[ed] = eg[tw[ed]] = np.arange(n_edges, dtype=np.int64)
+    edge_order = _narrow(eg[a])
+    del order, a
 
     # Connectivity: vertex 0's component must hold every vertex.
     root = _components(n, lo, hi)[0]
@@ -360,15 +376,15 @@ def _build(n: int, lengths: np.ndarray, head: array,
 
     # Face orbits under succ.  Pointer doubling gives each dart the least
     # dart of its orbit; faces are numbered in order of that dart.
-    succ = _succ(off, tw)
+    sc = _succ(off, tw)
     lab = np.arange(m2, dtype=np.int64)
-    jump = succ
+    jump = sc
     while True:
         np.minimum(lab, lab[jump], out=lab)
-        if (lab == lab[succ]).all():
+        if (lab == lab[sc]).all():
             break
         jump = jump[jump]
-    del succ, jump
+    del jump
     firsts = np.flatnonzero(lab == np.arange(m2, dtype=np.int64))
     n_faces = len(firsts)
     if n - n_edges + n_faces != 2:
@@ -380,12 +396,11 @@ def _build(n: int, lengths: np.ndarray, head: array,
     fc[firsts] = np.arange(n_faces, dtype=np.int64)
     fc[:] = fc[lab]
     del firsts, lab
-
-    edge, eg = _zeros(m2)
-    eg[ed] = eg[tw[ed]] = np.arange(n_edges, dtype=np.int64)
+    succ = _dart_table(sc)
+    del sc
 
     return PlaneGraph(offsets, head, tail, twin, edge, face, eu, ev,
-                      edge_dart, face_dart)
+                      edge_dart, face_dart, succ=succ, edge_order=edge_order)
 
 
 def _components(n: int, lo: np.ndarray,
@@ -498,8 +513,22 @@ def _succ(offsets: np.ndarray, twin: np.ndarray) -> np.ndarray:
 
 
 def succ_array(g: PlaneGraph) -> np.ndarray:
-    """succ(d) for every dart of g, as a transient int64 array."""
-    return _succ(g.table("offsets"), g.table("twin"))
+    """succ(d) for every dart of g: a read-only view of the table the graph
+    keeps (int32 below 2**31 darts)."""
+    return g.table("succ")
+
+
+def _dart_table(ids: np.ndarray) -> array:
+    """Dart ids as an array("i") buffer below 2**31 darts, otherwise as an
+    array("q"): half the memory of an int64 table for every graph that
+    fits."""
+    code = "i" if len(ids) < 2**31 else "q"
+    return array(code, ids.astype(code).tobytes())
+
+
+def _narrow(ids: np.ndarray) -> np.ndarray:
+    """Edge ids in the smallest unsigned type that holds them."""
+    return ids.astype(np.min_scalar_type(len(ids)))
 
 
 def is_triangulation(g: PlaneGraph) -> bool:

@@ -17,13 +17,14 @@ every compiled instance passes the straight-line non-crossing validation.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     InvalidArgument,
@@ -33,7 +34,7 @@ from .errors import (
     SchemaError,
     StructureMismatch,
 )
-from .geometry import angle_cmp
+from .geometry import angular_order, check_plane, check_rotation
 from .instance_io import Instance, make_instance
 from .plane_graph import build_from_rotation
 
@@ -209,20 +210,20 @@ class GeometryBuilder:
         return key
 
     def rotation(self) -> list[list[int]]:
-        pts = self.coords
-        rot = []
-        for v, (vx, vy) in enumerate(pts):
-            dirs = {w: (pts[w][0] - vx, pts[w][1] - vy) for w in self.adj[v]}
-
-            def cmp(p, q):
-                c = angle_cmp(dirs[p], dirs[q])
-                if c == 0:
-                    raise LayoutInfeasible(
-                        "overlapping edge directions at a vertex")
-                return c
-
-            rot.append(sorted(self.adj[v], key=functools.cmp_to_key(cmp)))
-        return rot
+        """Every vertex's neighbors in counterclockwise order from the
+        positive x axis.  Raises LayoutInfeasible when two edges at a
+        vertex point the same way."""
+        rows = [self.adj[v] for v in range(len(self.coords))]
+        lengths = list(map(len, rows))
+        head = np.fromiter(itertools.chain.from_iterable(rows), np.int64,
+                           sum(lengths))
+        tail = np.repeat(np.arange(len(rows)), lengths)
+        order, tied = angular_order(self.coords, tail, head)
+        if tied:
+            raise LayoutInfeasible("overlapping edge directions at a vertex")
+        flat = head[order].tolist()
+        ends = list(itertools.accumulate(lengths))
+        return [flat[e - m:e] for e, m in zip(ends, lengths)]
 
     def plus_block(self, pole_a: int, pole_b: int, k: int,
                    atlas: GadgetAtlas | None = None,
@@ -268,13 +269,22 @@ class GeometryBuilder:
 
     def build_instance(self, F, k: int, f_structure: str,
                        validate: bool = True) -> Instance:
+        """The instance, its coords as Fractions on the 1/GRID grid.  The
+        geometry check runs on the integer positions: they are the
+        coords times GRID, a positive factor, which changes no sign the
+        check reads."""
         rot = self.rotation()
         graph = build_from_rotation(len(self.coords), rot)
-        coords = [(Fraction(x, GRID), Fraction(y, GRID))
-                  for x, y in self.coords]
-        return make_instance(graph, F, k=k, coords=coords,
-                             f_structure=f_structure,
-                             check_geometry=validate)
+        grid = {c: Fraction(c, GRID)
+                for c in set(itertools.chain.from_iterable(self.coords))}
+        inst = make_instance(graph, F, k=k,
+                             coords=[(grid[x], grid[y])
+                                     for x, y in self.coords],
+                             f_structure=f_structure, check_geometry=False)
+        if validate:
+            check_plane(graph, self.coords)
+            check_rotation(graph, self.coords)
+        return inst
 
 
 # --- layout ----------------------------------------------------------------------

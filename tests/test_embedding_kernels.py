@@ -43,7 +43,7 @@ SLOTS = tuple(s for s in PlaneGraph.__slots__ if s.startswith("_"))
 
 
 def assert_same_graph(got: PlaneGraph, want: PlaneGraph) -> None:
-    assert len(SLOTS) == 10
+    assert len(SLOTS) == 11
     for slot in SLOTS:
         a, b = getattr(got, slot), getattr(want, slot)
         assert (a.typecode, a) == (b.typecode, b), slot

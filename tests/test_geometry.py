@@ -8,9 +8,11 @@ two vertices on one point, so both are compared with that rule,
 from __future__ import annotations
 
 import itertools
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cmp_to_key
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,13 +22,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planeinsert import geometry
-from planeinsert.errors import NonPlaneCoordinates
+from planeinsert.errors import LayoutInfeasible, NonPlaneCoordinates
 from planeinsert.instance_io import make_instance
 from planeinsert.plane_graph import (
     K4_ROTATION,
     build_from_rotation,
     generate_stacked_triangulation,
 )
+from planeinsert.reduction import GeometryBuilder
 
 import geometry_reference as ref
 from fixtures import OCTA_COORDS, octahedron
@@ -369,3 +372,163 @@ def test_zero_length_edges_follow_the_sort():
                 g = build_from_rotation(d + 1, [[1, *rest]] + [[0]] * d)
                 assert (_rotation_outcome(geometry, g, pts)
                         == _rotation_outcome(ref, g, pts))
+
+
+# --- the angular-order kernel against the comparator sort ------------------
+
+# The eight symmetries of the square grid, as maps of a direction.
+SYMMETRIES = tuple(
+    (lambda x, y, sx=sx, sy=sy, swap=swap:
+     ((sy * y, sx * x) if swap else (sx * x, sy * y)))
+    for sx in (1, -1) for sy in (1, -1) for swap in (False, True))
+
+
+def near_parallel(m: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Two directions whose exact cross product is -1 and, for m of 2**29
+    and up, whose float sort keys are equal."""
+    return (m, m - 1), (m - 1, m - 2)
+
+
+def random_stars(seed: int, bound: int, count: int = 30):
+    """Seeded stars: (points, tail, head) with tail not decreasing.  Each
+    centre gets random directions below bound, some of them repeated
+    (scaled by 2), some near-parallel pairs in a random octant, and now and
+    then a leaf on the centre (a zero direction)."""
+    rng = random.Random(seed)
+    pts: list[tuple[int, int]] = []
+    tail: list[int] = []
+    head: list[int] = []
+    for _ in range(count):
+        c = len(pts)
+        cx, cy = rng.randrange(-bound, bound), rng.randrange(-bound, bound)
+        pts.append((cx, cy))
+        dirs: list[tuple[int, int]] = []
+        while len(dirs) < rng.randrange(1, 9):
+            r = rng.random()
+            if r < 0.15 and dirs:
+                x, y = rng.choice(dirs)
+                dirs.append((2 * x, 2 * y) if 2 * max(abs(x), abs(y)) < bound
+                            else (x, y))
+            elif r < 0.3:
+                f = rng.choice(SYMMETRIES)
+                dirs.extend(f(*d) for d in near_parallel(bound - 1))
+            elif r < 0.33:
+                dirs.append((0, 0))
+            else:
+                dirs.append((rng.randrange(-bound, bound),
+                             rng.randrange(-bound, bound)))
+        for dx, dy in dirs:
+            tail.append(c)
+            head.append(len(pts))
+            pts.append((cx + dx, cy + dy))
+    return pts, np.array(tail), np.array(head)
+
+
+def reference_order(pts, tail, head) -> tuple[list[int], list[int]]:
+    """The darts sorted row by row with geometry_reference's angle_cmp, in
+    input order, and the rows whose sort compared two darts as equal."""
+    order: list[int] = []
+    tied: list[int] = []
+    rows = sorted(set(tail.tolist()))
+    for v in rows:
+        darts = np.flatnonzero(tail == v).tolist()
+        met = []
+
+        def cmp(p, q):
+            c = ref.angle_cmp(
+                (pts[head[p]][0] - pts[v][0], pts[head[p]][1] - pts[v][1]),
+                (pts[head[q]][0] - pts[v][0], pts[head[q]][1] - pts[v][1]))
+            met.append(c == 0)
+            return c
+
+        order += sorted(darts, key=cmp_to_key(cmp))
+        if any(met):
+            tied.append(v)
+    return order, tied
+
+
+# bound -> seeds; 2**28 keeps every point below 2**30 (int64), the others
+# are Python ints.
+STAR_RANGES = {2**28: range(12), 2**61: range(12, 18), 2**100: range(18, 21)}
+
+
+def kernel_mismatches() -> list[str]:
+    out = []
+    for bound, seeds in STAR_RANGES.items():
+        for seed in seeds:
+            pts, tail, head = random_stars(seed, bound)
+            dtype = geometry._columns(pts)[0].dtype
+            if dtype != (np.int64 if bound < 2**30 else object):
+                out.append(f"seed {seed}: columns are {dtype}")
+            order, tied = geometry.angular_order(pts, tail, head)
+            want = reference_order(pts, tail, head)
+            if (order.tolist(), tied) != want:
+                out.append(f"seed {seed}: got {order.tolist()}, {tied}; "
+                           f"reference {want}")
+    return out
+
+
+def test_angular_order_matches_the_comparator_sort():
+    assert kernel_mismatches() == []
+
+
+def test_angular_order_matches_without_asserts():
+    # Under -O every assert is gone; the kernel may not rest on one.
+    here = Path(__file__).resolve().parent
+    code = ("import test_geometry as t\n"
+            "print(__debug__)\n"
+            "print('\\n'.join(t.kernel_mismatches()) or 'ok')\n")
+    run = subprocess.run([sys.executable, "-O", "-c", code],
+                         env={"PYTHONPATH": f"{here.parent / 'src'}:{here}"},
+                         cwd=here, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n", 1) == ["False", "ok\n"]
+
+
+def counted_angle_cmp(monkeypatch) -> list:
+    """Wrap geometry.angle_cmp; the list grows by one per call."""
+    calls: list = []
+    original = geometry.angle_cmp
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(geometry, "angle_cmp", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", [2**29, 2**61])
+def test_float_ties_reach_the_exact_fallback(monkeypatch, m):
+    # (m, m - 1) is one unit of cross product counterclockwise of
+    # (m - 1, m - 2), but their float keys are equal, so only the exact
+    # pass can order them.
+    a, b = near_parallel(m)
+    assert a[0] * b[1] - a[1] * b[0] == -1
+    dx, dy = geometry._columns([a, b])
+    keys = geometry._angle_keys(dx, dy).tolist()
+    assert keys[0] == keys[1]
+    calls = counted_angle_cmp(monkeypatch)
+    for leaves in ([a, b, (-1, 0)], [b, a, (-1, 0)], [(0, -1), a, b]):
+        pts = [(0, 0), *leaves]
+        order, tied = geometry.angular_order(pts, np.zeros(3, np.int64),
+                                             np.arange(1, 4))
+        assert [pts[1 + i] for i in order.tolist()] == sorted(
+            leaves, key=cmp_to_key(ref.angle_cmp))
+        assert tied == []
+    assert calls
+
+
+def test_equal_directions_are_reported_and_rejected_by_the_builder():
+    pts = [(0, 0), (3, 5), (6, 10), (-1, 0)]
+    order, tied = geometry.angular_order(pts, np.zeros(3, np.int64),
+                                         np.arange(1, 4))
+    assert tied == [0]
+    b = GeometryBuilder()
+    centre = b.vertex(0, 0, ())
+    for x, y in pts[1:]:
+        b.edge(centre, b.vertex(x, y, ()))
+    with pytest.raises(LayoutInfeasible,
+                       match="^overlapping edge directions at a vertex$"):
+        b.rotation()

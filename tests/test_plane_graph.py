@@ -29,8 +29,10 @@ from planeinsert.plane_graph import (
     build_from_rows,
     complement_pairs,
     generate_stacked_triangulation,
+    _succ,
     is_triangulation,
     sample_complement_edges,
+    succ_array,
 )
 
 from fixtures import (
@@ -41,6 +43,7 @@ from fixtures import (
     delete_edge_rotation,
     octahedron,
 )
+from instance_gen import instance_stream
 
 
 def euler(g):
@@ -163,6 +166,34 @@ def test_edges_between_matches_edge_between():
                                                       v.tolist()))]
         assert g.edges_between(u, v).tolist() == want
         assert g.edges_between(u, v).tolist() == want  # the kept order
+
+
+def stream_graphs():
+    """instance_stream's graphs and a with_outer_face copy of each."""
+    for inst in instance_stream(60):
+        g = inst.graph
+        yield g
+        yield g.with_outer_face(g.face_count - 1)
+
+
+def test_edge_order_is_the_sorted_edge_codes():
+    # The build reads the order off its twin-pairing sort.
+    for g in (*stream_graphs(), cube(), octahedron()):
+        n = g.vertex_count
+        want = np.argsort(g.table("eu") * n + g.table("ev"))
+        assert g.edge_order.tolist() == want.tolist()
+        assert g.edge_order.dtype == np.min_scalar_type(g.edge_count)
+
+
+def test_succ_is_a_read_only_table():
+    for g in (*stream_graphs(), cube()):
+        succ = succ_array(g)
+        want = _succ(g.table("offsets"), g.table("twin"))
+        assert succ.tolist() == want.tolist()
+        assert [g.succ(d) for d in range(g.dart_count)] == want.tolist()
+        assert not succ.flags.writeable
+        with pytest.raises(ValueError):
+            succ[0] = 0
 
 
 class TestApex:

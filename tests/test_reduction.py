@@ -30,6 +30,8 @@ from planeinsert.reduction import (
     write_formula,
 )
 
+from test_geometry import counted_angle_cmp
+
 TWO_VARS_ONE_CLAUSE = MonotoneFormula(2, (Clause("pos", 2, (0, 1)),), (0, 1))
 
 
@@ -263,3 +265,28 @@ def test_compiled_instances_have_the_claimed_structure(shape, variant):
             assert walk[-1] in (u, v)
             walk.append(v if walk[-1] == u else u)
         assert len(set(walk)) == len(walk) == len(inst.F) + 1
+
+
+def test_compile_path_calls_no_comparator(monkeypatch):
+    # The rotations and the geometry check of every relabeling and mirror
+    # image, in both variants, come from the array passes alone: the
+    # comparator sort is only the fallback for rows that float keys
+    # misorder, and on the compiler's grid there are none.
+    calls = counted_angle_cmp(monkeypatch)
+    compiled = 0
+    for shape, (nvars, _) in SHAPES.items():
+        for perm in PERMUTATIONS[nvars]:
+            for mirror in (False, True):
+                for variant in ("path", "matching"):
+                    compile_formula(relabeled(shape, perm, mirror), k=1,
+                                    variant=variant)
+                    compiled += 1
+    assert (compiled, calls) == (28, [])
+    # The counter sees the fallback: two directions whose float angles
+    # are equal reach it.
+    b = GeometryBuilder()
+    centre = b.vertex(0, 0, ())
+    for x, y in ((2**29, 2**29 - 1), (2**29 - 1, 2**29 - 2), (-1, 0)):
+        b.edge(centre, b.vertex(x, y, ()))
+    assert b.rotation()[0] == [2, 1, 3]
+    assert calls
