@@ -9,7 +9,9 @@ an exact pass then checks (see below).
   positive common factor m scales every orientation determinant by m**2,
   every dot product by m**2 and every coordinate comparison by m, so each
   sign, equality and order the checks read is unchanged, and the checks
-  run on integers instead of ``Fraction`` values.
+  run on integers instead of ``Fraction`` values: ``check_drawing``, the
+  plane check and then the rotation check, which the compiler calls
+  directly on the integer grid points it already holds.
 - **Array arithmetic.**  The checks hold the x and y columns in numpy
   arrays.  When every scaled |coordinate| is below 2**30, each difference
   of two coordinates is below 2**31, each product of two differences below
@@ -192,7 +194,12 @@ def check_coords(graph: PlaneGraph,
                  pts: Sequence[tuple[Fraction, Fraction]]) -> None:
     """Raise NonPlaneCoordinates unless the straight-line drawing at pts is
     plane and agrees with the graph's rotation system."""
-    ipts = scale_to_integers(pts)
+    check_drawing(graph, scale_to_integers(pts))
+
+
+def check_drawing(graph: PlaneGraph, ipts: Sequence[tuple[int, int]]) -> None:
+    """check_coords on integer points: raise NonPlaneCoordinates unless the
+    straight-line drawing is plane and agrees with the rotation system."""
     check_plane(graph, ipts)
     check_rotation(graph, ipts)
 

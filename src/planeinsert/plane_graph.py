@@ -94,11 +94,9 @@ class PlaneGraph:
     )
 
     def __init__(self, offsets, head, tail, twin, edge, face, eu, ev,
-                 edge_dart, face_dart, outer_face=0, succ=None,
-                 edge_order=None):
-        """The tables as array("q") buffers (succ as _dart_table makes
-        it).  succ and edge_order, when not given, are computed from the
-        others."""
+                 edge_dart, face_dart, succ, edge_order, outer_face=0):
+        """The tables as array("q") buffers, succ as _dart_table makes it
+        and edge_order as _narrow makes it."""
         self.vertex_count = len(offsets) - 1
         self.edge_count = len(eu)
         self.face_count = len(face_dart)
@@ -113,14 +111,7 @@ class PlaneGraph:
         self._ev = ev
         self._edge_dart = edge_dart
         self._face_dart = face_dart
-        if succ is None:
-            succ = _dart_table(_succ(self.table("offsets"),
-                                     self.table("twin")))
         self._succ = succ
-        if edge_order is None:
-            n = self.vertex_count
-            edge_order = _narrow(np.argsort(self.table("eu") * n
-                                            + self.table("ev")))
         self.edge_order = edge_order
 
     # -- dart primitives ---------------------------------------------------
@@ -260,8 +251,8 @@ class PlaneGraph:
     def with_outer_face(self, f: int) -> "PlaneGraph":
         return PlaneGraph(self._offsets, self._head, self._tail, self._twin,
                           self._edge, self._face, self._eu, self._ev,
-                          self._edge_dart, self._face_dart, outer_face=f,
-                          succ=self._succ, edge_order=self.edge_order)
+                          self._edge_dart, self._face_dart, self._succ,
+                          self.edge_order, outer_face=f)
 
 
 def build_from_rotation(vertex_count: int, rotation: Sequence[Sequence[int]]) -> PlaneGraph:
@@ -400,7 +391,7 @@ def _build(n: int, lengths: np.ndarray, head: array,
     del sc
 
     return PlaneGraph(offsets, head, tail, twin, edge, face, eu, ev,
-                      edge_dart, face_dart, succ=succ, edge_order=edge_order)
+                      edge_dart, face_dart, succ, edge_order)
 
 
 def _components(n: int, lo: np.ndarray,

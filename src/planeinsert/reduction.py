@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
     StructureMismatch,
 )
-from .geometry import angular_order, check_plane, check_rotation
+from .geometry import angular_order, check_drawing
 from .instance_io import Instance, make_instance
 from .plane_graph import build_from_rotation
 
@@ -282,8 +282,7 @@ class GeometryBuilder:
                                      for x, y in self.coords],
                              f_structure=f_structure, check_geometry=False)
         if validate:
-            check_plane(graph, self.coords)
-            check_rotation(graph, self.coords)
+            check_drawing(graph, self.coords)
         return inst
 
 

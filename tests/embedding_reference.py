@@ -1,9 +1,10 @@
 """The embedding layer as it was before its array kernels: a per-row check,
 a per-dart twin scan and a BFS in build_from_rotation, a first-unvisited
-face walk, a per-pair F check, and per-option loops in enumerate_options
-and compute_clashes that look quad edges up by endpoints.  Kept as the
-reference that test_embedding_kernels.py compares the kernels with,
-outputs and error messages alike."""
+face walk that records succ, a sort of the edge codes, a per-pair F
+check, and per-option loops in enumerate_options and compute_clashes that
+look quad edges up by endpoints.  Kept as the reference that
+test_embedding_kernels.py compares the kernels with, outputs and error
+messages alike."""
 
 from __future__ import annotations
 
@@ -110,8 +111,10 @@ def build_from_rotation(vertex_count: int,
     if reached != n:
         raise Disconnected(f"reached {reached} of {n} vertices")
 
-    # Face orbits under next(twin(.)), numbered by first unvisited dart.
+    # Face orbits under succ = next(twin(.)), numbered by first unvisited
+    # dart; the walk records succ in the build's 32-bit table.
     face = array("q", bytes(8 * m2))
+    succ = array("i", bytes(4 * m2))
     visited = bytearray(m2)
     face_dart = array("q")
     for d0 in range(m2):
@@ -127,7 +130,7 @@ def build_from_rotation(vertex_count: int,
             tt = tail[t]
             base = offsets[tt]
             deg = offsets[tt + 1] - base
-            d = base + (t - base + 1) % deg
+            succ[d] = d = base + (t - base + 1) % deg
             if d == d0:
                 break
 
@@ -137,8 +140,12 @@ def build_from_rotation(vertex_count: int,
         raise NotPlanarEmbedding(
             f"V - E + F = {n} - {n_edges} + {n_faces} != 2")
 
+    # The edge ids sorted by their codes eu*n + ev, which are distinct.
+    codes = [eu[e] * n + ev[e] for e in range(n_edges)]
+    edge_order = np.array(sorted(range(n_edges), key=codes.__getitem__),
+                          dtype=np.min_scalar_type(n_edges))
     return PlaneGraph(offsets, head, tail, twin, edge, face, eu, ev,
-                      edge_dart, face_dart)
+                      edge_dart, face_dart, succ, edge_order)
 
 
 def check_f(graph: PlaneGraph, F) -> list[tuple[int, int]]:

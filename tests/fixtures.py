@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from planeinsert import geometry
 from planeinsert.instance_io import make_instance
 from planeinsert.plane_graph import PlaneGraph, build_from_rotation
 
@@ -114,3 +115,16 @@ def delete_edge_rotation(g: PlaneGraph, u: int, v: int) -> list[list[int]]:
     rot[u].remove(v)
     rot[v].remove(u)
     return rot
+
+
+def counted_angle_cmp(monkeypatch) -> list:
+    """Wrap geometry.angle_cmp; the list grows by one per call."""
+    calls: list = []
+    original = geometry.angle_cmp
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(geometry, "angle_cmp", counted)
+    return calls

@@ -47,6 +47,8 @@ def assert_same_graph(got: PlaneGraph, want: PlaneGraph) -> None:
     for slot in SLOTS:
         a, b = getattr(got, slot), getattr(want, slot)
         assert (a.typecode, a) == (b.typecode, b), slot
+    a, b = got.edge_order, want.edge_order
+    assert (a.dtype, a.tolist()) == (b.dtype, b.tolist())
     assert ((got.vertex_count, got.edge_count, got.face_count,
              got.outer_face)
             == (want.vertex_count, want.edge_count, want.face_count,

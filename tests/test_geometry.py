@@ -32,7 +32,7 @@ from planeinsert.plane_graph import (
 from planeinsert.reduction import GeometryBuilder
 
 import geometry_reference as ref
-from fixtures import OCTA_COORDS, octahedron
+from fixtures import OCTA_COORDS, counted_angle_cmp, octahedron
 from plane_reference import _check_plane_coords
 
 # Outer face (2, 1, 3), as in generate_stacked_triangulation.
@@ -484,19 +484,6 @@ def test_angular_order_matches_without_asserts():
                          timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split("\n", 1) == ["False", "ok\n"]
-
-
-def counted_angle_cmp(monkeypatch) -> list:
-    """Wrap geometry.angle_cmp; the list grows by one per call."""
-    calls: list = []
-    original = geometry.angle_cmp
-
-    def counted(a, b):
-        calls.append((a, b))
-        return original(a, b)
-
-    monkeypatch.setattr(geometry, "angle_cmp", counted)
-    return calls
 
 
 @pytest.mark.parametrize("m", [2**29, 2**61])

@@ -30,7 +30,7 @@ from planeinsert.reduction import (
     write_formula,
 )
 
-from test_geometry import counted_angle_cmp
+from fixtures import counted_angle_cmp
 
 TWO_VARS_ONE_CLAUSE = MonotoneFormula(2, (Clause("pos", 2, (0, 1)),), (0, 1))
 
