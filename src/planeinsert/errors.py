@@ -92,10 +92,6 @@ class ReductionStuck(PlaneInsertError):
     nor shrink."""
 
 
-class InvalidRealization(PlaneInsertError):
-    """A realization does not fit the current planarized drawing."""
-
-
 class SearchBudgetExceeded(PlaneInsertError):
     """Internal completeness guard of the verifier ran out of nodes."""
 

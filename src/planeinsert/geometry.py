@@ -69,9 +69,7 @@ an exact pass then checks (see below).
   descent, read from just after it, ascends all the way round.  So one
   array pass compares every dart with its successor in its row with
   ``_angle_sign``, and a row of degree >= 3 fails exactly when its
-  descent count is not 1.  A failing row, or one with a zero-length edge
-  (two adjacent vertices on one point, which only a direct caller can
-  pass, since the plane check rejects them), is then ordered by
+  descent count is not 1.  A failing row is then ordered by
   ``angular_order``, which also builds the message.  Instances without
   coordinates pay nothing.
 """
@@ -347,10 +345,7 @@ def check_rotation(graph: PlaneGraph, pts: Sequence[tuple[int, int]]) -> None:
     nxt = np.where(d + 1 == offsets[tail + 1], offsets[tail], d + 1)
     dx, dy = X[head] - X[tail], Y[head] - Y[tail]
     descent = _angle_sign(dx, dy, dx[nxt], dy[nxt]) > 0
-    n = graph.vertex_count
-    zero = (dx == 0) & (dy == 0)
-    suspect = ((np.bincount(tail[descent], minlength=n) != 1)
-               | (np.bincount(tail[zero], minlength=n) > 0))
+    suspect = np.bincount(tail[descent], minlength=graph.vertex_count) != 1
     suspect &= np.diff(offsets) >= 3
     if not suspect.any():
         return

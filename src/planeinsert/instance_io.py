@@ -284,8 +284,7 @@ def _norm(pair) -> tuple[int, int]:
 
 
 def make_instance(graph: PlaneGraph, F, k: int = 1, coords=None,
-                  f_structure: str = "none",
-                  check_geometry: bool = True) -> Instance:
+                  f_structure: str = "none") -> Instance:
     """Validate and freeze an instance built in memory.  F is a sequence
     of integer pairs or an (m, 2) int64 array; Instance.F holds its pairs
     as exact ints, each in the orientation given, and k as an exact int."""
@@ -313,8 +312,7 @@ def make_instance(graph: PlaneGraph, F, k: int = 1, coords=None,
                               f"{exc}") from exc
         if len(pts) != n:
             raise SchemaError("coords length != vertex count")
-        if check_geometry:
-            check_coords(graph, pts)
+        check_coords(graph, pts)
     return Instance(graph, pts, fpairs, k, f_structure)
 
 

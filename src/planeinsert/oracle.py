@@ -10,17 +10,22 @@ planarization for any k, in input order with canonical branching, and is
 complete within its node budget: Infeasible is only reported after the
 whole space is exhausted.  Budgets count search nodes (realizations
 inserted) only, never wall-clock time, so a seeded verdict does not depend
-on the machine.
+on the machine.  It and iter_solutions run the verifier's own replay,
+PlanarizedDrawing.search, with no routes pinned, and read each answer off
+the drawing it leaves (the owner of each crossed dart, a graph edge's
+ends) straight into Solution columns.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from ._rng import Lcg64
 from .errors import SearchBudgetExceeded, SearchSpaceTooLarge
-from .instance_io import CrossingEvent, Instance, Route, Solution
-from .search import backtrack
+from .instance_io import GRAPH_EDGE, INSERTED, Instance, Solution
+from .plane_graph import _int_arg
 from .tri_insert import (
     certificate,
     compute_clashes,
@@ -35,6 +40,7 @@ def exact_solve_triangulation(inst: Instance, guard: int = 10_000_000
                               ) -> Solution | Verdict:
     """First clash-free option assignment in lexicographic order; raises
     SearchSpaceTooLarge when the option product exceeds guard."""
+    guard = _int_arg("guard", guard)
     catalog = enumerate_options(inst)
     clashes = compute_clashes(catalog)
     space = 1
@@ -57,57 +63,37 @@ def exact_solve_triangulation(inst: Instance, guard: int = 10_000_000
 # --- general search ----------------------------------------------------------
 
 
-def _route_of(pd: PlanarizedDrawing, inst: Instance, f: int,
-              crossings) -> Route:
-    events = []
-    for d in crossings:
-        logical = pd.owner[d >> 1]
-        if logical < pd.graph_edges:
-            a, b = inst.graph.edge_endpoints(logical)
-            events.append(CrossingEvent("graph_edge",
-                                        (a, b) if a < b else (b, a)))
-        else:
-            events.append(CrossingEvent("inserted",
-                                        logical - pd.graph_edges))
-    return Route(f, tuple(events))
-
-
-def _search(inst: Instance, node_budget: int,
-            rng: Lcg64 | None = None) -> Iterator[list[Route]]:
-    """Routes of every complete realization, depth-first in input order;
-    raises SearchBudgetExceeded past node_budget insertions."""
-    pd = PlanarizedDrawing(inst)
-    routes: list[Route] = []
-    tokens: list[int] = []
-
-    def choices(i: int):
-        u, v = inst.F[i]
-        return pd.enumerate_realizations(u, v, None, inst.k, rng=rng)
-
-    def enter(i: int, real) -> None:
-        tokens.append(pd.insert(*inst.F[i], real))
-        routes.append(_route_of(pd, inst, i, real.crossings))
-
-    def leave(i: int) -> None:
-        routes.pop()
-        pd.undo(tokens.pop())
-
-    for _ in backtrack(len(inst.F), choices, enter, leave, node_budget):
-        yield routes
+def _answer(pd: PlanarizedDrawing, reals) -> Solution:
+    """The solution of the realizations in force, read off the drawing: a
+    crossed dart's owner is the logical edge it crosses, and a graph edge's
+    ends are its endpoints, smaller first."""
+    E = pd.graph_edges
+    logical = np.array([pd.owner[d >> 1] for r in reals for d in r.crossings],
+                       np.int64)
+    inserted = logical >= E
+    ends = np.array(pd.ends[:E], np.int64).reshape(-1, 2)[
+        np.where(inserted, 0, logical)]
+    return Solution.from_columns(
+        np.cumsum([0, *(len(r.crossings) for r in reals)]),
+        np.where(inserted, INSERTED, GRAPH_EDGE),
+        np.where(inserted, logical - E, ends[:, 0]),
+        np.where(inserted, -1, ends[:, 1]))
 
 
 def exact_solve_general(inst: Instance, node_budget: int = 10_000_000,
                         seed: int | None = None) -> Solution | Verdict:
     """Complete search for any k on small instances; BUDGET_EXCEEDED past
     node_budget inserted realizations."""
-    rng = Lcg64(seed) if seed is not None else None
+    node_budget = _int_arg("node_budget", node_budget)
+    rng = None if seed is None else Lcg64(_int_arg("seed", seed))
+    pd = PlanarizedDrawing(inst)
     try:
-        routes = next(_search(inst, node_budget, rng), None)
+        reals = next(pd.search(inst.F, None, rng, node_budget), None)
     except SearchBudgetExceeded:
         return Verdict.BUDGET_EXCEEDED
-    if routes is None:
+    if reals is None:
         return Verdict.INFEASIBLE
-    sol = Solution(tuple(routes))
+    sol = _answer(pd, reals)
     check = verify(inst, sol)
     # Internal invariant: the routes name the crossings of realizations that
     # were inserted within budget, never of an adjacent or repeated edge,
@@ -118,21 +104,18 @@ def exact_solve_general(inst: Instance, node_budget: int = 10_000_000,
 
 def iter_solutions(inst: Instance,
                    node_budget: int = 10_000_000) -> Iterator[Solution]:
-    """All solutions, deduplicated by route signature; complete enumeration.
+    """All solutions, each once; complete enumeration.
 
     Raises SearchSpaceTooLarge when the node budget runs out before the
     space is exhausted, so callers never mistake a truncated enumeration
     for a complete one.
     """
-    seen: set[tuple] = set()
-    out: list[Solution] = []
+    node_budget = _int_arg("node_budget", node_budget)
+    pd = PlanarizedDrawing(inst)
     try:
-        for routes in _search(inst, node_budget):
-            sig = tuple(r.events for r in routes)
-            if sig not in seen:
-                seen.add(sig)
-                out.append(Solution(tuple(routes)))
+        found = dict.fromkeys(_answer(pd, reals) for reals in
+                              pd.search(inst.F, None, None, node_budget))
     except SearchBudgetExceeded as exc:
         raise SearchSpaceTooLarge(
             f"enumeration exceeded {node_budget} nodes") from exc
-    return iter(out)
+    return iter(found)

@@ -21,7 +21,7 @@ import itertools
 import json
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .geometry import angular_order, check_drawing
 from .instance_io import Instance, make_instance
-from .plane_graph import build_from_rotation
+from .plane_graph import _int_arg, build_from_rotation
 
 
 # --- formulas ----------------------------------------------------------------
@@ -275,15 +275,13 @@ class GeometryBuilder:
         check reads."""
         rot = self.rotation()
         graph = build_from_rotation(len(self.coords), rot)
-        grid = {c: Fraction(c, GRID)
-                for c in set(itertools.chain.from_iterable(self.coords))}
-        inst = make_instance(graph, F, k=k,
-                             coords=[(grid[x], grid[y])
-                                     for x, y in self.coords],
-                             f_structure=f_structure, check_geometry=False)
+        inst = make_instance(graph, F, k=k, f_structure=f_structure)
         if validate:
             check_drawing(graph, self.coords)
-        return inst
+        grid = {c: Fraction(c, GRID)
+                for c in set(itertools.chain.from_iterable(self.coords))}
+        return replace(
+            inst, coords=tuple((grid[x], grid[y]) for x, y in self.coords))
 
 
 # --- layout ----------------------------------------------------------------------
@@ -429,8 +427,8 @@ def compile_formula(formula: MonotoneFormula, k: int = 1,
     validate_formula(formula)
     if variant not in ("path", "matching"):
         raise StructureMismatch(f"unknown variant {variant!r}")
-    if k != 1:
-        raise KNotOne(f"the compiler builds k = 1 only, not k={k}")
+    if _int_arg("k", k) != 1:
+        raise KNotOne(f"the compiler builds k = 1 only, not k={k!r}")
     lay = _layout(formula)
     b = GeometryBuilder()
     atlas = GadgetAtlas()

@@ -35,6 +35,15 @@ the other face of the edge, reuse those walks: a route that crosses one
 edge walks two faces.  Unpinned searches, and routes that cross nothing,
 still try every corner at u.
 
+``search`` is the one replay over the edges of F: it inserts them
+depth-first with ``search.backtrack``, one realization at a time, and
+yields the realizations in force whenever all of F is drawn.  ``verify``
+runs it with every route pinned to the logical edges the route names;
+the general oracles run it unpinned.  Before the replay, ``verify``'s
+static pass checks the routes in whole-array passes and, when one fails,
+names its rejection from the masks it built: the route's budget first,
+then its first failing event.
+
 ``insert`` writes the new edge in place and journals one record,
 ``(u, start_pos, v, end_pos, edges_before, vertices_before, splits)``,
 with one ``(d, a, pos_a, b, pos_b, owner, seg_idx, seg_dart)`` tuple per
@@ -49,14 +58,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from ._rng import Lcg64
-from .errors import InvalidRealization
 from .instance_io import INSERTED, Instance, Solution
-from .plane_graph import PlaneGraph
+from .plane_graph import PlaneGraph, _int_arg
 from .search import backtrack
 
 
@@ -300,6 +308,37 @@ class PlanarizedDrawing:
                 segments[L][idx:idx + 2] = [s]
                 count[L] -= 1
 
+    # -- replay ------------------------------------------------------------------
+
+    def search(self, F: Sequence[tuple[int, int]],
+               pinned: Sequence[Sequence[int]] | None, rng: Lcg64 | None,
+               node_budget: int) -> Iterator[list[Realization]]:
+        """Insert the edges of F depth-first, edge i crossing the logical
+        edges pinned[i] in order or, with pinned None, any within budget.
+        At each joint realization, yields the realizations in force, one
+        per edge, which the drawing holds until the search resumes (or for
+        good if the caller stops).  self.deepest is the deepest edge
+        reached.  Raises SearchBudgetExceeded past node_budget inserts."""
+        self.deepest = 0
+        reals: list[Realization] = []
+        tokens: list[int] = []
+
+        def choices(i: int) -> list[Realization]:
+            self.deepest = max(self.deepest, i)
+            return self.enumerate_realizations(
+                *F[i], None if pinned is None else pinned[i], self.k, rng)
+
+        def enter(i: int, real: Realization) -> None:
+            tokens.append(self.insert(*F[i], real))
+            reals.append(real)
+
+        def leave(i: int) -> None:
+            reals.pop()
+            self.undo(tokens.pop())
+
+        for _ in backtrack(len(F), choices, enter, leave, node_budget):
+            yield reals
+
     # -- validation (tests) -------------------------------------------------------
 
     def validate(self) -> None:
@@ -326,39 +365,6 @@ class PlanarizedDrawing:
             assert len(segs) == self.count[logical] + 1 or not segs
 
 
-def planarize_insert(pd: PlanarizedDrawing, f_edge: tuple[int, int],
-                     real: Realization) -> int:
-    """Spec-level wrapper: insert one edge along a realization.
-
-    Raises InvalidRealization when the realization does not fit the current
-    drawing (stale corners, reused segments, or a broken face walk)."""
-    u, v = f_edge
-    try:
-        _check_realization(pd, u, v, real)
-    except (IndexError, ValueError) as exc:
-        raise InvalidRealization(str(exc)) from exc
-    return pd.insert(u, v, real)
-
-
-def _check_realization(pd: PlanarizedDrawing, u: int, v: int,
-                       real: Realization) -> None:
-    if not (0 <= real.start_pos < len(pd.rot[u])):
-        raise InvalidRealization("start corner out of range")
-    if len(set(d >> 1 for d in real.crossings)) != len(real.crossings):
-        raise InvalidRealization("segment reused within route")
-    corner = pd.rot[u][real.start_pos]
-    for d in real.crossings:
-        if d not in pd.face_cycle(corner):
-            raise InvalidRealization("crossing dart not on current face")
-        corner = d ^ 1
-    final = pd.face_cycle(corner)
-    ends = [d for d in final if pd.tail(d) == v]
-    if not (0 <= real.end_pos < len(pd.rot[v])):
-        raise InvalidRealization("end corner out of range")
-    if pd.rot[v][real.end_pos] not in ends:
-        raise InvalidRealization("end corner not on final face")
-
-
 # --- verify -------------------------------------------------------------------
 
 
@@ -367,52 +373,37 @@ def verify(inst: Instance, sol: Solution, seed: int | None = None,
     """Replay a solution; Accepted iff some joint realization of all routes
     exists and every edge ends with at most k crossings.  Raises
     SearchBudgetExceeded past node_budget inserted realizations."""
+    rng = None if seed is None else Lcg64(_int_arg("seed", seed))
+    node_budget = _int_arg("node_budget", node_budget)
     m = len(inst.F)
     if len(sol.start) - 1 != m:
         return VerifyResult(False, "no_realization", None,
                             f"{len(sol.start) - 1} routes for {m} edges")
-    k = inst.k
     logical = _static_pass(inst, sol)
     if isinstance(logical, VerifyResult):
         return logical
     start = sol.start.tolist()
-
+    pinned = [logical[s:e] for s, e in zip(start, start[1:])]
     pd = PlanarizedDrawing(inst)
-    rng = Lcg64(seed) if seed is not None else None
-    tokens: list[int] = []
-    deepest = 0
-
-    def choices(i: int) -> list[Realization]:
-        nonlocal deepest
-        deepest = max(deepest, i)
-        u, v = inst.F[i]
-        pinned = logical[start[i]:start[i + 1]]
-        return pd.enumerate_realizations(u, v, pinned, len(pinned), rng=rng)
-
-    def enter(i: int, real: Realization) -> None:
-        tokens.append(pd.insert(*inst.F[i], real))
-
-    def leave(i: int) -> None:
-        pd.undo(tokens.pop())
-
-    for _ in backtrack(m, choices, enter, leave, node_budget):
+    for _ in pd.search(inst.F, pinned, rng, node_budget):
         # Internal invariant: a pinned route bumps exactly the edges it
         # names and itself, so the counts are the static pass's, all <= k.
-        assert max(pd.count, default=0) <= k
+        assert max(pd.count, default=0) <= inst.k
         return VerifyResult(True)
-    return VerifyResult(False, "no_realization", deepest,
+    return VerifyResult(False, "no_realization", pd.deepest,
                         "no joint realization of the routes")
 
 
 def _static_pass(inst: Instance, sol: Solution) -> list[int] | VerifyResult:
     """Every event's logical id (graph edge e is e, inserted edge i is
-    E + i), or the rejection of the first route over its budget or naming
-    a non-edge, one edge twice, or an edge sharing an endpoint with its
-    own, and then of the first logical edge crossed more than k times.
+    E + i), or the rejection of the first failing route, then of the first
+    logical edge crossed more than k times.  A route fails over its budget,
+    else at its first event naming a non-edge, an edge it already named,
+    or an edge sharing an endpoint with its own, checked in that order.
 
     The checks are array passes; a graph-edge event is resolved by one
-    sorted search over the edge codes.  When a route fails, _route_error
-    scans it event by event for the rejection."""
+    sorted search over the edge codes, and a repeat is an event that a
+    stable sort of the (route, logical) codes puts after an equal one."""
     g, k, m = inst.graph, inst.k, len(inst.F)
     edges = g.edge_count
     start, kind, a, b = sol.start, sol.kind, sol.a, sol.b
@@ -427,16 +418,27 @@ def _static_pass(inst: Instance, sol: Solution) -> list[int] | VerifyResult:
     la = np.where(inserted, fuv[index, 0], a)
     lb = np.where(inserted, fuv[index, 1], b)
     u, v = fuv[route, 0], fuv[route, 1]
-    bad = (logical < 0) | (la == u) | (la == v) | (lb == u) | (lb == v)
-    failing = route[bad]
-    # A logical edge twice in a route: two equal (route, logical) codes.
-    named = ~bad
-    code = np.sort(route[named] * (edges + m) + logical[named])
-    twice = code[1:] == code[:-1]
-    failing = np.concatenate((failing, code[1:][twice] // (edges + m),
-                              np.flatnonzero(length > k)))
+    nonedge = logical < 0
+    adjacent = (la == u) | (la == v) | (lb == u) | (lb == v)
+    code = route * (edges + m + 1) + logical + 1
+    order = np.argsort(code, kind="stable")
+    repeat = np.zeros(len(code), bool)
+    repeat[order[1:]] = code[order[1:]] == code[order[:-1]]
+    fail = nonedge | repeat | adjacent
+    over = length > k
+    failing = np.concatenate((route[fail], np.flatnonzero(over)))
     if len(failing):
-        return _route_error(inst, sol, int(failing.min()))
+        i = int(failing.min())
+        if over[i]:
+            return VerifyResult(False, "crossing_budget_exceeded", i,
+                                f"inserted edge {i} would cross "
+                                f"{length[i]} times")
+        # Routes run in order, so route i holds the first failing event.
+        j = int(fail.argmax())
+        detail = (f"({a[j]},{b[j]}) is not a graph edge" if nonedge[j]
+                  else "route crosses one edge twice" if repeat[j]
+                  else "route crosses an adjacent edge")
+        return VerifyResult(False, "no_realization", i, detail)
     count = np.bincount(logical, minlength=edges + m)
     count[edges:] += length
     over = np.flatnonzero(count > k)
@@ -447,35 +449,3 @@ def _static_pass(inst: Instance, sol: Solution) -> list[int] | VerifyResult:
         return VerifyResult(False, "crossing_budget_exceeded", None,
                             f"{detail} crossed {count[e]} > {k} times")
     return logical.tolist()
-
-
-def _route_error(inst: Instance, sol: Solution, i: int) -> VerifyResult:
-    """The rejection of route i, which failed a check of _static_pass
-    while every route before it passed: its checks in turn, event by
-    event."""
-    g, k = inst.graph, inst.k
-    u, v = inst.F[i]
-    s, e = sol.start[i:i + 2].tolist()
-    if e - s > k:
-        return VerifyResult(False, "crossing_budget_exceeded", i,
-                            f"inserted edge {i} would cross {e - s} times")
-    named: set[int] = set()
-    for kind, a, b in zip(sol.kind[s:e].tolist(), sol.a[s:e].tolist(),
-                          sol.b[s:e].tolist()):
-        if kind == INSERTED:
-            logical = g.edge_count + a
-            la, lb = inst.F[a]
-        else:
-            logical = g.edge_between(a, b)
-            if logical is None:
-                return VerifyResult(False, "no_realization", i,
-                                    f"({a},{b}) is not a graph edge")
-            la, lb = a, b
-        if logical in named:
-            return VerifyResult(False, "no_realization", i,
-                                "route crosses one edge twice")
-        if la in (u, v) or lb in (u, v):
-            return VerifyResult(False, "no_realization", i,
-                                "route crosses an adjacent edge")
-        named.add(logical)
-    raise AssertionError(f"route {i} passed every per-event check")

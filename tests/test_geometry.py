@@ -7,7 +7,6 @@ two vertices on one point, so both are compared with that rule,
 
 from __future__ import annotations
 
-import itertools
 import random
 import subprocess
 import sys
@@ -232,14 +231,6 @@ REFERENCE = SimpleNamespace(check_plane=_reference_plane,
                             check_rotation=ref.check_rotation)
 
 
-def _rotation_outcome(checks, g, pts) -> str:
-    try:
-        checks.check_rotation(g, pts)
-    except NonPlaneCoordinates as exc:
-        return str(exc)
-    return "ok"
-
-
 def difference(case) -> str | None:
     name, pts = case
     g = GRAPHS[name][0]
@@ -356,22 +347,6 @@ def test_conflict_arrays_match_segments_conflict(quads, scale):
     ends = [(X[k::4], Y[k::4]) for k in range(4)]
     got = geometry._conflicts(*ends).tolist()
     assert got == [ref.segments_conflict(*q) for q in quads]
-
-
-def test_zero_length_edges_follow_the_sort():
-    # A star whose leaf 1 sits on the centre: the zero direction compares
-    # equal to the whole lower half-plane, so the sort, not the descent
-    # count, decides.  check_plane rejects the drawing (two vertices on
-    # one point), so the rotation checks are compared on their own.
-    compass = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1),
-               (1, -1)]
-    for d in (3, 4):
-        for leaves in itertools.combinations(compass, d - 1):
-            pts = [(0, 0), (0, 0), *leaves]
-            for rest in itertools.permutations(range(2, d + 1)):
-                g = build_from_rotation(d + 1, [[1, *rest]] + [[0]] * d)
-                assert (_rotation_outcome(geometry, g, pts)
-                        == _rotation_outcome(ref, g, pts))
 
 
 # --- the angular-order kernel against the comparator sort ------------------

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from planeinsert.errors import SearchSpaceTooLarge
-from planeinsert.instance_io import Solution, make_instance
+from planeinsert.errors import InvalidArgument, SearchSpaceTooLarge
+from planeinsert.instance_io import Solution, make_instance, write_solution
 from planeinsert.oracle import (
     exact_solve_general,
     exact_solve_triangulation,
     iter_solutions,
 )
+from planeinsert.plane_graph import complement_pairs
 from planeinsert.tri_insert import solve
 from planeinsert.verdicts import Verdict
 from planeinsert.verifier import verify
@@ -39,6 +42,12 @@ class TestTriangulationOracle:
         inst = make_instance(octahedron(), [(0, 5), (1, 3), (2, 4)])
         with pytest.raises(SearchSpaceTooLarge):
             exact_solve_triangulation(inst, guard=10)
+
+    @pytest.mark.parametrize("guard", [None, "10", 10.0, True])
+    def test_guard_must_be_an_integer(self, guard):
+        inst = make_instance(octahedron(), [(0, 5), (1, 3), (2, 4)])
+        with pytest.raises(InvalidArgument):
+            exact_solve_triangulation(inst, guard=guard)
 
     def test_past_recursion_depth(self):
         # Every edge has one option, so the only assignment is the solver's.
@@ -103,7 +112,52 @@ class TestGeneralOracle:
         # Feasible pairs of options: 4x4 minus clashing pairs (2 per option).
         assert len(sols) == 8
 
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": 1.5}, {"seed": "1"}, {"seed": True}, {"node_budget": "5"},
+        {"node_budget": None}, {"node_budget": 10.0}])
+    def test_search_arguments_must_be_integers(self, kwargs):
+        inst = make_instance(octahedron(), [(0, 5), (1, 3)])
+        with pytest.raises(InvalidArgument):
+            exact_solve_general(inst, **kwargs)
+        if "node_budget" in kwargs:
+            with pytest.raises(InvalidArgument):
+                iter_solutions(inst, **kwargs)
+
     def test_iter_solutions_budget(self):
         inst = make_instance(octahedron(), [(0, 5), (1, 3)])
         with pytest.raises(SearchSpaceTooLarge):
             list(iter_solutions(inst, node_budget=1))
+
+
+def general_answers():
+    """exact_solve_general on the cube and the octahedron with their full
+    complements, at k = 1 and 2, unseeded and seeded, and every answer of
+    iter_solutions for two crossing diagonals of a cube face (some cross
+    the inserted edge); then on a stream of small instances, each followed
+    by every answer of iter_solutions and their count."""
+    for k in (1, 2):
+        for g in (cube(), octahedron()):
+            inst = make_instance(g, complement_pairs(g), k=k)
+            for seed in (None, 0, 1):
+                yield exact_solve_general(inst, seed=seed)
+        yield from iter_solutions(make_instance(cube(), [(0, 2), (1, 3)],
+                                                k=k))
+    for inst in instance_stream(300):
+        yield exact_solve_general(inst)
+        sols = list(iter_solutions(inst))
+        yield from sols
+        yield str(len(sols))
+
+
+def test_general_oracle_answers_are_pinned():
+    # sha256 over the answers in order: the write_solution text of a
+    # solution, the verdict's name, or a count.  A change to the search
+    # order, the realization order or the reading of an answer off the
+    # drawing shows here.
+    digest = hashlib.sha256()
+    for answer in general_answers():
+        text = (write_solution(answer) if isinstance(answer, Solution)
+                else answer if isinstance(answer, str) else answer.name)
+        digest.update(text.encode("utf-8"))
+    assert digest.hexdigest() == (
+        "dc4fdc7cd960c809aeca91b7fcb3a8cab2295d3905145d89fb0eaf788f7f0373")

@@ -63,8 +63,13 @@ def test_compiled_instance_roundtrips_and_rejects_a_moved_vertex(variant,
     ({"k": 2}, KNotOne),
     ({"k": 3}, KNotOne),
     ({"k": 4}, KNotOne),
+    ({"k": True}, InvalidArgument),
+    ({"k": 1.0}, InvalidArgument),
+    ({"k": "1"}, InvalidArgument),
+    ({"k": None}, InvalidArgument),
     ({"variant": "cycle"}, StructureMismatch),
-], ids=["k=0", "k=2", "k=3", "k=4", "variant=cycle"])
+], ids=["k=0", "k=2", "k=3", "k=4", "k=True", "k=1.0", "k='1'", "k=None",
+        "variant=cycle"])
 def test_compile_rejects_unbuilt_arguments(kwargs, error):
     with pytest.raises(error):
         compile_formula(TWO_VARS_ONE_CLAUSE, validate=False, **kwargs)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from planeinsert.errors import (
-    InvalidRealization,
+    InvalidArgument,
     SchemaError,
     SearchBudgetExceeded,
 )
@@ -21,10 +21,8 @@ from planeinsert.instance_io import (
 from planeinsert.tri_insert import solve
 from planeinsert.verifier import (
     PlanarizedDrawing,
-    Realization,
     VerifyResult,
     _static_pass,
-    planarize_insert,
     verify,
 )
 
@@ -138,6 +136,15 @@ class TestVerify:
         with pytest.raises(SearchBudgetExceeded):
             verify(inst, good, node_budget=1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": 1.5}, {"seed": "1"}, {"seed": True}, {"node_budget": "5"},
+        {"node_budget": None}, {"node_budget": 10.0}])
+    def test_search_arguments_must_be_integers(self, kwargs):
+        inst = octa_instance()
+        good = Solution((route(0, (1, 2)), route(1, (0, 4)), route(2, (5, 3))))
+        with pytest.raises(InvalidArgument):
+            verify(inst, good, **kwargs)
+
     def test_solver_certificate_past_recursion_depth(self):
         # One route per search level: more than Python's default recursion
         # limit of 1,000 levels.
@@ -189,22 +196,6 @@ class TestEngine:
         pd.validate()
         assert pd.vertex_count() == v0
         assert pd.edge_count() == e0
-
-    def test_realization_reusing_segment_invalid(self):
-        inst = octa_instance(F=[(0, 5)])
-        pd = PlanarizedDrawing(inst)
-        e12 = inst.graph.edge_between(1, 2)
-        d = 2 * e12
-        fake = Realization(0, (d, d), 0)
-        with pytest.raises(InvalidRealization):
-            planarize_insert(pd, (0, 5), fake)
-
-    def test_stale_corner_invalid(self):
-        inst = octa_instance(F=[(0, 5)])
-        pd = PlanarizedDrawing(inst)
-        fake = Realization(99, (), 0)
-        with pytest.raises(InvalidRealization):
-            planarize_insert(pd, (0, 5), fake)
 
     def test_undo_restores_exactly(self):
         inst = octa_instance()
