@@ -10,6 +10,11 @@ downward literal edges are crossed.  The paper's construction for k >= 2
 adds (k-1)x(k-1) grids and lane edges that give every literal edge k-1
 forced crossings; those are not built here.
 
+At each variable side one sort orders the clause legs: clauses ending or
+lying wholly there by increasing layer, the one passing through, those
+starting there by decreasing layer.  This is the planarity order of planar
+rectilinear 3-SAT; ``_layout`` shows that these slots lose no layout.
+
 Geometry is exact: joints at integer positions, block internals at
 integers on the 1/24 grid, rotations derived by exact angular sorting, so
 every compiled instance passes the straight-line non-crossing validation.
@@ -92,9 +97,9 @@ def evaluate_formula(f: MonotoneFormula, assignment: list[bool]) -> bool:
 
 
 def formula_satisfiable(f: MonotoneFormula) -> bool:
-    return any(evaluate_formula(f, list(bits))
-               for bits in itertools.product([False, True],
-                                             repeat=f.variables))
+    return any(evaluate_formula(f, [bool(bits >> v & 1)
+                                    for v in range(f.variables)])
+               for bits in range(1 << f.variables))
 
 
 def parse_formula(text: str) -> MonotoneFormula:
@@ -261,11 +266,11 @@ class GeometryBuilder:
         for row in range(k + 1):
             self.edge(pole_a, grid[0][row])
             self.edge(pole_b, grid[k][row])
+        ids = [v for col in grid for v in col]
         if atlas is not None:
-            ids = [v for col in grid for v in col]
             atlas.plus_blocks.append({
                 "poles": (pole_a, pole_b), "grid": ids, "k": k})
-        return [v for col in grid for v in col]
+        return ids
 
     def build_instance(self, F, k: int, f_structure: str,
                        validate: bool = True) -> Instance:
@@ -328,6 +333,22 @@ def _occurrences(formula: MonotoneFormula):
 
 
 def _layout(formula: MonotoneFormula) -> _Layout:
+    """Seat the clause legs, one sort per variable side, and check with one
+    stack pass per side that the clauses nest like brackets; otherwise
+    raise LayoutInfeasible naming the two clauses at fault.
+
+    At each variable v the legs take slots 0, 1, ... in the leg order of
+    the module docstring, a whole clause after the ending ones of its
+    layer, a clause's legs adjacent in leg order, and unused slots last.
+    Columns are at least 4 units apart, so a layout is valid exactly when
+    each inner clause lies between two legs of an outer one of a higher
+    layer.  That forces the order of all but the whole clauses: of two
+    clauses ending at v the inner one is lower and has its legs first, of
+    two starting there last, and a passing clause holds every other leg
+    at v.  Where the sort puts a whole clause it lies only inside the
+    clauses ending at v above its layer and those reaching across v,
+    which hold it in every layout; adjacent legs only drop containments.
+    So the sort finds a layout whenever any slot assignment does."""
     occ = _occurrences(formula)
     n = formula.variables
     a = [1] * n
@@ -342,79 +363,55 @@ def _layout(formula: MonotoneFormula) -> _Layout:
         x += 4 * a[v] + 2
     width = x - 1  # drop the trailing link unit after the last gadget
 
-    def slot_x(v: int, j: int) -> int:
-        return bases[v] + 4 * j + 2
+    clauses = formula.clauses
+    span = [(min(pos_of[v] for v in c.literals),
+             max(pos_of[v] for v in c.literals)) for c in clauses]
 
-    keys = sorted(occ.keys(), key=lambda kv: (pos_of[kv[0]], kv[1]))
-    perm_space = 1
-    choices = []
-    for key in keys:
-        v, _side = key
-        count = len(occ[key])
-        perms = list(itertools.permutations(range(a[v]), count))
-        choices.append(perms)
-        perm_space *= len(perms)
+    def rank(p: int, ci: int, leg: int) -> tuple:
+        lo, hi = span[ci]
+        if p == hi:
+            return (0, clauses[ci].layer, lo == hi, ci, leg)
+        if p > lo:
+            return (1, ci, leg)
+        return (2, -clauses[ci].layer, ci, leg)
 
-    def try_assign(assignment) -> _Layout | None:
-        col_of_leg: dict[tuple[int, int], _Column] = {}
-        columns: list[_Column] = []
-        used = {}
-        for key, slots in zip(keys, assignment):
-            v, side = key
-            for (ci, leg), j in zip(occ[key], slots):
-                c = formula.clauses[ci]
-                col = _Column(v, side, j, slot_x(v, j), ci, c.layer, leg)
-                columns.append(col)
-                col_of_leg[(ci, leg)] = col
-                used[(v, side, j)] = col
-        placements = []
-        for ci, c in enumerate(formula.clauses):
-            side = 1 if c.polarity == "pos" else -1
-            legs = sorted(col_of_leg[(ci, leg)].x for leg in range(3))
-            p0, p6 = legs[0] - 1, legs[2] + 1
-            p2 = (legs[0] + legs[1]) // 2
-            p4 = (legs[1] + legs[2]) // 2
-            p = [p0, legs[0], p2, legs[1], p4, legs[2], p6]
-            if len(set(p)) != 7 or sorted(p) != p:
-                return None
-            placements.append(_Placement(ci, side, c.layer, legs, p))
-        for g1 in placements:
-            for g2 in placements:
-                if g1.clause == g2.clause or g1.side != g2.side:
-                    continue
-                if g1.layer == g2.layer:
-                    if not (g1.p[6] < g2.p[0] or g2.p[6] < g1.p[0]):
-                        return None
-                elif g1.layer > g2.layer:
-                    # g1's legs pass through g2's layer.
-                    for x_ in g1.legs:
-                        if g2.p[0] < x_ < g2.p[6]:
-                            return None
-        # Unused slots become stub columns reaching the empty layer.
-        for v in range(n):
-            for side in (1, -1):
-                taken = {c.slot for c in columns
-                         if c.var == v and c.side == side}
-                for j in range(a[v]):
-                    if j not in taken:
-                        columns.append(_Column(v, side, j, slot_x(v, j),
-                                               None, 1, None))
-        max_layer = {1: 1, -1: 1}
-        for c in columns:
-            max_layer[c.side] = max(max_layer[c.side], c.top)
-        return _Layout(width, bases, a, columns, placements, max_layer)
-
-    if perm_space <= 20_000:
-        for assignment in itertools.product(*choices):
-            layout = try_assign(assignment)
-            if layout is not None:
-                return layout
-    else:
-        layout = try_assign(tuple(tuple(range(len(occ[key])))
-                                  for key in keys))
-        if layout is not None:
-            return layout
-    raise LayoutInfeasible("clause legs cannot be nested on the grid")
+    columns: list[_Column] = []
+    placements: list[_Placement] = [None] * len(clauses)
+    max_layer = {1: 1, -1: 1}
+    open_on = {1: [], -1: []}  # clauses opened and not closed, inner last
+    for v, side in sorted(occ, key=lambda kv: (pos_of[kv[0]], kv[1])):
+        seated = sorted(occ[(v, side)], key=lambda cl: rank(pos_of[v], *cl))
+        slot = {cl: j for j, cl in enumerate(seated)}
+        for ci, leg in occ[(v, side)]:
+            j = slot[(ci, leg)]
+            columns.append(_Column(v, side, j, bases[v] + 4 * j + 2, ci,
+                                   clauses[ci].layer, leg))
+        stack = open_on[side]
+        for j, (ci, _) in enumerate(seated):
+            pl, layer = placements[ci], clauses[ci].layer
+            if pl is None:  # the clause's first leg opens it
+                outer = clauses[stack[-1]].layer if stack else layer + 1
+                if outer <= layer:
+                    raise LayoutInfeasible(
+                        f"clause {ci} (layer {layer}) cannot nest inside "
+                        f"clause {stack[-1]} (layer {outer})")
+                stack.append(ci)
+                pl = placements[ci] = _Placement(ci, side, layer, [], [])
+            elif stack[-1] != ci:
+                raise LayoutInfeasible(
+                    f"clause {stack[-1]} lies across a leg of clause {ci}")
+            pl.legs.append(bases[v] + 4 * j + 2)
+            if len(pl.legs) == 3:  # and its third closes it
+                stack.pop()
+                l0, l1, l2 = pl.legs
+                pl.p = [l0 - 1, l0, (l0 + l1) // 2, l1, (l1 + l2) // 2, l2,
+                        l2 + 1]
+                max_layer[side] = max(max_layer[side], layer)
+    # Unused slots become stub columns reaching the empty layer.
+    columns += [_Column(v, side, j, bases[v] + 4 * j + 2, None, 1, None)
+                for v in range(n) for side in (1, -1)
+                for j in range(len(occ.get((v, side), ())), a[v])]
+    return _Layout(width, bases, a, columns, placements, max_layer)
 
 
 # --- compile ------------------------------------------------------------------------
@@ -441,9 +438,7 @@ def compile_formula(formula: MonotoneFormula, k: int = 1,
 
     # Columns crossing each signed layer strictly between axis and clause.
     crossing: dict[int, list[_Column]] = defaultdict(list)
-    for col in lay.columns:
-        if col.clause is None:
-            continue
+    for col in lay.columns:  # a stub's top is 1: it crosses no layer
         for j in range(1, col.top):
             crossing[col.side * j].append(col)
 
@@ -564,12 +559,13 @@ def compile_formula(formula: MonotoneFormula, k: int = 1,
                 cur += 1
         return out
 
+    column_at = {(rec["side"], rec["x"]): rec for rec in atlas.columns}
     for i, layer in enumerate(signed_layers):
         edges = layer_edges(layer)
         if i % 2 == 1:
             edges = [((vv, uu), meta) for ((uu, vv), meta) in reversed(edges)]
         for uv, meta in edges:
-            _record_f(atlas, meta, len(fpairs))
+            _record_f(atlas, column_at, meta, len(fpairs))
             fpairs.append(uv)
         if i < len(signed_layers) - 1 and variant == "path":
             fpairs.append(connectors[i])
@@ -583,7 +579,9 @@ def compile_formula(formula: MonotoneFormula, k: int = 1,
     return inst, atlas
 
 
-def _record_f(atlas: GadgetAtlas, meta: tuple, idx: int) -> None:
+def _record_f(atlas: GadgetAtlas, column_at: dict, meta: tuple,
+              idx: int) -> None:
+    """File F edge idx; column_at maps (side, x) to its column record."""
     if meta[0] == "vblock":
         _, v, slot = meta
         atlas.variable_gadgets[v]["blockers"].append((slot, idx))
@@ -594,9 +592,7 @@ def _record_f(atlas: GadgetAtlas, meta: tuple, idx: int) -> None:
         _, ci, ei = meta
         atlas.clause_gadgets[ci]["e"][ei] = idx
     elif meta[0] == "prop":
+        # Only a clause column crosses a layer short of its top.
         _, layer, x = meta
-        for rec in atlas.columns:
-            if rec["clause"] is not None and rec["x"] == x and \
-                    rec["side"] * abs(layer) == layer and \
-                    abs(layer) < rec["top"]:
-                rec["blockers"].append((abs(layer), idx))
+        column_at[(1 if layer > 0 else -1, x)]["blockers"].append(
+            (abs(layer), idx))

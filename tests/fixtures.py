@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 from planeinsert import geometry
 from planeinsert.instance_io import make_instance
 from planeinsert.plane_graph import PlaneGraph, build_from_rotation
+from planeinsert.reduction import Clause, MonotoneFormula
 
 # Octahedron: poles 0 and 5, equator cycle 1-2-3-4.  Antipodal (non-edge)
 # pairs: (0,5), (1,3), (2,4).
@@ -128,3 +131,45 @@ def counted_angle_cmp(monkeypatch) -> list:
 
     monkeypatch.setattr(geometry, "angle_cmp", counted)
     return calls
+
+
+def laminar_formula(variables: int, clauses: int,
+                    seed: int) -> MonotoneFormula:
+    """A seeded monotone formula whose clauses nest on each side, so that
+    it has a rectilinear layout: at most `clauses` clauses a side.
+
+    Each side is a random laminar family of clause spans over the variable
+    order.  Siblings follow each other and may share an end variable; a
+    clause's children lie between two of its adjacent legs.  A clause's
+    layer is 2 plus the height of what it contains.  Literals may repeat,
+    and the clauses are listed in random order."""
+    rng = random.Random(seed)
+    order = list(range(variables))
+    rng.shuffle(order)
+    out: list[Clause] = []
+
+    def fill(lo: int, hi: int, polarity: str, budget: list[int]) -> int:
+        """Sibling clauses on the positions lo..hi; their highest layer,
+        or 1 when there are none."""
+        top, cur = 1, lo
+        while budget[0] > 0 and rng.random() < 0.7:
+            budget[0] -= 1
+            a = rng.randint(cur, hi)
+            b = rng.randint(a, hi)
+            mid = rng.randint(a, b)
+            layer = 1 + max(fill(a, mid, polarity, budget),
+                            fill(mid, b, polarity, budget))
+            legs = [order[a], order[mid], order[b]]
+            rng.shuffle(legs)
+            # A literal left off the end comes back as padding.
+            while (len(legs) > 1 and legs[-1] == legs[-2]
+                   and rng.random() < 0.5):
+                legs.pop()
+            out.append(Clause(polarity, layer, tuple(legs)))
+            top, cur = max(top, layer), b
+        return top
+
+    for polarity in ("pos", "neg"):
+        fill(0, variables - 1, polarity, [clauses])
+    rng.shuffle(out)
+    return MonotoneFormula(variables, tuple(out), tuple(order))

@@ -5,6 +5,7 @@ the builder's position, edge and angular-order checks."""
 from __future__ import annotations
 
 import hashlib
+import random
 import sys
 from fractions import Fraction
 
@@ -25,12 +26,14 @@ from planeinsert.reduction import (
     Clause,
     GeometryBuilder,
     MonotoneFormula,
+    _layout,
     compile_formula,
     parse_formula,
     write_formula,
 )
 
-from fixtures import counted_angle_cmp
+from fixtures import counted_angle_cmp, laminar_formula
+from layout_reference import reference_layout, search_space
 
 TWO_VARS_ONE_CLAUSE = MonotoneFormula(2, (Clause("pos", 2, (0, 1)),), (0, 1))
 
@@ -295,3 +298,101 @@ def test_compile_path_calls_no_comparator(monkeypatch):
         b.edge(centre, b.vertex(x, y, ()))
     assert b.rotation()[0] == [2, 1, 3]
     assert calls
+
+
+# --- clause leg layout ------------------------------------------------------
+
+
+def chain(m: int, reverse: bool) -> MonotoneFormula:
+    """m positive layer-2 clauses (2i, 2i+1, 2i+2), each sharing its last
+    variable with the next one's first, in the identity order."""
+    clauses = [Clause("pos", 2, (2 * i, 2 * i + 1, 2 * i + 2))
+               for i in range(m)]
+    if reverse:
+        clauses.reverse()
+    return MonotoneFormula(2 * m + 1, tuple(clauses), tuple(range(2 * m + 1)))
+
+
+@pytest.mark.parametrize("m", [16, 40])
+def test_reversed_chain_compiles(m):
+    # The slot search found no layout for the reversed list at m = 16:
+    # above its cap it tried only the slots in clause order.
+    for reverse in (False, True):
+        inst, atlas = compile_formula(chain(m, reverse), validate=True)
+        assert len(atlas.clause_gadgets) == m
+
+
+def test_reversed_chain_lays_out_at_400_clauses():
+    forward, backward = _layout(chain(400, False)), _layout(chain(400, True))
+    assert sorted(pl.legs for pl in backward.placements) == sorted(
+        pl.legs for pl in forward.placements)
+
+
+@pytest.mark.parametrize("formula, message", [
+    (MonotoneFormula(4, (Clause("pos", 2, (0, 1, 2)),
+                         Clause("pos", 2, (1, 2, 3))), (0, 1, 2, 3)),
+     r"^clause 1 \(layer 2\) cannot nest inside clause 0 \(layer 2\)$"),
+    (MonotoneFormula(3, (Clause("pos", 2, (0, 2)), Clause("pos", 3, (1,))),
+                     (0, 1, 2)),
+     r"^clause 1 \(layer 3\) cannot nest inside clause 0 \(layer 2\)$"),
+    (MonotoneFormula(3, (Clause("neg", 3, (0, 1, 2)),
+                         Clause("neg", 2, (2, 0))), (0, 1, 2)),
+     r"^clause 1 lies across a leg of clause 0$"),
+], ids=["overlapping layer-2 clauses", "whole clause above its cover",
+        "leg under a crossing span"])
+def test_layout_rejection_names_both_clauses(formula, message):
+    assert search_space(formula) <= 20_000
+    with pytest.raises(LayoutInfeasible):
+        reference_layout(formula)
+    with pytest.raises(LayoutInfeasible, match=message):
+        compile_formula(formula, validate=False)
+
+
+def random_formula(rng: random.Random) -> MonotoneFormula:
+    """1-4 variables in a random order and up to 5 clauses of layer 2-4,
+    either polarity, 1-3 literals with repeats."""
+    n = rng.randint(1, 4)
+    order = list(range(n))
+    rng.shuffle(order)
+    return MonotoneFormula(n, tuple(
+        Clause(rng.choice(("pos", "neg")), rng.randint(2, 4),
+               tuple(rng.randrange(n) for _ in range(rng.randint(1, 3))))
+        for _ in range(rng.randint(0, 5))), tuple(order))
+
+
+def test_layout_agrees_with_the_slot_search():
+    # The sorted slots find a layout exactly when some slot assignment
+    # does.  The search is exhaustive up to its cap of 20,000
+    # assignments; the draws stop at 2,000 to keep its failing searches
+    # short.
+    rng = random.Random(2024)
+    outcomes = {True: 0, False: 0}
+    for i in range(2000):
+        f = random_formula(rng)
+        if search_space(f) > 2000:
+            continue
+        try:
+            reference_layout(f)
+            expected = True
+        except LayoutInfeasible:
+            expected = False
+        try:
+            _layout(f)
+            got = True
+        except LayoutInfeasible:
+            got = False
+        assert got == expected, f
+        outcomes[got] += 1
+        if got and i % 15 == 0:
+            compile_formula(f, variant=("path", "matching")[i % 2],
+                            validate=True)
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_laminar_formulas_compile():
+    for seed in range(60):
+        f = laminar_formula(1 + seed % 5, 1 + seed % 6, seed)
+        compile_formula(f, variant=("path", "matching")[seed % 2],
+                        validate=len(f.clauses) <= 4)
+    for seed in range(500):
+        _layout(laminar_formula(1 + seed % 12, 1 + seed % 30, seed))
