@@ -48,6 +48,11 @@ class InsufficientComplementPairs(PlaneInsertError):
     """Complement of the graph cannot supply the requested edge sample."""
 
 
+class SamplerGaveUp(InsufficientComplementPairs):
+    """The complement sampler's search spent its node budget without
+    finding the requested structure, which may still exist."""
+
+
 # --- instance_io ---------------------------------------------------------
 
 

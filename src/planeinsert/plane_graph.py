@@ -60,11 +60,18 @@ from .errors import (
     NotIncident,
     NotPlanarEmbedding,
     NotTriangle,
+    SamplerGaveUp,
+    SearchBudgetExceeded,
 )
 from .search import backtrack
 
 # A plane rotation of K4: faces (0,1,2), (0,2,3), (0,3,1) and outer (2,1,3).
 K4_ROTATION: list[list[int]] = [[1, 3, 2], [0, 2, 3], [1, 0, 3], [2, 0, 1]]
+
+# The most candidates a complement-sampler search may enter: about 20 times
+# the 1,001 that the largest call in the tests enters; a search stalled on a
+# dead-end prefix enters millions.
+SAMPLER_NODE_BUDGET = 20_000
 
 
 class PlaneGraph:
@@ -617,7 +624,10 @@ def sample_complement_edges(g: PlaneGraph, m: int, seed: int,
     Deterministic for a given seed.  Raises InvalidArgument for an unknown
     structure, m < 0, or an m or seed that is not an integer or is a bool,
     and InsufficientComplementPairs when the complement cannot supply the
-    requested structure.
+    requested structure.  For n <= 1024 a matching or path search enters
+    at most SAMPLER_NODE_BUDGET candidates, then raises SamplerGaveUp, an
+    InsufficientComplementPairs saying the search gave up, not that no
+    such structure exists.
 
     Cost: for n <= 1024 it builds and shuffles the whole complement,
     whatever m is, so one call takes about 0.9 s at n = 1,024 even for
@@ -648,10 +658,12 @@ def sample_complement_edges(g: PlaneGraph, m: int, seed: int,
                 raise InsufficientComplementPairs(
                     f"complement has {len(pool)} pairs, need {m}")
             return pool[:m]
-        if structure == "matching":
-            result = _matching_backtrack(pool, m)
-        else:
-            result = _path_backtrack(pool, m)
+        try:
+            result = (_matching_backtrack if structure == "matching"
+                      else _path_backtrack)(pool, m)
+        except SearchBudgetExceeded:
+            raise SamplerGaveUp(f"the {structure} search gave up after "
+                                f"{SAMPLER_NODE_BUDGET} nodes") from None
         if result is None:
             raise InsufficientComplementPairs(
                 f"no {structure} of size {m} in the complement")
@@ -681,7 +693,7 @@ def _matching_backtrack(pool: list[tuple[int, int]],
     def leave(i: int) -> None:
         used.difference_update(pool[picked.pop()])
 
-    for _ in backtrack(m, choices, enter, leave):
+    for _ in backtrack(m, choices, enter, leave, SAMPLER_NODE_BUDGET):
         return [pool[j] for j in picked]
     return None
 
@@ -710,7 +722,7 @@ def _path_backtrack(pool: list[tuple[int, int]],
     def leave(i: int) -> None:
         on_path.discard(path.pop())
 
-    for _ in backtrack(m + 1, choices, enter, leave):
+    for _ in backtrack(m + 1, choices, enter, leave, SAMPLER_NODE_BUDGET):
         return [(path[i], path[i + 1]) for i in range(m)]
     return None
 

@@ -19,8 +19,10 @@ which neither can afford.  Each quad edge hosts at most one option, so an
 option clashes with at most four others.
 
 Two options of the same insertion edge are consecutive exactly when their
-crossed edges share a vertex; option sets therefore decompose into paths
-and cycles, which drives the case analysis in reduce_instance.
+crossed edges share a vertex, that is when their slots in the row of the
+edge's endpoint u are adjacent (see classify_options); option sets
+therefore decompose into paths and cycles, which drives the case analysis
+in reduce_instance.
 
 Catalog layout.  Option ids follow crossed-edge order: option o crosses
 the o-th graph edge, in edge order, whose two apexes form a pair of F.
@@ -256,62 +258,38 @@ def compute_clashes(catalog: OptionCatalog) -> ClashGraph:
 
 def classify_options(catalog: OptionCatalog, f_edge: int) -> OptionClassification:
     """Structure of an edge's live option set: runs and cycles of
-    consecutive options (crossed edges sharing a vertex)."""
+    consecutive options (crossed edges sharing a vertex).
+
+    Each option crosses an edge (x, w) whose face on one side is x, w, u,
+    u = F[f_edge][0]; x and w are consecutive in u's row, and the option's
+    slot is x's position there: the dart succ(succ(d)) = u -> x for the
+    face dart d = x -> w.  Two options share a crossed-edge vertex x
+    exactly when their slots are p and p + 1 around the row, x at p, as
+    the crossed edges at x with apex u join x to its two neighbours in the
+    row.  So the runs are the stretches of adjacent slots, read from a dead
+    slot on, and all slots live are one cycle.  A run lists its options in
+    slot order, a walk's order up to direction; callers read only members,
+    ends and minima.  O(L log L) for L live options, whatever deg(u)."""
     opts = catalog.alive_options(f_edge)
     # Internal invariant: the reducer classifies edges with three or more
     # live options only.
     assert len(opts) >= 2, "classification needs >= 2 live options"
     g = catalog.instance.graph
-    at_vertex: dict[int, list[int]] = {}
+    u = catalog.instance.F[f_edge][0]
+    base, deg = g.darts_at(u).start, g.degree(u)
+    at_slot: dict[int, int] = {}
     for o in opts:
-        x, w = g.edge_endpoints(catalog.options[o])
-        at_vertex.setdefault(x, []).append(o)
-        at_vertex.setdefault(w, []).append(o)
-    nbr: dict[int, list[int]] = {o: [] for o in opts}
-    for v, group in at_vertex.items():
-        # Internal invariant: an option of (u, v) crossing (x, w) puts w
-        # next to both u and v in x's rotation, which at most two
-        # neighbours of x can be.
-        assert len(group) <= 2, "three options share a crossed-edge vertex"
-        if len(group) == 2:
-            a, b = group
-            nbr[a].append(b)
-            nbr[b].append(a)
-
-    runs: list[list[int]] = []
-    cycles: list[list[int]] = []
-    seen: set[int] = set()
-    for o in sorted(opts):
-        if o in seen:
-            continue
-        comp = {o}
-        frontier = [o]
-        while frontier:
-            c = frontier.pop()
-            for d in nbr[c]:
-                if d not in comp:
-                    comp.add(d)
-                    frontier.append(d)
-        seen |= comp
-        ends = sorted(c for c in comp if len(nbr[c]) <= 1)
-        if not ends:  # cycle
-            start = min(comp)
-            cyc = [start]
-            prev, cur = start, min(nbr[start])
-            while cur != start:
-                cyc.append(cur)
-                nxt = [d for d in nbr[cur] if d != prev]
-                prev, cur = cur, nxt[0]
-            cycles.append(cyc)
-        else:
-            start = ends[0]
-            run = [start]
-            prev, cur = start, (nbr[start][0] if nbr[start] else None)
-            while cur is not None:
-                run.append(cur)
-                nxt = [d for d in nbr[cur] if d != prev]
-                prev, cur = cur, (nxt[0] if nxt else None)
-            runs.append(run)
+        d, t = g.edge_darts(catalog.options[o])
+        d = d if g.head(g.succ(d)) == u else t
+        at_slot[g.succ(g.succ(d)) - base] = o
+    dead = next((p for p in range(deg) if p not in at_slot), 0)
+    slots = sorted(at_slot, key=lambda p: (p - dead) % deg)
+    groups = [[at_slot[slots[0]]]]
+    for p, q in zip(slots, slots[1:]):
+        if (q - p) % deg != 1:
+            groups.append([])
+        groups[-1].append(at_slot[q])
+    runs, cycles = ([], groups) if len(slots) == deg else (groups, [])
 
     if len(opts) == 2:
         label = "two_consecutive" if len(runs) == 1 else "two_isolated"

@@ -87,6 +87,28 @@ def windowed_bipyramid_f(c: int) -> list[tuple[int, int]]:
                        if i not in gap]
 
 
+def stack(rot: list[list[int]], face: tuple[int, int, int]) -> int:
+    """Put a new vertex into the triangular face (a, b, c) of a rotation,
+    joined to its three corners; returns the new vertex."""
+    a, b, c = face
+    x = len(rot)
+    rot[a].insert(rot[a].index(c) + 1, x)
+    rot[b].insert(rot[b].index(a) + 1, x)
+    rot[c].insert(rot[c].index(b) + 1, x)
+    rot.append([c, b, a])
+    return x
+
+
+def stacked_octahedron() -> PlaneGraph:
+    """The octahedron stacked into its faces (0, 1, 2) and (0, 3, 4): the
+    antipodal pair (0, 5) keeps two options, through the equator edges
+    (1, 4) and (2, 3), which share no vertex."""
+    rot = [list(r) for r in OCTA_ROTATION]
+    stack(rot, (0, 1, 2))
+    stack(rot, (0, 3, 4))
+    return build_from_rotation(8, rot)
+
+
 def cube() -> PlaneGraph:
     return build_from_rotation(8, CUBE_ROTATION)
 
@@ -96,16 +118,6 @@ def apollonian7() -> PlaneGraph:
     from planeinsert.plane_graph import K4_ROTATION
 
     rot = [list(r) for r in K4_ROTATION]
-
-    def stack(rot, face):
-        a, b, c = face
-        x = len(rot)
-        rot[a].insert(rot[a].index(c) + 1, x)
-        rot[b].insert(rot[b].index(a) + 1, x)
-        rot[c].insert(rot[c].index(b) + 1, x)
-        rot.append([c, b, a])
-        return x
-
     stack(rot, (0, 3, 1))   # vertex 4
     stack(rot, (3, 1, 4))   # vertex 5
     stack(rot, (1, 4, 5))   # vertex 6

@@ -1,10 +1,12 @@
 """The k = 1 reducer as it was before its frontier drain: per-edge option
 lists, a heap drain that commits one forced edge at a time and deletes its
 option's clash partners one call at a time, and a 2-SAT formula built one
-add_clause at a time.  Only the compact case differs from that old code:
-it takes the sound steps (a) to (c) that tri_insert._resolve_compact
-documents, which the old code lacked.  Kept as the reference that
-test_reducer_kernels.py compares the reducer and the formula with."""
+add_clause at a time, and an option classification that links options
+whose crossed edges share a vertex and walks each component.  Only the
+compact case differs from that old code: it takes the sound steps (a) to
+(c) that tri_insert._resolve_compact documents, which the old code lacked.
+Kept as the reference that test_reducer_kernels.py compares the reducer,
+the formula and tri_insert.classify_options with."""
 
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from planeinsert.errors import ReductionStuck, SearchSpaceTooLarge
 from planeinsert.tri_insert import (
     ClashGraph,
     OptionCatalog,
-    classify_options,
+    OptionClassification,
     clash_free_assignments,
     first_clash_free,
 )
@@ -39,6 +41,81 @@ class State:
 
     def alive_options(self, f_edge: int) -> list[int]:
         return [o for o in self.f_options[f_edge] if self.alive[o]]
+
+
+def classify_options(catalog: OptionCatalog, f_edge: int) -> OptionClassification:
+    """Structure of an edge's live option set: runs and cycles of
+    consecutive options (crossed edges sharing a vertex)."""
+    opts = catalog.alive_options(f_edge)
+    # Internal invariant: the reducer classifies edges with three or more
+    # live options only.
+    assert len(opts) >= 2, "classification needs >= 2 live options"
+    g = catalog.instance.graph
+    at_vertex: dict[int, list[int]] = {}
+    for o in opts:
+        x, w = g.edge_endpoints(catalog.options[o])
+        at_vertex.setdefault(x, []).append(o)
+        at_vertex.setdefault(w, []).append(o)
+    nbr: dict[int, list[int]] = {o: [] for o in opts}
+    for v, group in at_vertex.items():
+        # Internal invariant: an option of (u, v) crossing (x, w) puts w
+        # next to both u and v in x's rotation, which at most two
+        # neighbours of x can be.
+        assert len(group) <= 2, "three options share a crossed-edge vertex"
+        if len(group) == 2:
+            a, b = group
+            nbr[a].append(b)
+            nbr[b].append(a)
+
+    runs: list[list[int]] = []
+    cycles: list[list[int]] = []
+    seen: set[int] = set()
+    for o in sorted(opts):
+        if o in seen:
+            continue
+        comp = {o}
+        frontier = [o]
+        while frontier:
+            c = frontier.pop()
+            for d in nbr[c]:
+                if d not in comp:
+                    comp.add(d)
+                    frontier.append(d)
+        seen |= comp
+        ends = sorted(c for c in comp if len(nbr[c]) <= 1)
+        if not ends:  # cycle
+            start = min(comp)
+            cyc = [start]
+            prev, cur = start, min(nbr[start])
+            while cur != start:
+                cyc.append(cur)
+                nxt = [d for d in nbr[cur] if d != prev]
+                prev, cur = cur, nxt[0]
+            cycles.append(cyc)
+        else:
+            start = ends[0]
+            run = [start]
+            prev, cur = start, (nbr[start][0] if nbr[start] else None)
+            while cur is not None:
+                run.append(cur)
+                nxt = [d for d in nbr[cur] if d != prev]
+                prev, cur = cur, (nxt[0] if nxt else None)
+            runs.append(run)
+
+    if len(opts) == 2:
+        label = "two_consecutive" if len(runs) == 1 else "two_isolated"
+        return OptionClassification(label, runs, cycles)
+    if any(len(r) == 1 for r in runs):
+        return OptionClassification("isolated_option", runs, cycles)
+    if any(len(r) >= 4 for r in runs):
+        return OptionClassification("long_run", runs, cycles)
+    single_comp = (len(runs) + len(cycles)) == 1
+    if single_comp and (
+            (runs and len(runs[0]) == 3)
+            or (cycles and len(cycles[0]) in (3, 4))):
+        return OptionClassification("compact", runs, cycles)
+    return OptionClassification("scattered", runs, cycles)
+
 
 
 class Reducer:

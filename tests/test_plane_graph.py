@@ -20,9 +20,12 @@ from planeinsert.errors import (
     NotPlanarEmbedding,
     NotTriangle,
     PlaneInsertError,
+    SamplerGaveUp,
 )
+from planeinsert import plane_graph
 from planeinsert.plane_graph import (
     K4_ROTATION,
+    SAMPLER_NODE_BUDGET,
     apex,
     apex_pair,
     build_from_rotation,
@@ -339,6 +342,37 @@ class TestComplementSampler:
         with pytest.raises(InsufficientComplementPairs,
                            match="no path of size 12"):
             sample_complement_edges(g, 12, 0, structure="path")
+
+    @pytest.mark.parametrize("n, seed, m, structure, sampler_seed", [
+        (24, 430, 12, "matching", 13337),
+        (12, 3, 11, "path", 3),
+        (12, 8, 11, "path", 8),
+        (12, 9, 11, "path", 9),
+        (14, 8, 13, "path", 8),
+    ])
+    def test_stalling_searches_end_within_the_budget(
+            self, monkeypatch, n, seed, m, structure, sampler_seed):
+        # Without a budget each of these searches was still running after
+        # 10**6 candidates, 2 to 6 s.
+        entered = [0]
+        search = plane_graph.backtrack
+
+        def counted(depth, choices, enter, leave, node_budget=None):
+            def counted_enter(i, c):
+                entered[0] += 1
+                enter(i, c)
+            return search(depth, choices, counted_enter, leave, node_budget)
+
+        monkeypatch.setattr(plane_graph, "backtrack", counted)
+        g = generate_stacked_triangulation(n, seed)
+        try:
+            pairs = sample_complement_edges(g, m, sampler_seed,
+                                            structure=structure)
+        except SamplerGaveUp as exc:
+            assert f"the {structure} search gave up" in str(exc)
+        else:
+            assert len(pairs) == m
+        assert entered[0] <= SAMPLER_NODE_BUDGET
 
     def test_path_past_recursion_depth(self):
         g = generate_stacked_triangulation(1024, 5)

@@ -2,9 +2,11 @@
 against the heap drain and the one-clause-at-a-time formula of
 reducer_reference.py: the same verdicts, reduced states and chosen options,
 and the reference's clash clauses over half its variables, also under
-``python -O``.  The drain's work is pinned by a count of the elements it
-reads, and the compact case by an exhaustive solver / oracle / verifier
-differential over the bipyramid family."""
+``python -O``.  The option classification is compared with the
+reference's on every call the solver makes and on every fresh catalog.
+The drain's work is pinned by a count of the elements it reads, and the
+compact case by an exhaustive solver / oracle / verifier differential over
+the bipyramid family."""
 
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 import reducer_reference as ref
+from planeinsert import tri_insert
 from planeinsert.instance_io import Solution, make_instance
 from planeinsert.oracle import exact_solve_triangulation
 from planeinsert.tri_insert import (
@@ -36,6 +39,7 @@ from fixtures import (
     bipyramid_chords,
     chord_subsets,
     octahedron,
+    stacked_octahedron,
     windowed_bipyramid_f,
 )
 from instance_gen import instance_stream, planted_instance
@@ -128,6 +132,52 @@ def test_reducer_matches_reference_without_asserts():
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split("\n", 1) == ["False", "ok\n"]
+
+
+def shape(cls) -> tuple:
+    """A classification's label, and its runs and cycles as sets of option
+    sets: the order within and between them is free."""
+    return (cls.label, {frozenset(r) for r in cls.runs},
+            {frozenset(c) for c in cls.cycles})
+
+
+def test_classification_matches_reference(monkeypatch):
+    # Every classification the solver asks for on inputs that reach each
+    # case label, and every edge with two or more options of each fresh
+    # catalog, which adds the two-option labels and the cycles of length 3
+    # and 4; the reference links options whose crossed edges share a
+    # vertex and walks the components.
+    live = tri_insert.classify_options
+    reached: Counter = Counter()
+    wrong = []
+
+    def check(catalog, f):
+        got = live(catalog, f)
+        want = ref.classify_options(catalog, f)
+        reached[got.label] += 1
+        reached.update(f"cycle {len(c)}" for c in got.cycles)
+        if shape(got) != shape(want):
+            wrong.append((catalog.instance.F, f, got, want))
+        return got
+
+    monkeypatch.setattr(tri_insert, "classify_options", check)
+    insts = [*chord_subsets(6), *chord_subsets(8)]
+    insts += [make_instance(bipyramid(c), windowed_bipyramid_f(c))
+              for c in (20, 50, 101, 200)]
+    insts += [make_instance(bipyramid(3), [(0, 1)]),
+              make_instance(octahedron(), [(0, 5), (1, 3), (2, 4)]),
+              make_instance(stacked_octahedron(), [(0, 5)])]
+    for inst in insts:
+        cat = enumerate_options(inst)
+        for f, opts in enumerate(cat.f_options):
+            if len(opts) >= 2:
+                check(cat, f)
+        solve(inst)
+    assert wrong == []
+    for label in ("isolated_option", "long_run", "compact", "scattered"):
+        assert reached[label] >= 20, reached
+    for kind in ("two_isolated", "two_consecutive", "cycle 3", "cycle 4"):
+        assert reached[kind] >= 1, reached
 
 
 class CountingArray(np.ndarray):

@@ -5,6 +5,7 @@ the builder's position, edge and angular-order checks."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -28,6 +29,8 @@ from planeinsert.reduction import (
     MonotoneFormula,
     _layout,
     compile_formula,
+    evaluate_formula,
+    formula_satisfiable,
     parse_formula,
     write_formula,
 )
@@ -36,6 +39,39 @@ from fixtures import counted_angle_cmp, laminar_formula
 from layout_reference import reference_layout, search_space
 
 TWO_VARS_ONE_CLAUSE = MonotoneFormula(2, (Clause("pos", 2, (0, 1)),), (0, 1))
+
+
+def models(f: MonotoneFormula) -> set[tuple[bool, ...]]:
+    return {a for a in itertools.product((False, True), repeat=f.variables)
+            if evaluate_formula(f, list(a))}
+
+
+def test_contradiction_is_unsatisfiable():
+    f = MonotoneFormula(1, (Clause("pos", 2, (0,)), Clause("neg", 2, (0,))),
+                        (0,))
+    assert models(f) == set()
+    assert not formula_satisfiable(f)
+
+
+@pytest.mark.parametrize("polarity, model", [("pos", True), ("neg", False)])
+def test_one_sided_formula_is_satisfied_by_its_polarity(polarity, model):
+    f = MonotoneFormula(3, (Clause(polarity, 2, (0, 1)),
+                            Clause(polarity, 3, (1, 2, 0)),
+                            Clause(polarity, 2, (2,))), (0, 1, 2))
+    assert evaluate_formula(f, [model] * 3)
+    assert not evaluate_formula(f, [not model] * 3)
+    assert formula_satisfiable(f)
+
+
+def test_mixed_formula_has_its_hand_checked_models():
+    # (x0 or x1) and (not x1 or not x2) and (x1 or x2): x1 = x2 fails the
+    # last two clauses, and x0 matters only when x1 is false.
+    f = MonotoneFormula(3, (Clause("pos", 2, (0, 1)),
+                            Clause("neg", 2, (1, 2)),
+                            Clause("pos", 3, (1, 2))), (0, 1, 2))
+    assert models(f) == {(False, True, False), (True, True, False),
+                         (True, False, True)}
+    assert formula_satisfiable(f)
 
 
 @pytest.mark.parametrize("variant, sizes", [
