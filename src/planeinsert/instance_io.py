@@ -439,15 +439,20 @@ def parse_instance(text: str) -> Instance:
                          f_structure=obj["f_structure"])
 
 
-def _read_json(text: str) -> Instance:
-    """Parse any instance text with json.loads, checking each value's
-    JSON type: an integer must be exactly int, and true is not 1."""
+def _load_json(text: str):
+    """json.loads, with every way it can fail raised as a SchemaError."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, an int over Python's digit limit, or nesting
         # past the recursion limit.
         raise SchemaError(f"bad JSON: {exc}") from exc
+
+
+def _read_json(text: str) -> Instance:
+    """Parse any instance text with json.loads, checking each value's
+    JSON type: an integer must be exactly int, and true is not 1."""
+    obj = _load_json(text)
     if not isinstance(obj, dict):
         raise SchemaError("instance must be a JSON object")
     missing = {"k", "n", "rotation", "coords", "F", "f_structure"} - obj.keys()
@@ -654,12 +659,7 @@ def write_instance(inst: Instance) -> str:
 
 
 def parse_solution(text: str) -> Solution:
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # JSONDecodeError, an int over Python's digit limit, or nesting
-        # past the recursion limit.
-        raise SchemaError(f"bad JSON: {exc}") from exc
+    obj = _load_json(text)
     if not isinstance(obj, dict) or "routes" not in obj:
         raise SchemaError("solution must be an object with routes")
     if not isinstance(obj["routes"], list):
@@ -671,7 +671,9 @@ def parse_solution(text: str) -> Solution:
         f_edge = r.get("f_edge") if type(r) is dict else None
         if type(f_edge) is not int or f_edge != i:
             raise SchemaError(f"route {i} must carry f_edge={i}")
-        evs = r.get("events", [])
+        if "events" not in r:
+            raise SchemaError(f"route {i} must carry events")
+        evs = r["events"]
         if type(evs) is not list:
             raise SchemaError(f"route {i} events must be a list")
         for ev in evs:

@@ -40,7 +40,7 @@ from .errors import (
     StructureMismatch,
 )
 from .geometry import angular_order, check_drawing
-from .instance_io import Instance, make_instance
+from .instance_io import Instance, _load_json, make_instance
 from .plane_graph import _int_arg, build_from_rotation
 
 
@@ -103,12 +103,7 @@ def formula_satisfiable(f: MonotoneFormula) -> bool:
 
 
 def parse_formula(text: str) -> MonotoneFormula:
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # JSONDecodeError, an int over Python's digit limit, or nesting
-        # past the recursion limit.
-        raise SchemaError(f"bad JSON: {exc}") from exc
+    obj = _load_json(text)
     try:
         clauses = tuple(
             Clause(c["polarity"], c["layer"], tuple(c["literals"]))

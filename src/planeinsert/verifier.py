@@ -21,19 +21,26 @@ edge runs between original vertices, so an original vertex has exactly one
 dart per logical edge at it, and the logical edges at u are the owners of
 the darts in u's rotation row.
 
-``enumerate_realizations`` is one depth-first search over an explicit
-stack of candidate iterators, one per open stage.  Every face it walks is
-kept for the rest of the call under each of its darts, so no face is
-walked twice in one call.  A route of ``verify`` pins its crossed logical
-edges, so its search starts only at the corners of u that share a face
-with a segment of the first pinned edge: the faces of each segment dart
-and of its twin are walked, and the corners at u on them are tried in
-increasing rotation position.  No other corner can reach that edge, so the
-realizations, and their order, are those of a scan of every corner at u.
-The stage that starts at such a corner, and the stage that crosses into
-the other face of the edge, reuse those walks: a route that crosses one
-edge walks two faces.  Unpinned searches, and routes that cross nothing,
-still try every corner at u.
+``enumerate_realizations`` expands a route level by level.  Level j
+holds every path with j crossings, each as its start corner, its crossed
+darts and the corner by which it entered its face; level j + 1 extends
+each level-j path, in order, by the admissible darts of that face in succ
+order from the corner.  So level j is in the lexicographic order of the
+paths' choices, a depth-first pre-order restricted to j crossings, and
+reading realizations off the levels in turn gives that pre-order stably
+sorted by crossing count.  Unpinned routes may end on any level, pinned
+ones only on the last.  Every face walked is kept for the rest of the call
+under each of its darts, so no face is walked twice in one call.
+
+A route of ``verify`` pins its crossed logical edges, so its search
+starts only at the corners of u that share a face with a segment of the
+first pinned edge: the faces of each segment dart and of its twin are
+walked, and the corners at u on them are tried in increasing rotation
+position.  No other corner can reach that edge, so the realizations, and
+their order, are those of a scan of every corner at u.  Levels 0 and 1
+reuse those walks: a route that crosses one edge walks two faces.
+Unpinned searches, and routes that cross nothing, still try every corner
+at u.
 
 ``search`` is the one replay over the edges of F: it inserts them
 depth-first with ``search.backtrack``, one realization at a time, and
@@ -102,7 +109,6 @@ class PlanarizedDrawing:
         self.owner: list[int] = list(range(g.edge_count))
         self.segments: list[list[int]] = [
             [d] for d in range(0, 2 * g.edge_count, 2)]
-        self.count: list[int] = [0] * g.edge_count
         # Graph dart d becomes working dart 2*edge + (tail > head), since
         # every graph edge runs from its lower end; rows keep g's rotation.
         tail, head, edge = g.table("tail"), g.table("head"), g.table("edge")
@@ -150,12 +156,13 @@ class PlanarizedDrawing:
                                max_crossings: int,
                                rng: Lcg64 | None = None) -> list[Realization]:
         """All ways to route u -> v; `pinned` fixes the crossed logical
-        edges in order, otherwise anything within budgets goes."""
+        edges in order, otherwise anything within budgets goes.  Fewer
+        crossings come first, as the module docstring describes."""
         # Pinned routes cross only what they name, and verify's static pass
         # has already rejected a named edge that shares an endpoint.
         forbidden = self.adjacent_logicals(u, v) if pinned is None else ()
-        rot, ends, owner, count, k = (self.rot, self.ends, self.owner,
-                                      self.count, self.k)
+        rot, ends, owner, segments, k = (self.rot, self.ends, self.owner,
+                                         self.segments, self.k)
         walk = self.face_cycle
         faces: dict[int, list[int]] = {}  # dart -> its face, as walked
         row_u, row_v = rot[u], rot[v]
@@ -163,7 +170,7 @@ class PlanarizedDrawing:
         if pinned:
             # Only a corner on a face of pinned[0] can start the route.
             corners = set()
-            for s in self.segments[pinned[0]]:
+            for s in segments[pinned[0]]:
                 for d in (s, s ^ 1):
                     cyc = faces.get(d)
                     if cyc is None:
@@ -179,13 +186,19 @@ class PlanarizedDrawing:
             rng.shuffle(starts)
 
         results: list[Realization] = []
-        crossed: list[int] = []  # darts crossed on the current path
-        used: set[int] = set()   # their logical edges
-        frames: list = []        # candidate iterator of each open stage
+        # Level j: every j-crossing path as (start position, crossed darts,
+        # the corner it entered its last face by), in lexicographic order.
+        level = []
         for p in starts:
-            corner = row_u[p]
-            while True:
-                # Enter the stage on corner's face, at depth len(crossed).
+            level.append((p, (), row_u[p]))
+        for j in range(last + 1):
+            stop = pinned is None or j == last  # may end in this face
+            if j < last and pinned is not None:
+                want = pinned[j]
+                if j and want in pinned[:j]:
+                    want = -1  # a route crosses an edge at most once
+            grown = []
+            for p, crossed, corner in level:
                 cyc = faces.get(corner)
                 if cyc is None:
                     cyc = walk(corner)
@@ -193,48 +206,28 @@ class PlanarizedDrawing:
                 elif cyc[0] != corner:
                     i = cyc.index(corner)
                     cyc = cyc[i:] + cyc[:i]
-                depth = len(crossed)
-                if pinned is None or depth == last:  # may stop here
-                    route = tuple(crossed)
+                if stop:
                     for d in cyc:
                         if ends[d >> 1][d & 1] == v:
                             results.append(
-                                Realization(p, route, row_v.index(d)))
-                if depth != last:
-                    if rng is not None:
-                        cyc = cyc[:]
-                        rng.shuffle(cyc)
-                    frames.append(iter(cyc))
-                elif crossed:
-                    used.discard(owner[crossed.pop() >> 1])
-                # Take the next crossing of the deepest open stage, closing
-                # the stages that have none left.
-                while frames:
-                    depth = len(crossed)
-                    want = pinned[depth] if pinned is not None else -1
-                    for d in frames[-1]:
-                        L = owner[d >> 1]
-                        if pinned is None:
-                            if L in forbidden or L in used or count[L] >= k:
-                                continue
-                        elif L != want or L in used:
-                            continue
-                        crossed.append(d)
-                        used.add(L)
-                        corner = d ^ 1
-                        break
-                    else:
-                        frames.pop()
-                        if crossed:
-                            used.discard(owner[crossed.pop() >> 1])
-                        continue
-                    break
-                else:
-                    break
-        if pinned is None:
-            # Canonical order prefers fewer crossings; stable within a
-            # length.  Pinned realizations all cross len(pinned) edges.
-            results.sort(key=lambda r: len(r.crossings))
+                                Realization(p, crossed, row_v.index(d)))
+                if j == last:
+                    continue
+                if rng is not None:
+                    cyc = cyc[:]
+                    rng.shuffle(cyc)
+                if pinned is not None:
+                    for d in cyc:
+                        if owner[d >> 1] == want:
+                            grown.append((p, crossed + (d,), d ^ 1))
+                    continue
+                used = [owner[c >> 1] for c in crossed]
+                for d in cyc:
+                    L = owner[d >> 1]
+                    if not (L in forbidden or L in used
+                            or len(segments[L]) > k):
+                        grown.append((p, crossed + (d,), d ^ 1))
+            level = grown
         return results
 
     # -- surgery -----------------------------------------------------------------
@@ -243,8 +236,8 @@ class PlanarizedDrawing:
         """Insert a new logical edge u->v along the realization; returns an
         undo token."""
         token = len(self.journal)
-        rot, ends, owner, segments, count = (self.rot, self.ends, self.owner,
-                                             self.segments, self.count)
+        rot, ends, owner, segments = (self.rot, self.ends, self.owner,
+                                      self.segments)
         e0, v0 = len(ends), len(rot)
         logical = len(segments)
         c = len(real.crossings)
@@ -276,13 +269,11 @@ class PlanarizedDrawing:
                 s, halves = d ^ 1, (h + 3, h + 1)
             idx = seg.index(s)
             seg[idx:idx + 1] = halves
-            count[L] += 1
             splits.append((d, a, pos_a, b, pos_b, L, idx, s))
         points = [u, *range(v0, v0 + c), v]
         ends += zip(points, points[1:])
         owner += [logical] * (c + 1)
         segments.append(list(range(2 * r, 2 * (r + c) + 1, 2)))
-        count.append(c)
         rot[u].insert(real.start_pos, 2 * r)
         rot[v].insert(real.end_pos, 2 * (r + c) + 1)
         self.journal.append((u, real.start_pos, v, real.end_pos, e0, v0,
@@ -292,7 +283,7 @@ class PlanarizedDrawing:
     def undo(self, token: int) -> None:
         """Take back every insert made since `token`, latest first."""
         j = self.journal
-        rot, segments, count = self.rot, self.segments, self.count
+        rot, segments = self.rot, self.segments
         while len(j) > token:
             u, start_pos, v, end_pos, e0, v0, splits = j.pop()
             del rot[v][end_pos]
@@ -301,12 +292,10 @@ class PlanarizedDrawing:
             del self.ends[e0:]
             del self.owner[e0:]
             segments.pop()
-            count.pop()
             for d, a, pos_a, b, pos_b, L, idx, s in reversed(splits):
                 rot[b][pos_b] = d ^ 1
                 rot[a][pos_a] = d
                 segments[L][idx:idx + 2] = [s]
-                count[L] -= 1
 
     # -- replay ------------------------------------------------------------------
 
@@ -361,8 +350,12 @@ class PlanarizedDrawing:
         assert n - e + faces == 2, f"Euler violated: {n}-{e}+{faces}"
         for m in range(self.base_vertices, len(self.rot)):
             assert len(self.rot[m]) in (2, 4), f"dummy {m} degree"
+        # A logical edge's segments run end to end, one dummy vertex at
+        # each crossing.
         for logical, segs in enumerate(self.segments):
-            assert len(segs) == self.count[logical] + 1 or not segs
+            assert all(self.owner[s >> 1] == logical for s in segs)
+            for s, t in zip(segs, segs[1:]):
+                assert self.tail(s ^ 1) == self.tail(t) >= self.base_vertices
 
 
 # --- verify -------------------------------------------------------------------
@@ -386,9 +379,10 @@ def verify(inst: Instance, sol: Solution, seed: int | None = None,
     pinned = [logical[s:e] for s, e in zip(start, start[1:])]
     pd = PlanarizedDrawing(inst)
     for _ in pd.search(inst.F, pinned, rng, node_budget):
-        # Internal invariant: a pinned route bumps exactly the edges it
-        # names and itself, so the counts are the static pass's, all <= k.
-        assert max(pd.count, default=0) <= inst.k
+        # Internal invariant: a pinned route splits exactly the edges it
+        # names and itself, so every logical edge has the static pass's
+        # crossing count, len(segments) - 1, and it is at most k.
+        assert max(map(len, pd.segments), default=1) <= inst.k + 1
         return VerifyResult(True)
     return VerifyResult(False, "no_realization", pd.deepest,
                         "no joint realization of the routes")

@@ -4,8 +4,9 @@ the canonical text directly: frozen dataclasses whose events check
 themselves on construction, a reader that builds them, and a writer that
 builds one dict per route and event for json.dumps.  Kept as the reference
 that test_solution_io.py compares planeinsert.instance_io with; the bodies
-are the old ones unchanged, and the class names are the old ones so that
-the two sides' reprs can be compared."""
+are the old ones unchanged but for the reader's rejection of a route with no
+events key, and the class names are the old ones so that the two sides'
+reprs can be compared."""
 
 from __future__ import annotations
 
@@ -72,8 +73,10 @@ def parse_solution(text: str) -> Solution:
     for i, r in enumerate(obj["routes"]):
         if not isinstance(r, dict) or r.get("f_edge") != i:
             raise SchemaError(f"route {i} must carry f_edge={i}")
+        if "events" not in r:
+            raise SchemaError(f"route {i} must carry events")
         events = []
-        for ev in r.get("events", ()):
+        for ev in r["events"]:
             if not isinstance(ev, dict):
                 raise SchemaError("event must be an object")
             kind = ev.get("kind")

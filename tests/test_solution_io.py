@@ -88,6 +88,7 @@ MALFORMED_TEXTS = {
                            '[{"kind":"inserted","index":-1}]}]}'),
     "wrong f_edge": '{"routes":[{"f_edge":0,"events":[]},{"f_edge":0}]}',
     "non-object route": '{"routes":[[0]]}',
+    "missing events": '{"routes":[{"f_edge":0}]}',
     "non-object event": '{"routes":[{"f_edge":0,"events":[3]}]}',
     "non-list routes": '{"routes":{"f_edge":0}}',
     "no routes": '{"route":[]}',

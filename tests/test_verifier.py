@@ -206,7 +206,7 @@ class TestEngine:
         tok = pd.insert(0, 5, reals[0])
         pd.undo(tok)
         assert [list(r) for r in pd.rot] == snapshot
-        assert pd.count == [0] * len(pd.count)
+        assert all(len(s) == 1 for s in pd.segments)
 
     def test_adjacent_logicals_tracks_inserts_and_undos(self):
         inst = make_instance(cube(), [(0, 2), (1, 3), (4, 6)], k=1)

@@ -66,7 +66,7 @@ def enumerate_realizations(self, u: int, v: int,
     forbidden = self.adjacent_logicals(u, v)
     results: list[Realization] = []
     owner = self.owner
-    count = self.count
+    count = [len(s) - 1 for s in self.segments]
     k = self.k
 
     def stage(corner: int, depth: int, crossed: list[int],
