@@ -21,24 +21,19 @@ they give (no crossings, neighbor order equal to the rotation) without
 touching floating point.  Serialization is canonical: re-serializing a
 parsed file reproduces it byte for byte.
 
-In memory a solution is a read-only Solution of four columns over the
-events of all routes, route by route: start (int64, length m + 1; route
-i's events are start[i]:start[i+1]), kind (int8: GRAPH_EDGE or INSERTED),
-and a, b (int64: a graph edge's endpoints, smaller first, or an inserted
-event's F index and -1).  The k = 1 solver's certificate is two gathers
-into these columns; write_solution formats the text from them,
-parse_solution reads the text into them, and the verifier's static pass
-reads them, so none of these builds a record.  Solution(routes) also takes
-Route records, NamedTuples (f_edge, events) whose events are
-CrossingEvent NamedTuples (kind, target); its conversion walk checks what
-the columns cannot hold (the f_edge labels, the kind strings, the pair
-shape, and that each integer is exactly an int, so not a bool, within
-int64).  Either way one array pass checks the columns: the route starts,
-the kinds, the endpoint order, and the forward references.  .routes builds
-the records back, on first use; a record on its own is not checked and,
-being a tuple, equals a plain tuple of the same values.  write_solution
-emits byte for byte what json.dumps with separators (",", ":") gives for
-the same routes.
+In memory a solution is a read-only Solution(start, kind, a, b), four
+columns over the events of all routes, route by route: start (int64,
+length m + 1; route i's events are start[i]:start[i+1]), kind (int8:
+GRAPH_EDGE or INSERTED), and a, b (int64: a graph edge's endpoints,
+smaller first, or an inserted event's F index and -1).  The constructor
+is the one way to build it, for the solver's certificate, the oracles'
+answers and parse_solution alike.  It checks in whole-array passes that
+each column holds integers (not bools or floats) within its dtype, that
+the starts rise from 0 to the event count, that every kind is known, that
+a graph edge lists its smaller endpoint first, and that route i
+references inserted edges 0..i-1 only.  write_solution emits from the
+columns, byte for byte, what json.dumps with separators (",", ":") gives
+for the same routes.
 
 parse_instance has two readers.  Canonical text, as write_instance emits
 it, goes through an array tokenizer: the fixed key order locates the
@@ -64,10 +59,11 @@ from __future__ import annotations
 import json
 import operator
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 import numpy as np
 
@@ -84,19 +80,6 @@ from .plane_graph import PlaneGraph, build_from_rotation, build_from_rows
 Point = tuple[Fraction, Fraction]
 
 
-class CrossingEvent(NamedTuple):
-    """One crossing along a route: a graph edge (by endpoints) or an
-    earlier inserted edge (by F index).  The Solution holding it checks it."""
-
-    kind: str  # "graph_edge" | "inserted"
-    target: tuple[int, int] | int
-
-
-class Route(NamedTuple):
-    f_edge: int
-    events: tuple[CrossingEvent, ...]
-
-
 # Event kinds in Solution.kind.
 GRAPH_EDGE, INSERTED = 0, 1
 _INT64 = range(-2**63, 2**63)
@@ -104,89 +87,33 @@ _INT64 = range(-2**63, 2**63)
 
 class Solution:
     """The routes of a solution as four read-only columns over all events,
-    route by route (see the module docstring).  Solution(routes) takes
-    Route/CrossingEvent records, Solution.from_columns the columns; .routes
-    gives the records back, built on first use.  Two solutions are equal
+    route by route (see the module docstring).  Two solutions are equal
     when their columns are."""
 
-    __slots__ = ("start", "kind", "a", "b", "_routes")
+    __slots__ = ("start", "kind", "a", "b")
 
-    def __init__(self, routes):
-        cols = _Columns()
-        try:
-            for i, (f_edge, events) in enumerate(routes):
-                # Integers must be exact ints: bool is an int subclass, and
-                # true must not pass as 1.
-                if f_edge != i or type(f_edge) is not int:
-                    raise SchemaError(f"route {i} labeled f_edge={f_edge}")
-                for ev_kind, target in events:
-                    if ev_kind == "graph_edge":
-                        if not (isinstance(target, tuple) and len(target) == 2
-                                and type(target[0]) is int
-                                and type(target[1]) is int):
-                            raise SchemaError(
-                                "graph_edge event needs endpoint pair")
-                        cols.graph_edge(*target)
-                    elif ev_kind == "inserted":
-                        if type(target) is not int:
-                            raise SchemaError(
-                                "inserted event needs an integer index")
-                        cols.inserted(i, target)
-                    else:
-                        raise SchemaError(f"unknown event kind {ev_kind!r}")
-                cols.end_route()
-        except (SchemaError, TypeError, ValueError):
-            # A bad reference before the failing record is the first error:
-            # check the columns read so far, the failing route's events too.
-            cols.end_route()
-            _check_columns(*cols.arrays())
-            raise
-        self._set(*cols.arrays())
-
-    @classmethod
-    def from_columns(cls, start, kind, a, b) -> Solution:
-        """The solution with these columns (start and the endpoints as
-        int64, kind as int8), after the same check as Solution(routes)."""
-        sol = cls.__new__(cls)
-        sol._set(*_frozen(start, kind, a, b))
-        return sol
-
-    def _set(self, start, kind, a, b) -> None:
-        _check_columns(start, kind, a, b)
-        for name, value in (("start", start), ("kind", kind), ("a", a),
-                            ("b", b), ("_routes", None)):
+    def __init__(self, start, kind, a, b):
+        cols = [_frozen(name, col) for name, col in
+                zip(self.__slots__, (start, kind, a, b))]
+        _check_columns(*cols)
+        for name, value in zip(self.__slots__, cols):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Solution is read-only")
 
-    @property
-    def routes(self) -> tuple[Route, ...]:
-        if self._routes is None:
-            object.__setattr__(self, "_routes", self._records())
-        return self._routes
-
-    def _records(self) -> tuple[Route, ...]:
-        events = [CrossingEvent("graph_edge", (x, y)) if k == GRAPH_EDGE
-                  else CrossingEvent("inserted", x)
-                  for k, x, y in zip(self.kind.tolist(), self.a.tolist(),
-                                     self.b.tolist())]
-        start = self.start.tolist()
-        return tuple(Route(i, tuple(events[s:e]))
-                     for i, (s, e) in enumerate(zip(start, start[1:])))
-
     def __repr__(self) -> str:
-        return f"Solution(routes={self.routes!r})"
+        return "Solution({})".format(", ".join(
+            f"{c}={getattr(self, c).tolist()}" for c in self.__slots__))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return all(np.array_equal(getattr(self, c), getattr(other, c))
-                   for c in ("start", "kind", "a", "b"))
+                   for c in self.__slots__)
 
     def __hash__(self) -> int:
-        return hash((self.start.tobytes(), self.kind.tobytes(),
-                     self.a.tobytes(), self.b.tobytes()))
+        return hash(tuple(getattr(self, c).tobytes() for c in self.__slots__))
 
 
 class _Columns:
@@ -196,7 +123,7 @@ class _Columns:
     __slots__ = ("start", "kind", "a", "b")
 
     def __init__(self):
-        self.start, self.kind = array("q", [0]), bytearray()
+        self.start, self.kind = array("q", [0]), array("b")
         self.a, self.b = array("q"), array("q")
 
     def graph_edge(self, u: int, v: int) -> None:
@@ -220,20 +147,32 @@ class _Columns:
     def end_route(self) -> None:
         self.start.append(len(self.kind))
 
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return _frozen(self.start, self.kind, self.a, self.b)
+
+_DTYPES = {"start": np.int64, "kind": np.int8, "a": np.int64, "b": np.int64}
 
 
-def _frozen(start, kind, a, b) -> tuple[np.ndarray, ...]:
-    """The columns as read-only arrays of their dtypes, sharing memory
-    where the input already has the dtype."""
-    out = []
-    for col, dtype in ((start, np.int64), (kind, np.int8), (a, np.int64),
-                       (b, np.int64)):
-        view = np.asarray(col, dtype).view()
-        view.flags.writeable = False
-        out.append(view)
-    return tuple(out)
+def _frozen(name: str, col) -> np.ndarray:
+    """Column `name` as a read-only array of its dtype, sharing memory
+    where the input already has the dtype.  Whole-array tests reject a
+    column of bools, floats or anything else but integers, and one with a
+    value outside its dtype; a list or tuple is also scanned for bools,
+    which numpy reads as 0 and 1 beside integers."""
+    dtype = _DTYPES[name]
+    try:
+        arr = np.asarray(col)
+    except (TypeError, ValueError) as exc:  # a ragged list, say
+        raise SchemaError(f"solution column {name}: {exc}") from exc
+    if arr.size and (
+            arr.dtype.kind not in "iu"
+            or not np.can_cast(arr.dtype, dtype) and (
+                arr.min() < np.iinfo(dtype).min
+                or arr.max() > np.iinfo(dtype).max)
+            or type(col) in (list, tuple) and bool in map(type, col)):
+        raise SchemaError(f"solution column {name} must hold "
+                          f"{np.dtype(dtype)} integers")
+    view = arr.astype(dtype, copy=False).view()
+    view.flags.writeable = False
+    return view
 
 
 def _check_columns(start: np.ndarray, kind: np.ndarray, a: np.ndarray,
@@ -693,7 +632,7 @@ def parse_solution(text: str) -> Solution:
             else:
                 raise SchemaError(f"unknown event kind {ev_kind!r}")
         cols.end_route()
-    return Solution.from_columns(*cols.arrays())
+    return Solution(cols.start, cols.kind, cols.a, cols.b)
 
 
 def write_solution(sol: Solution) -> str:
@@ -765,23 +704,16 @@ def render_svg(inst: Instance, sol: Solution | None = None) -> str:
 
     # Deterministic crossing points: the j-th crossing of an edge (over the
     # replay order of all routes) sits at fraction (j+1)/(c+1) along it.
-    cross_total: dict[tuple[str, object], int] = {}
-    cross_seen: dict[tuple[str, object], int] = {}
-    routes = sol.routes if sol is not None else ()
-    for r in routes:
-        for ev in r.events:
-            key = (ev.kind, ev.target)
-            cross_total[key] = cross_total.get(key, 0) + 1
-
-    def endpoint_pair(ev: CrossingEvent) -> tuple[Point, Point]:
-        if ev.kind == "graph_edge":
-            u, v = ev.target
-        else:
-            u, v = inst.F[ev.target]
-        return pts[u], pts[v]
-
-    crossed_graph_edges = {ev.target for r in routes for ev in r.events
-                           if ev.kind == "graph_edge"}
+    # An event is keyed by its (kind, a, b) triple.
+    if sol is None:
+        start, events = [0], []
+    else:
+        start = sol.start.tolist()
+        events = list(zip(sol.kind.tolist(), sol.a.tolist(), sol.b.tolist()))
+    cross_total = Counter(events)
+    cross_seen: Counter = Counter()
+    crossed_graph_edges = {(x, y) for kind, x, y in events
+                           if kind == GRAPH_EDGE}
 
     lines = []
     lines.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -793,17 +725,16 @@ def render_svg(inst: Instance, sol: Solution | None = None) -> str:
             f'<line x1="{sx(pts[u][0]):.3f}" y1="{sy(pts[u][1]):.3f}" '
             f'x2="{sx(pts[v][0]):.3f}" y2="{sy(pts[v][1]):.3f}" '
             f'stroke="black" stroke-width="{stroke_width}"/>')
-    for r in routes:
-        u, v = inst.F[r.f_edge]
+    for i, (u, v) in enumerate(inst.F[:len(start) - 1]):
         waypoints = [pts[u]]
-        for ev in r.events:
-            key = (ev.kind, ev.target)
-            j = cross_seen.get(key, 0)
-            cross_seen[key] = j + 1
-            t = Fraction(j + 1, cross_total[key] + 1)
-            a, b = endpoint_pair(ev)
-            waypoints.append((a[0] + (b[0] - a[0]) * t,
-                              a[1] + (b[1] - a[1]) * t))
+        for event in events[start[i]:start[i + 1]]:
+            kind, x, y = event
+            t = Fraction(cross_seen[event] + 1, cross_total[event] + 1)
+            cross_seen[event] += 1
+            p, q = (pts[x], pts[y]) if kind == GRAPH_EDGE else (
+                pts[inst.F[x][0]], pts[inst.F[x][1]])
+            waypoints.append((p[0] + (q[0] - p[0]) * t,
+                              p[1] + (q[1] - p[1]) * t))
         waypoints.append(pts[v])
         point_str = " ".join(f"{sx(p[0]):.3f},{sy(p[1]):.3f}"
                              for p in waypoints)

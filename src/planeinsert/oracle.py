@@ -13,7 +13,7 @@ inserted) only, never wall-clock time, so a seeded verdict does not depend
 on the machine.  It and iter_solutions run the verifier's own replay,
 PlanarizedDrawing.search, with no routes pinned, and read each answer off
 the drawing it leaves (the owner of each crossed dart, a graph edge's
-ends) straight into Solution columns.
+ends) as the four columns the Solution constructor takes.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def _answer(pd: PlanarizedDrawing, reals) -> Solution:
     inserted = logical >= E
     ends = np.array(pd.ends[:E], np.int64).reshape(-1, 2)[
         np.where(inserted, 0, logical)]
-    return Solution.from_columns(
+    return Solution(
         np.cumsum([0, *(len(r.crossings) for r in reals)]),
         np.where(inserted, INSERTED, GRAPH_EDGE),
         np.where(inserted, logical - E, ends[:, 0]),

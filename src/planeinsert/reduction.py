@@ -2,8 +2,10 @@
 
 Only the crossing budget k = 1 is built; any other k raises ``KNotOne``.
 The construction lives on a layered integer grid.  Variables sit on layer
-0 as chains of grid-with-poles blocks ("plus blocks"); clauses sit on
-layer >= 2 above the axis when positive, below when negative; the two
+0 as chains of grid-with-poles blocks ("plus blocks"); clauses sit above
+the axis when positive, below when negative, on grid layers 2, 3, ...:
+one per distinct formula layer on their side, in the same order, so the
+size of a compiled instance does not grow with the layer values.  The two
 layers adjacent to the axis stay empty.  Truth values travel along
 vertical literal-edge columns; a variable is true exactly when its
 downward literal edges are crossed.  The paper's construction for k >= 2
@@ -294,7 +296,7 @@ class _Column:
     slot: int
     x: int
     clause: int | None   # clause index served, None for an unused slot
-    top: int             # far layer magnitude (clause layer, or 1 if unused)
+    top: int             # far grid layer magnitude (clause's, 1 if unused)
     leg: int | None      # leg ordinal 0..2 within the clause
 
 
@@ -302,7 +304,7 @@ class _Column:
 class _Placement:
     clause: int
     side: int
-    layer: int
+    layer: int               # grid layer: 2 + rank of the formula layer
     legs: list[int]          # three column x positions, ascending
     p: list[int]             # seven joint positions p0..p6
 
@@ -362,6 +364,14 @@ def _layout(formula: MonotoneFormula) -> _Layout:
     span = [(min(pos_of[v] for v in c.literals),
              max(pos_of[v] for v in c.literals)) for c in clauses]
 
+    # Only the order of layers matters, so a clause is drawn on grid layer
+    # 2 + the rank of its layer among the distinct layers on its side; the
+    # sort and the stack pass compare, and name, the formula's own layers.
+    row = {}
+    for side, polarity in ((1, "pos"), (-1, "neg")):
+        layers = sorted({c.layer for c in clauses if c.polarity == polarity})
+        row.update(((side, layer), 2 + r) for r, layer in enumerate(layers))
+
     def rank(p: int, ci: int, leg: int) -> tuple:
         lo, hi = span[ci]
         if p == hi:
@@ -380,7 +390,7 @@ def _layout(formula: MonotoneFormula) -> _Layout:
         for ci, leg in occ[(v, side)]:
             j = slot[(ci, leg)]
             columns.append(_Column(v, side, j, bases[v] + 4 * j + 2, ci,
-                                   clauses[ci].layer, leg))
+                                   row[(side, clauses[ci].layer)], leg))
         stack = open_on[side]
         for j, (ci, _) in enumerate(seated):
             pl, layer = placements[ci], clauses[ci].layer
@@ -391,7 +401,8 @@ def _layout(formula: MonotoneFormula) -> _Layout:
                         f"clause {ci} (layer {layer}) cannot nest inside "
                         f"clause {stack[-1]} (layer {outer})")
                 stack.append(ci)
-                pl = placements[ci] = _Placement(ci, side, layer, [], [])
+                pl = placements[ci] = _Placement(ci, side,
+                                                 row[(side, layer)], [], [])
             elif stack[-1] != ci:
                 raise LayoutInfeasible(
                     f"clause {stack[-1]} lies across a leg of clause {ci}")
@@ -401,7 +412,7 @@ def _layout(formula: MonotoneFormula) -> _Layout:
                 l0, l1, l2 = pl.legs
                 pl.p = [l0 - 1, l0, (l0 + l1) // 2, l1, (l1 + l2) // 2, l2,
                         l2 + 1]
-                max_layer[side] = max(max_layer[side], layer)
+                max_layer[side] = max(max_layer[side], pl.layer)
     # Unused slots become stub columns reaching the empty layer.
     columns += [_Column(v, side, j, bases[v] + 4 * j + 2, None, 1, None)
                 for v in range(n) for side in (1, -1)

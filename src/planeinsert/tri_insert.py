@@ -588,12 +588,12 @@ def solve(inst: Instance) -> Solution | Verdict:
 
 
 def certificate(g: PlaneGraph, crossed: np.ndarray) -> Solution:
-    """The k = 1 solution whose route f crosses graph edge crossed[f]: one
-    graph-edge event per route, its endpoints gathered from eu < ev."""
+    """The k = 1 solution whose route f crosses graph edge crossed[f], as
+    its columns: event f is route f's one event, a graph edge whose
+    endpoints are gathered from eu < ev."""
     m = len(crossed)
-    return Solution.from_columns(np.arange(m + 1), np.zeros(m, np.int8),
-                                 g.table("eu")[crossed],
-                                 g.table("ev")[crossed])
+    return Solution(np.arange(m + 1), np.zeros(m, np.int8),
+                    g.table("eu")[crossed], g.table("ev")[crossed])
 
 
 def clash_free_assignments(adj: Sequence[Sequence[int]],

@@ -1,11 +1,12 @@
-"""Shared hand-built embeddings used across the test suite."""
+"""Shared hand-built embeddings and solutions used across the test suite."""
 
 from __future__ import annotations
 
 import random
 
 from planeinsert import geometry
-from planeinsert.instance_io import make_instance
+from planeinsert.instance_io import (GRAPH_EDGE, INSERTED, Solution,
+                                     make_instance)
 from planeinsert.plane_graph import PlaneGraph, build_from_rotation
 from planeinsert.reduction import Clause, MonotoneFormula
 
@@ -43,6 +44,34 @@ K5_ROTATION = [
     [4, 0, 1, 2],
     [0, 1, 2, 3],
 ]
+
+
+def solution(*routes) -> Solution:
+    """The solution whose route i crosses the events of routes[i] in
+    order: a pair (u, v) is the graph edge u-v, an integer j the inserted
+    edge F[j]."""
+    start, kind, a, b = [0], [], [], []
+    for events in routes:
+        for ev in events:
+            if isinstance(ev, int):
+                kind.append(INSERTED)
+                a.append(ev)
+                b.append(-1)
+            else:
+                kind.append(GRAPH_EDGE)
+                a.append(min(ev))
+                b.append(max(ev))
+        start.append(len(kind))
+    return Solution(start, kind, a, b)
+
+
+def route_events(sol: Solution) -> list[list]:
+    """Each route's events in the form solution() takes, a graph edge's
+    pair smaller endpoint first."""
+    events = [(x, y) if k == GRAPH_EDGE else x for k, x, y in
+              zip(sol.kind.tolist(), sol.a.tolist(), sol.b.tolist())]
+    start = sol.start.tolist()
+    return [events[s:e] for s, e in zip(start, start[1:])]
 
 
 def octahedron() -> PlaneGraph:

@@ -18,7 +18,7 @@ from planeinsert.tri_insert import solve
 from planeinsert.verdicts import Verdict
 from planeinsert.verifier import verify
 
-from fixtures import apollonian7, cube, octahedron
+from fixtures import apollonian7, cube, octahedron, route_events, solution
 from instance_gen import instance_stream, planted_instance
 
 
@@ -36,7 +36,7 @@ class TestTriangulationOracle:
     def test_empty(self):
         inst = make_instance(octahedron(), [])
         sol = exact_solve_triangulation(inst)
-        assert isinstance(sol, Solution) and sol.routes == ()
+        assert isinstance(sol, Solution) and sol == solution()
 
     def test_guard(self):
         inst = make_instance(octahedron(), [(0, 5), (1, 3), (2, 4)])
@@ -67,7 +67,7 @@ class TestGeneralOracle:
         inst = make_instance(cube(), [(0, 2)], k=1)
         sol = exact_solve_general(inst, node_budget=10_000)
         assert isinstance(sol, Solution)
-        assert sol.routes[0].events == ()
+        assert route_events(sol) == [[]]
 
     def test_budget_exceeded(self):
         inst = make_instance(octahedron(), [(0, 5), (1, 3), (2, 4)])
@@ -104,8 +104,7 @@ class TestGeneralOracle:
         sols = list(iter_solutions(inst, node_budget=200_000))
         sigs = set()
         for s in sols:
-            sig = tuple(tuple((e.kind, e.target) for e in r.events)
-                        for r in s.routes)
+            sig = tuple(map(tuple, route_events(s)))
             assert sig not in sigs
             sigs.add(sig)
             assert verify(inst, s).accepted

@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -358,6 +359,29 @@ def test_reversed_chain_compiles(m):
         assert len(atlas.clause_gadgets) == m
 
 
+def layered(low: int, high: int) -> MonotoneFormula:
+    """A whole clause at layer low inside one at layer high, above the
+    axis, and one clause at layer low below it."""
+    return MonotoneFormula(3, (Clause("pos", high, (0, 2)),
+                               Clause("pos", low, (1,)),
+                               Clause("neg", low, (0, 1))), (0, 1, 2))
+
+
+def test_only_the_order_of_layers_is_drawn():
+    want = write_instance(compile_formula(layered(2, 3))[0])
+    assert write_instance(compile_formula(layered(2, 5))[0]) == want
+    assert write_instance(compile_formula(layered(7, 40))[0]) == want
+
+
+def test_huge_layer_compiles_at_once():
+    one = MonotoneFormula(1, (Clause("pos", 10**9, (0,)),), (0,))
+    t0 = time.perf_counter()
+    inst, _ = compile_formula(one, validate=False)
+    assert time.perf_counter() - t0 < 1.0
+    assert write_instance(inst) == write_instance(compile_formula(
+        MonotoneFormula(1, (Clause("pos", 2, (0,)),), (0,)))[0])
+
+
 def test_reversed_chain_lays_out_at_400_clauses():
     forward, backward = _layout(chain(400, False)), _layout(chain(400, True))
     assert sorted(pl.legs for pl in backward.placements) == sorted(
@@ -371,11 +395,15 @@ def test_reversed_chain_lays_out_at_400_clauses():
     (MonotoneFormula(3, (Clause("pos", 2, (0, 2)), Clause("pos", 3, (1,))),
                      (0, 1, 2)),
      r"^clause 1 \(layer 3\) cannot nest inside clause 0 \(layer 2\)$"),
+    (MonotoneFormula(3, (Clause("pos", 20, (0, 2)),
+                         Clause("pos", 10**9, (1,))), (0, 1, 2)),
+     r"^clause 1 \(layer 1000000000\) cannot nest inside clause 0 "
+     r"\(layer 20\)$"),
     (MonotoneFormula(3, (Clause("neg", 3, (0, 1, 2)),
                          Clause("neg", 2, (2, 0))), (0, 1, 2)),
      r"^clause 1 lies across a leg of clause 0$"),
 ], ids=["overlapping layer-2 clauses", "whole clause above its cover",
-        "leg under a crossing span"])
+        "far layers named as written", "leg under a crossing span"])
 def test_layout_rejection_names_both_clauses(formula, message):
     assert search_space(formula) <= 20_000
     with pytest.raises(LayoutInfeasible):

@@ -1,6 +1,7 @@
-"""The solution records, reader and writer against their reference in
-solution_reference.py: the same canonical text byte for byte, the same
-reprs, and the same error type and message on malformed input."""
+"""The solution columns, reader and writer against their reference in
+solution_reference.py: the columns of the reference's records, the same
+canonical text byte for byte, and the same error type and message on
+malformed input."""
 
 from __future__ import annotations
 
@@ -16,31 +17,38 @@ from planeinsert.verdicts import Verdict
 from planeinsert.verifier import verify
 
 import solution_reference as ref
-from fixtures import cube, octahedron
+from fixtures import cube, octahedron, route_events, solution
 from instance_gen import instance_stream, planted_instance
 
 
 def as_reference(sol: new.Solution) -> ref.Solution:
     return ref.Solution(tuple(
-        ref.Route(r.f_edge, tuple(ref.CrossingEvent(ev.kind, ev.target)
-                                  for ev in r.events))
-        for r in sol.routes))
+        ref.Route(i, tuple(ref.CrossingEvent(
+            "graph_edge" if isinstance(ev, tuple) else "inserted", ev)
+            for ev in events))
+        for i, events in enumerate(route_events(sol))))
+
+
+def from_reference(sol: ref.Solution) -> new.Solution:
+    """The columns of the reference's records: a graph edge's target is
+    its endpoint pair, an inserted edge's its F index."""
+    return solution(*([ev.target for ev in r.events] for r in sol.routes))
 
 
 def solutions() -> list[new.Solution]:
     # Endpoint pairs in both orders: the writer must put the smaller first.
     # Empty routes first, last and in a row: the writer places their heads.
-    ev = new.CrossingEvent
-    out = [new.Solution(()), new.Solution((
-        new.Route(0, (ev("graph_edge", (5, 2)), ev("graph_edge", (2, 7)))),
-        new.Route(1, ()),
-        new.Route(2, (ev("inserted", 1), ev("graph_edge", (9, 0)),
+    ev = ref.CrossingEvent
+    out = [from_reference(ref.Solution(routes)) for routes in [(), (
+        ref.Route(0, (ev("graph_edge", (5, 2)), ev("graph_edge", (2, 7)))),
+        ref.Route(1, ()),
+        ref.Route(2, (ev("inserted", 1), ev("graph_edge", (9, 0)),
                       ev("inserted", 0))),
-    )), new.Solution((new.Route(0, ()), new.Route(1, ()))), new.Solution((
-        new.Route(0, ()), new.Route(1, ()),
-        new.Route(2, (ev("graph_edge", (3, 1)), ev("inserted", 0))),
-        new.Route(3, ()),
-    ))]
+    ), (ref.Route(0, ()), ref.Route(1, ())), (
+        ref.Route(0, ()), ref.Route(1, ()),
+        ref.Route(2, (ev("graph_edge", (3, 1)), ev("inserted", 0))),
+        ref.Route(3, ()),
+    )]]
     insts = list(instance_stream(300))
     insts += [planted_instance(3000, s) for s in range(3)]
     for inst in insts:
@@ -55,15 +63,17 @@ def solutions() -> list[new.Solution]:
 
 def test_text_and_reprs_match_reference():
     sols = solutions()
-    kinds = {ev.kind for sol in sols for r in sol.routes for ev in r.events}
-    assert kinds == {"graph_edge", "inserted"}
-    assert max(len(sol.routes) for sol in sols) > 1000
+    assert set(np.concatenate([sol.kind for sol in sols]).tolist()) == {
+        new.GRAPH_EDGE, new.INSERTED}
+    assert max(len(sol.start) - 1 for sol in sols) > 1000
     for sol in sols:
         want = as_reference(sol)
-        assert repr(sol) == repr(want)
+        assert from_reference(want) == sol
         text = new.write_solution(sol)
         assert text == ref.write_solution(want)
-        assert repr(new.parse_solution(text)) == repr(ref.parse_solution(text))
+        parsed = new.parse_solution(text)
+        assert parsed == sol
+        assert repr(parsed) == repr(from_reference(ref.parse_solution(text)))
 
 
 def raised(call) -> tuple[str, str]:
@@ -104,46 +114,13 @@ def test_malformed_text_errors_match_reference(name):
     assert raised(lambda: new.parse_solution(text)) == want
 
 
-def one_route(m, *events):
-    return m.Solution((m.Route(0, tuple(events)),))
-
-
-def second_route(m, *events):
-    return m.Solution((m.Route(0, ()), m.Route(1, tuple(events))))
-
-
-MALFORMED_RECORDS = {
-    "bad kind": lambda m: one_route(m, m.CrossingEvent("vertex", 3)),
-    "missing u": lambda m: one_route(m, m.CrossingEvent("graph_edge", (2,))),
-    "non-pair target": lambda m: one_route(
-        m, m.CrossingEvent("graph_edge", [1, 2])),
-    "non-int index": lambda m: second_route(
-        m, m.CrossingEvent("inserted", "0")),
-    "forward reference": lambda m: one_route(
-        m, m.CrossingEvent("inserted", 0)),
-    "late forward reference": lambda m: second_route(
-        m, m.CrossingEvent("graph_edge", (1, 2)),
-        m.CrossingEvent("inserted", 1)),
-    "wrong f_edge": lambda m: m.Solution((m.Route(1, ()),)),
-    "non-list routes": lambda m: m.Solution(5),
-}
-
-
-@pytest.mark.parametrize("name", MALFORMED_RECORDS)
-def test_malformed_record_errors_match_reference(name):
-    build = MALFORMED_RECORDS[name]
-    want = raised(lambda: build(ref))
-    assert want[0] != "no error"
-    assert raised(lambda: build(new)) == want
-
-
 def test_columns_of_records():
-    ev = new.CrossingEvent
-    sol = new.Solution((
-        new.Route(0, (ev("graph_edge", (5, 2)), ev("graph_edge", (2, 7)))),
-        new.Route(1, ()),
-        new.Route(2, (ev("inserted", 1), ev("graph_edge", (9, 0)))),
-    ))
+    ev = ref.CrossingEvent
+    sol = from_reference(ref.Solution((
+        ref.Route(0, (ev("graph_edge", (5, 2)), ev("graph_edge", (2, 7)))),
+        ref.Route(1, ()),
+        ref.Route(2, (ev("inserted", 1), ev("graph_edge", (9, 0)))),
+    )))
     assert sol.start.tolist() == [0, 2, 2, 4]
     assert sol.kind.dtype == np.int8
     assert sol.kind.tolist() == [new.GRAPH_EDGE, new.GRAPH_EDGE,
@@ -153,12 +130,12 @@ def test_columns_of_records():
     assert not sol.a.flags.writeable
     with pytest.raises(AttributeError):
         sol.a = sol.b
-    # The record view lists every pair smaller endpoint first.
-    assert sol.routes[0].events[0] == ("graph_edge", (2, 5))
-    same = new.Solution.from_columns([0, 2, 2, 4], [0, 0, 1, 0],
-                                     [2, 2, 1, 0], [5, 7, -1, 9])
+    same = new.Solution([0, 2, 2, 4], [0, 0, 1, 0], [2, 2, 1, 0],
+                        [5, 7, -1, 9])
     assert same == sol and hash(same) == hash(sol)
-    assert same != new.Solution(())
+    assert same != solution()
+    assert repr(same) == ("Solution(start=[0, 2, 2, 4], kind=[0, 0, 1, 0], "
+                          "a=[2, 2, 1, 0], b=[5, 7, -1, 9])")
 
 
 @pytest.mark.parametrize("columns, message", [
@@ -170,25 +147,30 @@ def test_columns_of_records():
     (([0, 1, 2], [0, 1], [1, 1], [2, -1]),
      "route 1 references inserted edge 1"),
     (([0, 0, 1], [1], [-1], [-1]), "route 1 references inserted edge -1"),
+    # Bools, floats and values outside a column's dtype are errors, not
+    # truncations or overflows.
+    (([0, 1.7], [0], [1], [2]), "column start must hold int64"),
+    (([0, 1], [0.9], [1.5], [2.2]), "column kind must hold int8"),
+    (([0, 1], [False], [1], [2]), "column kind must hold int8"),
+    (([0, 1], np.array([0]), np.array([True]), [2]),
+     "column a must hold int64"),
+    (([0, True], [0], [1], [2]), "column start must hold int64"),
+    (([0, 1], [300], [1], [2]), "column kind must hold int8"),
+    (([0, 1], [0], [2**70], [2]), "column a must hold int64"),
+    (([0, 1], [0], [1], [2**63]), "column b must hold int64"),
+    (([0, 1], [0], [1], [[2], [3, 4]]), "column b"),
 ])
 def test_column_check(columns, message):
     with pytest.raises(SchemaError, match=message):
-        new.Solution.from_columns(*columns)
+        new.Solution(*columns)
 
 
 def test_first_bad_route_wins():
-    # A bad reference before a malformed record is the error, as in a
-    # walk that checks each event in turn.
-    ev = new.CrossingEvent
+    # Of two bad events the earlier one is the error, whatever their kinds.
     with pytest.raises(SchemaError, match="route 0 references inserted"):
-        new.Solution((new.Route(0, (ev("inserted", 0),)),
-                      new.Route(1, (ev("vertex", 1),))))
-    with pytest.raises(SchemaError, match="route 1 references inserted"):
-        new.Solution((new.Route(0, ()), new.Route(
-            1, (ev("inserted", 1), ev("graph_edge", [1])))))
-    with pytest.raises(SchemaError, match="labeled f_edge=2"):
-        new.Solution((new.Route(0, (ev("graph_edge", (1, 2)),)),
-                      new.Route(2, (ev("inserted", 5),))))
+        new.Solution([0, 1, 2], [1, 5], [0, 1], [-1, 2])
+    with pytest.raises(SchemaError, match="route 1 graph_edge event"):
+        new.Solution([0, 0, 2, 3], [0, 1, 1], [3, 0, 4], [2, -1, -1])
 
 
 BIG = 10**23
@@ -200,9 +182,6 @@ def test_endpoints_outside_int64_are_schema_errors(u, v):
              f'"u":{u},"v":{v}}}]}}]}}')
     with pytest.raises(SchemaError, match="out of range"):
         new.parse_solution(route)
-    with pytest.raises(SchemaError, match="out of range"):
-        new.Solution((new.Route(0, (new.CrossingEvent("graph_edge",
-                                                      (u, v)),)),))
 
 
 @pytest.mark.parametrize("index", [BIG, -BIG])
@@ -212,29 +191,13 @@ def test_index_outside_int64_is_schema_error(index):
     with pytest.raises(SchemaError,
                        match=f"route 1 references inserted edge {index}"):
         new.parse_solution(text)
-    with pytest.raises(SchemaError,
-                       match=f"route 1 references inserted edge {index}"):
-        new.Solution((new.Route(0, ()), new.Route(
-            1, (new.CrossingEvent("inserted", index),))))
 
 
 def test_negative_endpoint_parses_and_is_rejected():
     inst = make_instance(octahedron(), [(0, 5)])
     sol = new.parse_solution('{"routes":[{"f_edge":0,"events":'
                              '[{"kind":"graph_edge","u":2,"v":-1}]}]}')
-    assert sol.routes[0].events == (("graph_edge", (-1, 2)),)
+    assert route_events(sol) == [[(-1, 2)]]
     res = verify(inst, sol)
     assert (res.reason, res.detail) == ("no_realization",
                                         "(-1,2) is not a graph edge")
-
-
-def test_answer_path_builds_no_records(monkeypatch):
-    def no_records(self):
-        raise AssertionError("the record view was built")
-
-    monkeypatch.setattr(new.Solution, "_records", no_records)
-    inst = planted_instance(3000, 0)
-    text = new.write_solution(solve(inst))
-    assert verify(inst, new.parse_solution(text)).accepted
-    with pytest.raises(AssertionError, match="record view"):
-        new.parse_solution(text).routes

@@ -1,7 +1,12 @@
-"""Every name a module of the package imports is used in that module.
+"""Two standard-library AST scans of the package's modules.
 
-A standard-library AST scan: an imported name counts as used when it is
-read anywhere in the module, also inside a quoted annotation."""
+- Every name a module imports is used in that module: an imported name
+  counts as used when it is read anywhere in the module, also inside a
+  quoted annotation.
+- Every assert states an internal invariant, never an input check (those
+  vanish under python -O): a "# Internal invariant:" comment sits within
+  the three lines above it.  PlanarizedDrawing.validate, which only tests
+  call, is exempt."""
 
 from __future__ import annotations
 
@@ -64,3 +69,50 @@ def test_scan_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+INVARIANT = "# Internal invariant:"
+EXEMPT = {"PlanarizedDrawing.validate"}
+
+
+def unlabelled_asserts(source: str) -> list[str]:
+    """The qualified name and line of each assert outside EXEMPT with no
+    INVARIANT comment within the three lines above it."""
+    lines = source.splitlines()
+    out: list[str] = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Assert):
+                name = ".".join(scope) or "<module>"
+                above = lines[max(child.lineno - 4, 0):child.lineno - 1]
+                if name not in EXEMPT and not any(
+                        INVARIANT in line for line in above):
+                    out.append(f"{name} (line {child.lineno})")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return out
+
+
+def test_scan_finds_an_unlabelled_assert():
+    source = ("def f(x):\n"
+              "    # Internal invariant: callers pass a list.\n"
+              "    assert isinstance(x, list)\n"
+              "    y = len(x)\n"
+              "    z = y + 1\n"
+              "    assert z\n"
+              "class PlanarizedDrawing:\n"
+              "    def validate(self):\n"
+              "        assert self\n")
+    assert unlabelled_asserts(source) == ["f (line 6)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_assert_is_a_labelled_invariant(path):
+    assert unlabelled_asserts(path.read_text()) == []

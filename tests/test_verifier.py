@@ -11,13 +11,7 @@ from planeinsert.errors import (
     SchemaError,
     SearchBudgetExceeded,
 )
-from planeinsert.instance_io import (
-    CrossingEvent,
-    Route,
-    Solution,
-    make_instance,
-    parse_solution,
-)
+from planeinsert.instance_io import Solution, make_instance, parse_solution
 from planeinsert.tri_insert import solve
 from planeinsert.verifier import (
     PlanarizedDrawing,
@@ -26,18 +20,8 @@ from planeinsert.verifier import (
     verify,
 )
 
-from fixtures import cube, octahedron
+from fixtures import cube, octahedron, route_events, solution
 from instance_gen import planted_instance
-
-
-def route(i, *pairs):
-    events = []
-    for p in pairs:
-        if isinstance(p, int):
-            events.append(CrossingEvent("inserted", p))
-        else:
-            events.append(CrossingEvent("graph_edge", tuple(sorted(p))))
-    return Route(i, tuple(events))
 
 
 OCTA_F = [(0, 5), (1, 3), (2, 4)]
@@ -50,39 +34,39 @@ def octa_instance(F=None, k=1):
 class TestVerify:
     def test_empty_f_accepted(self):
         inst = make_instance(octahedron(), [], k=1)
-        assert verify(inst, Solution(())).accepted
+        assert verify(inst, solution()).accepted
 
     def test_octahedron_certificate_accepted(self):
         inst = octa_instance()
-        sol = Solution((route(0, (1, 2)), route(1, (0, 4)), route(2, (5, 3))))
+        sol = solution([(1, 2)], [(0, 4)], [(5, 3)])
         res = verify(inst, sol)
         assert res.accepted, res
 
     def test_wrong_assignment_rejected(self):
         # (0,5) via (1,2) clashes with (1,3) via (0,2).
         inst = octa_instance(F=[(0, 5), (1, 3)])
-        sol = Solution((route(0, (1, 2)), route(1, (0, 2))))
+        sol = solution([(1, 2)], [(0, 2)])
         res = verify(inst, sol)
         assert not res.accepted
         assert res.reason == "no_realization"
 
     def test_double_crossing_same_edge_rejected(self):
         inst = octa_instance(F=[(0, 5)])
-        sol = Solution((route(0, (1, 2), (1, 2)),))
+        sol = solution([(1, 2), (1, 2)])
         res = verify(inst, sol)
         assert not res.accepted
         assert res.reason in ("crossing_budget_exceeded", "no_realization")
 
     def test_budget_exceeded_across_routes(self):
         inst = make_instance(cube(), [(0, 2), (4, 6)], k=1)
-        sol = Solution((route(0, (1, 5)), route(1, (1, 5))))
+        sol = solution([(1, 5)], [(1, 5)])
         res = verify(inst, sol)
         assert not res.accepted
         assert res.reason == "crossing_budget_exceeded"
 
     def test_own_budget_exceeded(self):
         inst = octa_instance(F=[(0, 5)])
-        sol = Solution((route(0, (1, 2), (3, 4)),))
+        sol = solution([(1, 2), (3, 4)])
         res = verify(inst, sol)
         assert not res.accepted
         assert res.reason == "crossing_budget_exceeded"
@@ -91,20 +75,20 @@ class TestVerify:
         inst = octa_instance(F=[(0, 5)])
         # (0, 5) is a non-edge; -1, 6 and 7 are not vertices.
         for pair in ((0, 5), (2, 7), (6, 7), (-1, 2)):
-            res = verify(inst, Solution((route(0, pair),)))
+            res = verify(inst, solution([pair]))
             assert not res.accepted
             assert res.reason == "no_realization"
 
     def test_adjacent_crossing_rejected(self):
         inst = octa_instance(F=[(0, 5)])
-        sol = Solution((route(0, (0, 1)),))
+        sol = solution([(0, 1)])
         res = verify(inst, sol)
         assert not res.accepted
         assert res.reason == "no_realization"
 
     def test_route_count_mismatch(self):
         inst = octa_instance(F=[(0, 5)])
-        assert not verify(inst, Solution(())).accepted
+        assert not verify(inst, solution()).accepted
 
     def test_later_edge_reference_is_schema_error(self):
         with pytest.raises(SchemaError):
@@ -114,25 +98,25 @@ class TestVerify:
 
     def test_chord_route_in_cube(self):
         inst = make_instance(cube(), [(0, 2)], k=1)
-        res = verify(inst, Solution((route(0),)))
+        res = verify(inst, solution([]))
         assert res.accepted
 
     def test_chord_impossible_in_triangulation(self):
         inst = octa_instance(F=[(0, 5)])
-        res = verify(inst, Solution((route(0),)))
+        res = verify(inst, solution([]))
         assert not res.accepted
 
     def test_order_robustness_seeds(self):
         inst = octa_instance()
-        good = Solution((route(0, (1, 2)), route(1, (0, 4)), route(2, (5, 3))))
-        bad = Solution((route(0, (1, 2)), route(1, (0, 2)), route(2, (5, 3))))
+        good = solution([(1, 2)], [(0, 4)], [(5, 3)])
+        bad = solution([(1, 2)], [(0, 2)], [(5, 3)])
         for seed in range(10):
             assert verify(inst, good, seed=seed).accepted
             assert not verify(inst, bad, seed=seed).accepted
 
     def test_node_budget_raises(self):
         inst = octa_instance()
-        good = Solution((route(0, (1, 2)), route(1, (0, 4)), route(2, (5, 3))))
+        good = solution([(1, 2)], [(0, 4)], [(5, 3)])
         with pytest.raises(SearchBudgetExceeded):
             verify(inst, good, node_budget=1)
 
@@ -141,7 +125,7 @@ class TestVerify:
         {"node_budget": None}, {"node_budget": 10.0}])
     def test_search_arguments_must_be_integers(self, kwargs):
         inst = octa_instance()
-        good = Solution((route(0, (1, 2)), route(1, (0, 4)), route(2, (5, 3))))
+        good = solution([(1, 2)], [(0, 4)], [(5, 3)])
         with pytest.raises(InvalidArgument):
             verify(inst, good, **kwargs)
 
@@ -158,13 +142,13 @@ class TestVerify:
         # Cube with two crossing diagonals of one face needs k >= 1 on both;
         # the second route crosses the first inserted edge.
         inst = make_instance(cube(), [(0, 2), (1, 3)], k=1)
-        sol = Solution((route(0), route(1, 0)))
+        sol = solution([], [0])
         assert verify(inst, sol).accepted
 
     def test_inserted_crossing_budget(self):
         # Same but k=1 and a third diagonal is impossible.
         inst = make_instance(cube(), [(0, 2), (1, 3)], k=1)
-        sol = Solution((route(0), route(1)))  # (1,3) must cross edge 0
+        sol = solution([], [])  # (1,3) must cross edge 0
         assert not verify(inst, sol).accepted
 
 
@@ -239,25 +223,25 @@ class TestEngine:
 
 
 def reference_static_pass(inst, sol):
-    """verify's static pass as a scan of the records, route by route and
-    event by event: the pinned logical ids of every route, or the first
+    """verify's static pass as a scan of the routes, one by one and event
+    by event: the pinned logical ids of every route, or the first
     rejection."""
     g = inst.graph
     k = inst.k
     m = len(inst.F)
     pinned_all: list[list[int]] = []
     counts = [0] * (g.edge_count + m)
-    for i, route in enumerate(sol.routes):
+    for i, events in enumerate(route_events(sol)):
         u, v = inst.F[i]
-        if len(route.events) > k:
+        if len(events) > k:
             return VerifyResult(False, "crossing_budget_exceeded", i,
                                 f"inserted edge {i} would cross "
-                                f"{len(route.events)} times")
+                                f"{len(events)} times")
         named: set[int] = set()
         pinned: list[int] = []
-        for ev in route.events:
-            if ev.kind == "graph_edge":
-                a, b = ev.target
+        for ev in events:
+            if isinstance(ev, tuple):
+                a, b = ev
                 e = g.edge_between(a, b)
                 if e is None:
                     return VerifyResult(False, "no_realization", i,
@@ -265,8 +249,8 @@ def reference_static_pass(inst, sol):
                 logical = e
                 la, lb = a, b
             else:
-                logical = g.edge_count + ev.target
-                la, lb = inst.F[ev.target]
+                logical = g.edge_count + ev
+                la, lb = inst.F[ev]
             if logical in named:
                 return VerifyResult(False, "no_realization", i,
                                     "route crosses one edge twice")
@@ -276,7 +260,7 @@ def reference_static_pass(inst, sol):
             named.add(logical)
             counts[logical] += 1
             pinned.append(logical)
-        counts[g.edge_count + i] += len(route.events)
+        counts[g.edge_count + i] += len(events)
         pinned_all.append(pinned)
     for logical, c in enumerate(counts):
         if c > k:
@@ -306,12 +290,12 @@ def random_solution(inst, rng: random.Random) -> Solution:
         if clean:
             free = [p for p in pool if not {u, v} & set(p)]
             if free and rng.random() < 0.5:
-                events.append(CrossingEvent("graph_edge", rng.choice(free)))
+                events.append(rng.choice(free))
             earlier = [j for j in range(min(i, 3))
                        if not {u, v} & set(inst.F[j])]
             if earlier and rng.random() < 0.3:
-                events.append(CrossingEvent("inserted", rng.choice(earlier)))
-            routes.append(Route(i, tuple(events)))
+                events.append(rng.choice(earlier))
+            routes.append(events)
             continue
         for _ in range(rng.choice((0, 1, 1, 1, 2, 3))):
             roll = rng.random()
@@ -322,15 +306,15 @@ def random_solution(inst, rng: random.Random) -> Solution:
             elif roll < 0.85:
                 pair = (rng.randrange(-2, n + 2), rng.randrange(-2, n + 2))
             elif i:
-                events.append(CrossingEvent("inserted", rng.randrange(i)))
+                events.append(rng.randrange(i))
                 continue
             else:
                 continue
-            events.append(CrossingEvent("graph_edge", pair))
+            events.append(pair)
         if events and rng.random() < 0.1:
             events.append(events[0])
-        routes.append(Route(i, tuple(events)))
-    return Solution(tuple(routes))
+        routes.append(events)
+    return solution(*routes)
 
 
 def test_static_pass_matches_reference_scan():
