@@ -4,14 +4,16 @@ This is the package's only module with orientation or angle code.  All
 tests are exact.  Floating point only proposes an angular order, which
 an exact pass then checks (see below).
 
-- **Integer scaling.**  ``check_coords`` multiplies every rational
-  coordinate once by the least common multiple of all denominators.  A
-  positive common factor m scales every orientation determinant by m**2,
-  every dot product by m**2 and every coordinate comparison by m, so each
-  sign, equality and order the checks read is unchanged, and the checks
-  run on integers instead of ``Fraction`` values: ``check_drawing``, the
-  plane check and then the rotation check, which the compiler calls
-  directly on the integer grid points it already holds.
+- **One coordinate form.**  A drawing is a ``Grid(points, scale)``:
+  vertex v at points[v] / scale, with exact int points and scale the
+  least positive common denominator, so equal drawings give equal Grids.
+  ``to_grid`` and ``rows_to_grid`` convert rational pairs and the file's
+  [xn, xd, yn, yd] rows with one LCM, and ``coord_rows`` gives those rows
+  back in lowest terms.  The checks read the points alone: the positive
+  factor scale scales every orientation determinant and dot product by
+  scale**2 and every coordinate comparison by scale, so each sign,
+  equality and order they read is that of the drawing.  ``check_coords``
+  is the one drawing check: the plane check, then the rotation check.
 - **Array arithmetic.**  The checks hold the x and y columns in numpy
   arrays.  When every scaled |coordinate| is below 2**30, each difference
   of two coordinates is below 2**31, each product of two differences below
@@ -35,7 +37,8 @@ an exact pass then checks (see below).
   scalar test it replaced: identical segments, one shared endpoint (an
   overlap when the other endpoints are collinear with it and on the same
   side), a proper crossing, and an endpoint touching the other segment.
-  Pairs are built in pieces of about ``_PIECE``, so memory stays linear.  On drawings whose segments are short against the drawing's
+  Pairs are built in pieces of about ``_PIECE``, so memory stays
+  linear.  On drawings whose segments are short against the drawing's
   width, both passes cost about O((V + E) log(V + E)) plus the pairs that
   really are close.  The worst case stays quadratic in time: many segments
   whose x-ranges all overlap, or many vertices in the x-range of one long
@@ -77,6 +80,8 @@ an exact pass then checks (see below).
 from __future__ import annotations
 
 import math
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain
@@ -84,11 +89,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import NonPlaneCoordinates
+from .errors import NonPlaneCoordinates, SchemaError
 from .plane_graph import PlaneGraph
 
-# One point: numbers (Fractions as stored, or ints after scaling), or
-# equal-length int64 or object arrays of x and y values.
+# One point: numbers, or equal-length int64 or object arrays of x and y
+# values.
 Point = tuple
 
 # Scaled coordinates below this in magnitude run in int64 (see above).
@@ -180,26 +185,73 @@ def angular_order(pts: Sequence[tuple[int, int]], tail: np.ndarray,
     return order, tied
 
 
-def scale_to_integers(pts: Sequence[tuple[Fraction, Fraction]]
-                      ) -> list[tuple[int, int]]:
-    """The points times the LCM of all their denominators, as ints."""
-    m = math.lcm(*(c.denominator for p in pts for c in p))
-    return [(x.numerator * (m // x.denominator),
-             y.numerator * (m // y.denominator)) for x, y in pts]
+@dataclass(frozen=True)
+class Grid:
+    """An exact drawing: vertex v at points[v] / scale.  The constructor
+    takes any integer points over a positive integer scale and divides
+    both by their greatest common divisor, which leaves scale the least
+    positive common denominator: two equal drawings give equal Grids."""
+
+    points: tuple[tuple[int, int], ...]
+    scale: int
+
+    def __post_init__(self):
+        try:
+            pts = tuple((operator.index(x), operator.index(y))
+                        for x, y in self.points)
+            scale = operator.index(self.scale)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"a grid holds (x, y) pairs of integers: "
+                              f"{exc}") from exc
+        if scale < 1:
+            raise SchemaError("a grid's scale must be a positive integer")
+        g = math.gcd(scale, *chain.from_iterable(pts))
+        if g > 1:
+            pts = tuple((x // g, y // g) for x, y in pts)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "scale", scale // g)
 
 
-def check_coords(graph: PlaneGraph,
-                 pts: Sequence[tuple[Fraction, Fraction]]) -> None:
-    """Raise NonPlaneCoordinates unless the straight-line drawing at pts is
-    plane and agrees with the graph's rotation system."""
-    check_drawing(graph, scale_to_integers(pts))
+def to_grid(coords) -> Grid:
+    """(x, y) pairs of rationals as a Grid: ints, Fractions, or any value
+    Fraction reads.  Raises SchemaError for anything else."""
+    try:
+        rows = [[*Fraction(x).as_integer_ratio(),
+                 *Fraction(y).as_integer_ratio()] for x, y in coords]
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise SchemaError(f"coords must be (x, y) pairs of rationals: "
+                          f"{exc}") from exc
+    return rows_to_grid(rows)
 
 
-def check_drawing(graph: PlaneGraph, ipts: Sequence[tuple[int, int]]) -> None:
-    """check_coords on integer points: raise NonPlaneCoordinates unless the
-    straight-line drawing is plane and agrees with the rotation system."""
-    check_plane(graph, ipts)
-    check_rotation(graph, ipts)
+def rows_to_grid(rows: Sequence[Sequence[int]]) -> Grid:
+    """Rows [xn, xd, yn, yd] of ints, in any terms and signs, as a Grid:
+    the points times the LCM of the denominators, reduced by the Grid.
+    Raises SchemaError for a zero denominator."""
+    nums = [n for xn, _, yn, _ in rows for n in (xn, yn)]
+    dens = [d for _, xd, _, yd in rows for d in (xd, yd)]
+    if 0 in dens:
+        raise SchemaError("zero denominator in coords")
+    m = math.lcm(*dens)
+    flat = [n * (m // d) for n, d in zip(nums, dens)]
+    return Grid(tuple(zip(flat[0::2], flat[1::2])), m)
+
+
+def coord_rows(grid: Grid) -> list[list[int]]:
+    """Each point as the row [xn, xd, yn, yd] of its coordinates in lowest
+    terms, denominators positive."""
+    s = grid.scale
+    terms = {c: (c // g, s // g)
+             for c in set(chain.from_iterable(grid.points))
+             for g in (math.gcd(c, s),)}
+    return [[*terms[x], *terms[y]] for x, y in grid.points]
+
+
+def check_coords(graph: PlaneGraph, grid: Grid) -> None:
+    """Raise NonPlaneCoordinates unless the straight-line drawing of grid
+    is plane and agrees with the graph's rotation system."""
+    check_plane(graph, grid.points)
+    check_rotation(graph, grid.points)
 
 
 def _columns(pts: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -277,8 +329,7 @@ def _conflicts(p1: Point, p2: Point, q1: Point, q2: Point) -> np.ndarray:
 def check_plane(graph: PlaneGraph, pts: Sequence[tuple[int, int]]) -> None:
     """Raise NonPlaneCoordinates when a vertex lies inside an edge segment,
     two edge segments meet beyond a shared endpoint, or two vertices are
-    drawn on one point.  The points are integers (``check_coords`` scales
-    them).
+    drawn on one point.  The points are integers, as a Grid holds them.
 
     Every vertex inside an edge also makes its own edges meet that edge;
     the vertex pass runs first so that the error names the vertex.  Two

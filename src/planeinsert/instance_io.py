@@ -16,8 +16,12 @@ Solution file (JSON)::
 
 Routes are listed in insertion order (f_edge 0, 1, ...) and an "inserted"
 event may only reference a strictly smaller f_edge index.  Coordinates are
-exact rationals; planeinsert.geometry checks the straight-line drawing
-they give (no crossings, neighbor order equal to the rotation) without
+exact rationals.  In memory Instance.coords is a geometry.Grid(points,
+scale), vertex v at points[v] / scale with exact int points and scale the
+least common denominator, or None; make_instance takes a Grid as it is or
+converts (x, y) pairs of rationals, and write_instance writes each
+coordinate in lowest terms.  planeinsert.geometry checks the straight-line
+drawing (no crossings, neighbor order equal to the rotation) without
 touching floating point.  Serialization is canonical: re-serializing a
 parsed file reproduces it byte for byte.
 
@@ -61,7 +65,6 @@ import operator
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from typing import NoReturn
 
@@ -74,11 +77,8 @@ from .errors import (
     SchemaError,
     StructureMismatch,
 )
-from .geometry import check_coords
+from .geometry import Grid, check_coords, coord_rows, rows_to_grid, to_grid
 from .plane_graph import PlaneGraph, build_from_rotation, build_from_rows
-
-Point = tuple[Fraction, Fraction]
-
 
 # Event kinds in Solution.kind.
 GRAPH_EDGE, INSERTED = 0, 1
@@ -211,7 +211,7 @@ def _check_columns(start: np.ndarray, kind: np.ndarray, a: np.ndarray,
 @dataclass(frozen=True)
 class Instance:
     graph: PlaneGraph
-    coords: tuple[Point, ...] | None
+    coords: Grid | None
     F: tuple[tuple[int, int], ...]
     k: int
     f_structure: str = "none"
@@ -226,7 +226,8 @@ def make_instance(graph: PlaneGraph, F, k: int = 1, coords=None,
                   f_structure: str = "none") -> Instance:
     """Validate and freeze an instance built in memory.  F is a sequence
     of integer pairs or an (m, 2) int64 array; Instance.F holds its pairs
-    as exact ints, each in the orientation given, and k as an exact int."""
+    as exact ints, each in the orientation given, and k as an exact int.
+    coords is a Grid, (x, y) pairs of rationals, or None."""
     n = graph.vertex_count
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise SchemaError("k must be a positive integer")
@@ -240,19 +241,13 @@ def make_instance(graph: PlaneGraph, F, k: int = 1, coords=None,
         F = list(F)
         fpairs = _f_pairs(graph, _flat_pairs(graph, F), F)
     _check_structure(fpairs, f_structure)
-    pts = None
     if coords is not None:
-        try:
-            pts = tuple((x if isinstance(x, Fraction) else Fraction(x),
-                         y if isinstance(y, Fraction) else Fraction(y))
-                        for x, y in coords)
-        except (TypeError, ValueError, ArithmeticError) as exc:
-            raise SchemaError(f"coords must be (x, y) pairs of rationals: "
-                              f"{exc}") from exc
-        if len(pts) != n:
+        if not isinstance(coords, Grid):
+            coords = to_grid(coords)
+        if len(coords.points) != n:
             raise SchemaError("coords length != vertex count")
-        check_coords(graph, pts)
-    return Instance(graph, pts, fpairs, k, f_structure)
+        check_coords(graph, coords)
+    return Instance(graph, coords, fpairs, k, f_structure)
 
 
 def _flat_pairs(graph: PlaneGraph, F: list) -> np.ndarray:
@@ -369,12 +364,12 @@ def parse_instance(text: str) -> Instance:
     obj, rotation, F = canonical
     _check_header(obj["n"], obj["k"], True)
     graph = build_from_rows(obj["n"], *rotation)
-    pts = _coord_points(obj["coords"])
+    grid = _coord_grid(obj["coords"])
     f_lengths, f_values = F
     if (f_lengths != 2).any():
         raise SchemaError("F must be a list of pairs")
     return make_instance(graph, np.frombuffer(f_values, np.int64)
-                         .reshape(-1, 2), k=obj["k"], coords=pts,
+                         .reshape(-1, 2), k=obj["k"], coords=grid,
                          f_structure=obj["f_structure"])
 
 
@@ -400,13 +395,13 @@ def _read_json(text: str) -> Instance:
     rotation = obj["rotation"]
     _check_header(obj["n"], obj["k"], isinstance(rotation, list))
     graph = build_from_rotation(obj["n"], rotation)
-    pts = _coord_points(obj["coords"])
+    grid = _coord_grid(obj["coords"])
     F = obj["F"]
     if not isinstance(F, list) or any(
             not isinstance(p, list) or len(p) != 2 for p in F):
         raise SchemaError("F must be a list of pairs")
     return make_instance(graph, [tuple(p) for p in F], k=obj["k"],
-                         coords=pts, f_structure=obj["f_structure"])
+                         coords=grid, f_structure=obj["f_structure"])
 
 
 def _check_header(n, k, rotation_is_list: bool) -> None:
@@ -417,20 +412,16 @@ def _check_header(n, k, rotation_is_list: bool) -> None:
         raise SchemaError("k must be a positive integer")
 
 
-def _coord_points(coords) -> list[Point] | None:
-    """The coords value as exact points; every entry must be a JSON
-    integer (not a float, a string or a bool)."""
+def _coord_grid(coords) -> Grid | None:
+    """The coords value as a Grid; every entry must be a JSON integer (not
+    a float, a string or a bool)."""
     if coords is None:
         return None
     if not isinstance(coords, list) or any(
             not isinstance(row, list) or len(row) != 4
             or not all(type(x) is int for x in row) for row in coords):
         raise SchemaError("coords must be rows of 4 integers")
-    try:
-        return [(Fraction(xn, xd), Fraction(yn, yd))
-                for xn, xd, yn, yd in coords]
-    except ZeroDivisionError as exc:
-        raise SchemaError("zero denominator in coords") from exc
+    return rows_to_grid(coords)
 
 
 # The canonical text, as write_instance emits it, is
@@ -582,15 +573,11 @@ def _int_rows(data: bytes, lo: int,
 
 
 def write_instance(inst: Instance) -> str:
-    coords = None
-    if inst.coords is not None:
-        coords = [[p[0].numerator, p[0].denominator,
-                   p[1].numerator, p[1].denominator] for p in inst.coords]
     obj = {
         "k": inst.k,
         "n": inst.graph.vertex_count,
         "rotation": inst.graph.rotation(),
-        "coords": coords,
+        "coords": None if inst.coords is None else coord_rows(inst.coords),
         "F": [list(p) for p in inst.F],
         "f_structure": inst.f_structure,
     }
@@ -685,22 +672,25 @@ def render_svg(inst: Instance, sol: Solution | None = None) -> str:
         if not result.accepted:
             raise InvalidRoute(f"{result.reason} (f_edge {result.f_edge})")
 
-    pts = inst.coords
+    # A point is (x, y, c): the drawing's (x / (scale*c), y / (scale*c)).
+    # Each SVG coordinate is one int/int true division, which Python rounds
+    # correctly, so it is the float nearest the exact position.
+    pts = [(x, y, 1) for x, y in inst.coords.points]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    minx, maxx = min(xs), max(xs)
-    miny, maxy = min(ys), max(ys)
-    spanx = maxx - minx or Fraction(1)
-    spany = maxy - miny or Fraction(1)
-    size = Fraction(760)
-    scale = min(size / spanx, size / spany)
+    minx, maxy = min(xs), max(ys)
+    # The larger span, in steps of 1/scale; an empty span counts as 1.
+    span = max(max(xs) - minx or inst.coords.scale,
+               maxy - min(ys) or inst.coords.scale)
 
-    def sx(x: Fraction) -> float:
-        return float((x - minx) * scale + 20)
+    def sx(p: tuple[int, int, int]) -> float:
+        x, _, c = p
+        return ((x - minx * c) * 760 + 20 * c * span) / (c * span)
 
-    def sy(y: Fraction) -> float:
+    def sy(p: tuple[int, int, int]) -> float:
         # SVG y axis points down.
-        return float((maxy - y) * scale + 20)
+        _, y, c = p
+        return ((maxy * c - y) * 760 + 20 * c * span) / (c * span)
 
     # Deterministic crossing points: the j-th crossing of an edge (over the
     # replay order of all routes) sits at fraction (j+1)/(c+1) along it.
@@ -722,22 +712,22 @@ def render_svg(inst: Instance, sol: Solution | None = None) -> str:
     for e, u, v in inst.graph.edges():
         stroke_width = 3 if (u, v) in crossed_graph_edges else 1
         lines.append(
-            f'<line x1="{sx(pts[u][0]):.3f}" y1="{sy(pts[u][1]):.3f}" '
-            f'x2="{sx(pts[v][0]):.3f}" y2="{sy(pts[v][1]):.3f}" '
+            f'<line x1="{sx(pts[u]):.3f}" y1="{sy(pts[u]):.3f}" '
+            f'x2="{sx(pts[v]):.3f}" y2="{sy(pts[v]):.3f}" '
             f'stroke="black" stroke-width="{stroke_width}"/>')
     for i, (u, v) in enumerate(inst.F[:len(start) - 1]):
         waypoints = [pts[u]]
         for event in events[start[i]:start[i + 1]]:
             kind, x, y = event
-            t = Fraction(cross_seen[event] + 1, cross_total[event] + 1)
+            num, den = cross_seen[event] + 1, cross_total[event] + 1
             cross_seen[event] += 1
             p, q = (pts[x], pts[y]) if kind == GRAPH_EDGE else (
                 pts[inst.F[x][0]], pts[inst.F[x][1]])
-            waypoints.append((p[0] + (q[0] - p[0]) * t,
-                              p[1] + (q[1] - p[1]) * t))
+            # p + (q - p) * num / den, in steps of 1/(scale*den).
+            waypoints.append((p[0] * den + (q[0] - p[0]) * num,
+                              p[1] * den + (q[1] - p[1]) * num, den))
         waypoints.append(pts[v])
-        point_str = " ".join(f"{sx(p[0]):.3f},{sy(p[1]):.3f}"
-                             for p in waypoints)
+        point_str = " ".join(f"{sx(p):.3f},{sy(p):.3f}" for p in waypoints)
         lines.append(f'<polyline points="{point_str}" fill="none" '
                      'stroke="red" stroke-width="1.5"/>')
     lines.append("</svg>")

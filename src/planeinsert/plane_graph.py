@@ -510,12 +510,6 @@ def _succ(offsets: np.ndarray, twin: np.ndarray) -> np.ndarray:
     return nxt[twin]
 
 
-def succ_array(g: PlaneGraph) -> np.ndarray:
-    """succ(d) for every dart of g: a read-only view of the table the graph
-    keeps (int32 below 2**31 darts)."""
-    return g.table("succ")
-
-
 def _dart_table(ids: np.ndarray) -> array:
     """Dart ids as an array("i") buffer below 2**31 darts, otherwise as an
     array("q"): half the memory of an int64 table for every graph that
@@ -536,7 +530,7 @@ def is_triangulation(g: PlaneGraph) -> bool:
     if g.edge_count != 3 * g.vertex_count - 6:
         return False
     # succ has no fixed point, so succ^3 = id means all orbits have length 3.
-    succ = succ_array(g)
+    succ = g.table("succ")
     return bool((succ[succ[succ]] == np.arange(len(succ))).all())
 
 

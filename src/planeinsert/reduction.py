@@ -29,7 +29,6 @@ import json
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .errors import (
     SchemaError,
     StructureMismatch,
 )
-from .geometry import angular_order, check_drawing
+from .geometry import Grid, angular_order, check_coords
 from .instance_io import Instance, _load_json, make_instance
 from .plane_graph import _int_arg, build_from_rotation
 
@@ -132,17 +131,17 @@ def write_formula(f: MonotoneFormula) -> str:
 
 def _variable_f(a: int):
     """Insertion edges of a chain of 4a+1 plus blocks, as (joint-offset
-    pair, role, group) along the walk u_{4i+1}, u_{4i+4}, u_{4i+3},
-    u_{4i+6}, u_{4i+5} (last vertex of the final group omitted).  The
-    3-spanning edges are the literal blockers ("vblock") and the forcing
-    edges ("vforce"); the 1-spanning edges link them ("vlink")."""
+    pair, role) along the walk u_{4i+1}, u_{4i+4}, u_{4i+3}, u_{4i+6},
+    u_{4i+5} (last vertex of the final group omitted).  The 3-spanning
+    edges are the literal blockers ("vblock") and the forcing edges
+    ("vforce"); the 1-spanning edges link them ("vlink")."""
     for i in range(a):
         b = 4 * i
-        yield (b, b + 3), "vblock", i
-        yield (b + 3, b + 2), "vlink", i
-        yield (b + 2, b + 5), "vforce", i
+        yield (b, b + 3), "vblock"
+        yield (b + 3, b + 2), "vlink"
+        yield (b + 2, b + 5), "vforce"
         if i != a - 1:
-            yield (b + 5, b + 4), "vlink", i
+            yield (b + 5, b + 4), "vlink"
 
 
 # Clause edges e1..e5 as joint-index pairs along the walk p0, p2, p1, p5,
@@ -156,13 +155,8 @@ _CLAUSE_F = ((0, 2), (2, 1), (1, 5), (5, 4), (4, 6))
 
 @dataclass
 class GadgetAtlas:
-    plus_blocks: list[dict] = field(default_factory=list)
-    variable_gadgets: list[dict] = field(default_factory=list)
     clause_gadgets: list[dict] = field(default_factory=list)
-    columns: list[dict] = field(default_factory=list)
-    literal_edges: list[tuple[int, int]] = field(default_factory=list)
     f_order: list[tuple[int, int]] = field(default_factory=list)
-    joints: dict = field(default_factory=dict)  # (layer, x) -> vertex id
     vertex_tags: list[tuple] = field(default_factory=list)
 
 
@@ -228,13 +222,11 @@ class GeometryBuilder:
         return [flat[e - m:e] for e, m in zip(ends, lengths)]
 
     def plus_block(self, pole_a: int, pole_b: int, k: int,
-                   atlas: GadgetAtlas | None = None,
-                   perp=(0, 1)) -> list[int]:
+                   perp=(0, 1)) -> None:
         """Grid between two existing poles; perp points to the grid's
-        row-offset direction.  Returns the grid vertex ids.  Raises
-        LayoutInfeasible when the poles are not a multiple of k + 2 grid
-        steps apart along each axis, where a column would fall off the
-        grid."""
+        row-offset direction.  Raises LayoutInfeasible when the poles are
+        not a multiple of k + 2 grid steps apart along each axis, where a
+        column would fall off the grid."""
         ax, ay = self.coords[pole_a]
         bx, by = self.coords[pole_b]
         dx, dy = bx - ax, by - ay
@@ -263,27 +255,18 @@ class GeometryBuilder:
         for row in range(k + 1):
             self.edge(pole_a, grid[0][row])
             self.edge(pole_b, grid[k][row])
-        ids = [v for col in grid for v in col]
-        if atlas is not None:
-            atlas.plus_blocks.append({
-                "poles": (pole_a, pole_b), "grid": ids, "k": k})
-        return ids
 
     def build_instance(self, F, k: int, f_structure: str,
                        validate: bool = True) -> Instance:
-        """The instance, its coords as Fractions on the 1/GRID grid.  The
-        geometry check runs on the integer positions: they are the
-        coords times GRID, a positive factor, which changes no sign the
-        check reads."""
+        """The instance, its coords the integer positions on the 1/GRID
+        grid, checked when validate is set."""
         rot = self.rotation()
         graph = build_from_rotation(len(self.coords), rot)
         inst = make_instance(graph, F, k=k, f_structure=f_structure)
+        grid = Grid(self.coords, GRID)
         if validate:
-            check_drawing(graph, self.coords)
-        grid = {c: Fraction(c, GRID)
-                for c in set(itertools.chain.from_iterable(self.coords))}
-        return replace(
-            inst, coords=tuple((grid[x], grid[y]) for x, y in self.coords))
+            check_coords(graph, grid)
+        return replace(inst, coords=grid)
 
 
 # --- layout ----------------------------------------------------------------------
@@ -413,10 +396,6 @@ def _layout(formula: MonotoneFormula) -> _Layout:
                 pl.p = [l0 - 1, l0, (l0 + l1) // 2, l1, (l1 + l2) // 2, l2,
                         l2 + 1]
                 max_layer[side] = max(max_layer[side], pl.layer)
-    # Unused slots become stub columns reaching the empty layer.
-    columns += [_Column(v, side, j, bases[v] + 4 * j + 2, None, 1, None)
-                for v in range(n) for side in (1, -1)
-                for j in range(len(occ.get((v, side), ())), a[v])]
     return _Layout(width, bases, a, columns, placements, max_layer)
 
 
@@ -444,7 +423,7 @@ def compile_formula(formula: MonotoneFormula, k: int = 1,
 
     # Columns crossing each signed layer strictly between axis and clause.
     crossing: dict[int, list[_Column]] = defaultdict(list)
-    for col in lay.columns:  # a stub's top is 1: it crosses no layer
+    for col in lay.columns:
         for j in range(1, col.top):
             crossing[col.side * j].append(col)
 
@@ -471,40 +450,18 @@ def compile_formula(formula: MonotoneFormula, k: int = 1,
                     pl.p[3], pl.p[4]):
                 b.edge(va, vb)  # the clause body's two plain edges
             else:
-                b.plus_block(va, vb, k, atlas)
+                b.plus_block(va, vb, k)
 
-    # Variable gadget bookkeeping.
-    for v in range(formula.variables):
-        base, a = lay.bases[v], lay.a[v]
-        endpoints = [joints[(0, base + 4 * i + 2)] for i in range(a)]
-        atlas.variable_gadgets.append({
-            "variable": v, "base": base, "a": a,
-            "joint_span": (base, base + 4 * a + 1),
-            "endpoints": endpoints, "blockers": [], "gadget_f": []})
+    atlas.clause_gadgets = [{
+        "clause": pl.clause, "side": pl.side, "layer": pl.layer,
+        "p": [joints[(pl.side * pl.layer, x_)] for x_ in pl.p],
+        "p_x": list(pl.p), "legs": list(pl.legs)} for pl in lay.placements]
 
-    # Clause gadget bookkeeping.
-    for pl in lay.placements:
-        atlas.clause_gadgets.append({
-            "clause": pl.clause, "side": pl.side, "layer": pl.layer,
-            "p": [joints[(pl.side * pl.layer, x_)] for x_ in pl.p],
-            "p_x": list(pl.p), "legs": list(pl.legs), "e": [None] * 5})
-
-    # Literal edge columns.
+    # Literal edge columns, from the axis up to the clause's layer.
     for col in lay.columns:
-        v_end = joints[(0, col.x)]
-        chain = [v_end]
-        for j in range(1, col.top):
-            chain.append(joints[(col.side * j, col.x)])
-        if col.clause is not None:
-            chain.append(joints[(col.side * col.top, col.x)])
-        edges = []
+        chain = [joints[(col.side * j, col.x)] for j in range(col.top + 1)]
         for aee, bee in zip(chain, chain[1:]):
-            edges.append(b.edge(aee, bee))
-        rec = {"var": col.var, "side": col.side, "slot": col.slot,
-               "x": col.x, "clause": col.clause, "leg": col.leg,
-               "top": col.top, "literal_edges": edges, "blockers": []}
-        atlas.columns.append(rec)
-        atlas.literal_edges.extend(edges)
+            b.edge(aee, bee)
 
     # Vertical connectors and ties between consecutive layers.
     connectors: list[tuple[int, int]] = []
@@ -515,7 +472,7 @@ def compile_formula(formula: MonotoneFormula, k: int = 1,
         other = 0 if snake_right else W
         pa, pb = joints[(low, end)], joints[(high, end)]
         if variant == "path":
-            b.plus_block(pa, pb, k, atlas, perp=(1, 0))
+            b.plus_block(pa, pb, k, perp=(1, 0))
         else:
             b.edge(pa, pb)
         b.edge(joints[(low, other)], joints[(high, other)])  # tie
@@ -525,21 +482,20 @@ def compile_formula(formula: MonotoneFormula, k: int = 1,
 
     fpairs: list[tuple[int, int]] = []
 
-    def layer_edges(layer: int) -> list[tuple[tuple[int, int], tuple]]:
-        """Layer subpath, left to right, as ((u, v), meta) records."""
+    def layer_edges(layer: int) -> list[tuple[int, int]]:
+        """Layer subpath, left to right."""
         out = []
         if layer == 0:
             for v in formula.order:
                 base = lay.bases[v]
-                for (o1, o2), role, i in _variable_f(lay.a[v]):
+                for (o1, o2), role in _variable_f(lay.a[v]):
                     if role == "vlink" and variant == "matching":
                         continue
-                    out.append(((joints[(0, base + o1)],
-                                 joints[(0, base + o2)]), (role, v, i)))
+                    out.append((joints[(0, base + o1)],
+                                joints[(0, base + o2)]))
                 end = base + 4 * lay.a[v] + 1
                 if end < W and variant == "path":
-                    out.append(((joints[(0, end)], joints[(0, end + 1)]),
-                                ("link",)))
+                    out.append((joints[(0, end)], joints[(0, end + 1)]))
             return out
         bodies = {pl.p[0]: pl for pl in placements_at.get(layer, ())}
         twospan = {c.x for c in crossing.get(layer, ())}
@@ -550,55 +506,31 @@ def compile_formula(formula: MonotoneFormula, k: int = 1,
                 for ei, (o1, o2) in enumerate(_CLAUSE_F):
                     if ei in (1, 3) and variant == "matching":
                         continue
-                    out.append(((joints[(layer, pl.p[o1])],
-                                 joints[(layer, pl.p[o2])]),
-                                ("clause", pl.clause, ei)))
+                    out.append((joints[(layer, pl.p[o1])],
+                                joints[(layer, pl.p[o2])]))
                 cur = pl.p[6]
             elif cur + 1 in twospan:
-                out.append(((joints[(layer, cur)], joints[(layer, cur + 2)]),
-                            ("prop", layer, cur + 1)))
+                out.append((joints[(layer, cur)], joints[(layer, cur + 2)]))
                 cur += 2
             else:
                 if variant == "path":
-                    out.append(((joints[(layer, cur)],
-                                 joints[(layer, cur + 1)]), ("span",)))
+                    out.append((joints[(layer, cur)],
+                                joints[(layer, cur + 1)]))
                 cur += 1
         return out
 
-    column_at = {(rec["side"], rec["x"]): rec for rec in atlas.columns}
     for i, layer in enumerate(signed_layers):
         edges = layer_edges(layer)
         if i % 2 == 1:
-            edges = [((vv, uu), meta) for ((uu, vv), meta) in reversed(edges)]
-        for uv, meta in edges:
-            _record_f(atlas, column_at, meta, len(fpairs))
-            fpairs.append(uv)
+            edges = [(vv, uu) for uu, vv in reversed(edges)]
+        fpairs += edges
         if i < len(signed_layers) - 1 and variant == "path":
             fpairs.append(connectors[i])
 
     atlas.f_order = list(fpairs)
-    atlas.joints = joints
     atlas.vertex_tags = list(b.tags)
 
     inst = b.build_instance(fpairs, k, f_structure=variant,
                             validate=validate)
     return inst, atlas
 
-
-def _record_f(atlas: GadgetAtlas, column_at: dict, meta: tuple,
-              idx: int) -> None:
-    """File F edge idx; column_at maps (side, x) to its column record."""
-    if meta[0] == "vblock":
-        _, v, slot = meta
-        atlas.variable_gadgets[v]["blockers"].append((slot, idx))
-        atlas.variable_gadgets[v]["gadget_f"].append(idx)
-    elif meta[0] in ("vforce", "vlink"):
-        atlas.variable_gadgets[meta[1]]["gadget_f"].append(idx)
-    elif meta[0] == "clause":
-        _, ci, ei = meta
-        atlas.clause_gadgets[ci]["e"][ei] = idx
-    elif meta[0] == "prop":
-        # Only a clause column crosses a layer short of its top.
-        _, layer, x = meta
-        column_at[(1 if layer > 0 else -1, x)]["blockers"].append(
-            (abs(layer), idx))

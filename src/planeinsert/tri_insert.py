@@ -83,8 +83,7 @@ import numpy as np
 from .errors import (KNotOne, NotTriangulation, ReductionStuck,
                      SearchSpaceTooLarge)
 from .instance_io import Instance, Solution
-from .plane_graph import (PlaneGraph, _csr, _zeros, is_triangulation,
-                          succ_array)
+from .plane_graph import PlaneGraph, _csr, _zeros, is_triangulation
 from .search import backtrack
 from .twosat import TwoSatFormula
 from .twosat import solve as twosat_solve
@@ -184,7 +183,7 @@ def enumerate_options(inst: Instance) -> OptionCatalog:
         none = np.empty(0, dtype=np.int64)
         return OptionCatalog(inst, none, none)
     n = g.vertex_count
-    succ = succ_array(g)
+    succ = g.table("succ")
     head = g.table("head")
     d = g.table("edge_dart")
     a1 = head[succ[d]]
@@ -226,7 +225,7 @@ def compute_clashes(catalog: OptionCatalog) -> ClashGraph:
     f_edge = catalog.f_edge
     k = len(crossed)
     g = catalog.instance.graph
-    succ = succ_array(g)
+    succ = g.table("succ")
     edge = g.table("edge")
     # Quad edges (u,x), (x,v), (v,w), (w,u) from face darts, as in the
     # module docstring.

@@ -3,10 +3,12 @@ sweep over segments sorted by smallest x with an active list, a bisected
 vertex-in-edge pass, and a comparator sort of every rotation row, all in
 scalar Python on integer (or Fraction) points.  Kept unchanged as the
 reference that test_geometry.py compares the array passes with, outcomes
-and error messages alike."""
+and error messages alike; with them, the LCM scaling of Fraction points
+that geometry.to_grid replaced."""
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
@@ -17,6 +19,14 @@ from planeinsert.plane_graph import PlaneGraph
 
 # One point: Fractions as stored, or ints after scaling.
 Point = tuple[Fraction, Fraction] | tuple[int, int]
+
+
+def scale_to_integers(pts: Sequence[tuple[Fraction, Fraction]]
+                      ) -> list[tuple[int, int]]:
+    """The points times the LCM of all their denominators, as ints."""
+    m = math.lcm(*(c.denominator for p in pts for c in p))
+    return [(x.numerator * (m // x.denominator),
+             y.numerator * (m // y.denominator)) for x, y in pts]
 
 
 def orient(a: Point, b: Point, c: Point) -> int:

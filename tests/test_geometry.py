@@ -7,6 +7,7 @@ two vertices on one point, so both are compared with that rule,
 
 from __future__ import annotations
 
+import math
 import random
 import subprocess
 import sys
@@ -21,7 +22,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planeinsert import geometry
-from planeinsert.errors import LayoutInfeasible, NonPlaneCoordinates
+from planeinsert.errors import (
+    LayoutInfeasible,
+    NonPlaneCoordinates,
+    SchemaError,
+)
 from planeinsert.instance_io import make_instance
 from planeinsert.plane_graph import (
     K4_ROTATION,
@@ -150,7 +155,7 @@ def _rejects(check, graph, pts) -> bool:
 def test_sweep_matches_pairwise_reference(drawing):
     name, pts = drawing
     g = GRAPHS[name][0]
-    ours = _rejects(geometry.check_plane, g, geometry.scale_to_integers(pts))
+    ours = _rejects(geometry.check_plane, g, ref.scale_to_integers(pts))
     assert ours == _rejects(_pairwise_reference, g, tuple(pts))
 
 
@@ -182,20 +187,58 @@ def test_two_vertices_on_one_point_are_rejected(rotation, pts):
 
 def test_plane_drawings_pass_and_mirror_images_fail():
     for name, (g, pts) in GRAPHS.items():
-        geometry.check_coords(g, pts)
+        geometry.check_coords(g, geometry.to_grid(pts))
         mirrored = [(-x, y) for x, y in pts]
         with pytest.raises(NonPlaneCoordinates, match="rotation"):
-            geometry.check_coords(g, mirrored)
+            geometry.check_coords(g, geometry.to_grid(mirrored))
 
 
 def test_scaling_keeps_orientation():
     pts = _fr((0, 0), (Fraction(1, 3), Fraction(1, 2)), (Fraction(2, 3), 1),
               (Fraction(-5, 6), Fraction(1, 4)))
-    ints = geometry.scale_to_integers(pts)
-    assert ints == [(0, 0), (4, 6), (8, 12), (-10, 3)]
+    grid = geometry.to_grid(pts)
+    ints = grid.points
+    assert (ints, grid.scale) == (((0, 0), (4, 6), (8, 12), (-10, 3)), 12)
     for a, b, c in ((0, 1, 2), (0, 1, 3), (3, 2, 1)):
         assert (geometry.orient(ints[a], ints[b], ints[c])
                 == geometry.orient(pts[a], pts[b], pts[c]))
+
+
+# Rationals in any terms and signs, some past 2**63 in numerator or
+# denominator, as (numerator, denominator) with a nonzero denominator.
+RATIO = st.tuples(
+    st.one_of(st.integers(-12, 12), st.integers(-2**70, 2**70)),
+    st.one_of(st.integers(-12, 12), st.integers(-2**70, 2**70)).filter(bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(RATIO, RATIO), max_size=6))
+def test_grid_conversions_match_lcm_scaling(pairs):
+    fracs = [(Fraction(*x), Fraction(*y)) for x, y in pairs]
+    rows = [[*x, *y] for x, y in pairs]
+    grid = geometry.rows_to_grid(rows)
+    assert grid.points == tuple(ref.scale_to_integers(fracs))
+    assert grid.scale == math.lcm(*(c.denominator for p in fracs for c in p))
+    assert geometry.to_grid(fracs) == grid
+    # Scaled up in every way, it is the same Grid.
+    assert geometry.Grid([(3 * x, 3 * y) for x, y in grid.points],
+                         3 * grid.scale) == grid
+    assert geometry.coord_rows(grid) == [
+        [x.numerator, x.denominator, y.numerator, y.denominator]
+        for x, y in fracs]
+
+
+@pytest.mark.parametrize("points, scale", [
+    ([(0.5, 0)], 1), ([(0, "1")], 1), ([(0, 1, 2)], 1), ([(0, 0)], 0),
+    ([(0, 0)], -2), ([(0, 0)], 1.0)])
+def test_grid_takes_integer_points_over_a_positive_scale(points, scale):
+    with pytest.raises(SchemaError, match="^a grid"):
+        geometry.Grid(points, scale)
+
+
+def test_zero_denominator_is_a_schema_error():
+    with pytest.raises(SchemaError, match="^zero denominator in coords$"):
+        geometry.rows_to_grid([[1, 2, 3, 4], [1, 0, 3, 4]])
 
 
 def test_angle_cmp_orders_counterclockwise_from_east():
@@ -245,7 +288,7 @@ def int_drawings(draw, scale: int = 1):
     name, pts = draw(drawings())
     sign = draw(st.sampled_from((1, -1)))
     return name, [(sign * x * scale, y * scale)
-                  for x, y in geometry.scale_to_integers(pts)]
+                  for x, y in ref.scale_to_integers(pts)]
 
 
 # Coordinates on both sides of the int64 bound 2**30.

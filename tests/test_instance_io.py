@@ -30,6 +30,7 @@ from planeinsert.instance_io import (
     write_solution,
 )
 from planeinsert.oracle import iter_solutions
+from planeinsert.reduction import Clause, MonotoneFormula, compile_formula
 from planeinsert.plane_graph import (
     K4_ROTATION,
     build_from_rotation,
@@ -40,6 +41,15 @@ from planeinsert.plane_graph import (
 from fixtures import OCTA_COORDS, OCTA_ROTATION, octahedron, solution
 
 K4_COORDS = [(0, 0), (4, 0), (2, 4), (2, 1)]
+
+# The benchmark's compile shapes: two variables under one clause, three
+# under one, and two under a clause on each side.
+COMPILED_SHAPES = [
+    MonotoneFormula(2, (Clause("pos", 2, (0, 1)),), (0, 1)),
+    MonotoneFormula(3, (Clause("pos", 2, (0, 1, 2)),), (0, 1, 2)),
+    MonotoneFormula(2, (Clause("pos", 2, (0, 1)), Clause("neg", 2, (0, 1))),
+                    (0, 1)),
+]
 
 
 @pytest.fixture
@@ -208,6 +218,26 @@ class TestInstance:
         with pytest.raises(SchemaError, match="coords must be"):
             make_instance(k4(), [], coords=coords)
 
+    @pytest.mark.parametrize("row, written", [
+        ("[2,4,-3,-6]", "[1,2,1,2]"),
+        ("[0,-5,6,-4]", "[0,1,-3,2]"),
+        ("[-4,-2,9,3]", "[2,1,3,1]"),
+    ])
+    def test_coords_are_written_in_lowest_terms(self, row, written):
+        edge = build_from_rotation(2, [[1], [0]])
+        text = write_instance(make_instance(edge, [], coords=[(0, 0), (5, 7)]))
+        assert text.count('"coords":[[0,1,0,1],[5,1,7,1]]') == 1
+        text = text.replace("[5,1,7,1]", row)
+        assert write_instance(parse_instance(text)) == text.replace(row,
+                                                                    written)
+
+    def test_zero_denominator_is_schema_error(self):
+        text = write_instance(make_instance(octahedron(), [(0, 5)],
+                                            coords=OCTA_COORDS))
+        assert text.count('"coords":[[10,1,4,1],') == 1
+        with pytest.raises(SchemaError, match="^zero denominator in coords$"):
+            parse_instance(text.replace("[10,1,4,1]", "[10,0,4,1]"))
+
     def test_over_long_integer_is_schema_error(self, digit_limit):
         # json.loads raises a plain ValueError past the digit limit.
         text = write_instance(make_instance(octahedron(), [(0, 5)]))
@@ -350,3 +380,24 @@ class TestRender:
         assert (renders, inserted) == (72, 32)
         assert h.hexdigest() == ("b824fe0d3bcb064aba4a65fe5e140a07"
                                  "a544b49a802dd4e00e22269d22aec2a1")
+        # The benchmark's compiled shapes, path then matching: their
+        # coordinates lie on the 1/24 grid, most of them off the integers.
+        h = hashlib.sha256()
+        for formula in COMPILED_SHAPES:
+            for variant in ("path", "matching"):
+                inst, _ = compile_formula(formula, variant=variant)
+                h.update(render_svg(inst).encode())
+        assert h.hexdigest() == ("2b19af695dd4ed0711f8472787e86c5b"
+                                 "443b6b187a880d8212e4138ec7522354")
+
+    def test_render_reads_only_the_shape_of_the_drawing(self):
+        # Scaling by 1/7 and moving by (1/3, -2/5) changes no position in
+        # the picture, so every render, routes included, is the same text.
+        F = [(0, 5), (1, 3), (2, 4)]
+        inst = self._inst(F=F)
+        moved = make_instance(octahedron(), F, coords=[
+            (Fraction(x, 7) + Fraction(1, 3), Fraction(y, 7) - Fraction(2, 5))
+            for x, y in OCTA_COORDS])
+        assert moved.coords != inst.coords
+        for sol in iter_solutions(inst):
+            assert render_svg(moved, sol) == render_svg(inst, sol)

@@ -35,7 +35,6 @@ from planeinsert.plane_graph import (
     _succ,
     is_triangulation,
     sample_complement_edges,
-    succ_array,
 )
 
 from fixtures import (
@@ -190,7 +189,7 @@ def test_edge_order_is_the_sorted_edge_codes():
 
 def test_succ_is_a_read_only_table():
     for g in (*stream_graphs(), cube()):
-        succ = succ_array(g)
+        succ = g.table("succ")
         want = _succ(g.table("offsets"), g.table("twin"))
         assert succ.tolist() == want.tolist()
         assert [g.succ(d) for d in range(g.dart_count)] == want.tolist()

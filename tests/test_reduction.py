@@ -22,6 +22,7 @@ from planeinsert.errors import (
     SchemaError,
     StructureMismatch,
 )
+from planeinsert.geometry import Grid
 from planeinsert.instance_io import make_instance, parse_instance, write_instance
 from planeinsert.plane_graph import PlaneGraph, build_from_rotation
 from planeinsert.reduction import (
@@ -89,12 +90,15 @@ def test_compiled_instance_roundtrips_and_rejects_a_moved_vertex(variant,
     text = write_instance(inst)
     assert write_instance(parse_instance(text)) == text
 
-    w = atlas.plus_blocks[0]["grid"][0]
+    w = next(v for v, tag in enumerate(atlas.vertex_tags)
+             if tag[0] == "plus_grid")
     u, v = next((u, v) for _, u, v in inst.graph.edges() if w not in (u, v))
-    pts = list(inst.coords)
-    pts[w] = ((pts[u][0] + pts[v][0]) / 2, (pts[u][1] + pts[v][1]) / 2)
+    # Twice the points over twice the scale, w moved to the middle of uv.
+    pts = [(2 * x, 2 * y) for x, y in inst.coords.points]
+    pts[w] = (pts[u][0] + pts[v][0]) // 2, (pts[u][1] + pts[v][1]) // 2
     with pytest.raises(NonPlaneCoordinates):
-        make_instance(inst.graph, inst.F, k=inst.k, coords=pts,
+        make_instance(inst.graph, inst.F, k=inst.k,
+                      coords=Grid(pts, 2 * inst.coords.scale),
                       f_structure=inst.f_structure)
 
 
@@ -224,34 +228,50 @@ def relabeled(shape: str, perm: tuple[int, ...],
         for pol, layer, lits in clauses), perm)
 
 
-# sha256 over write_instance and the atlas repr of every relabeling and
-# mirror image of the shape, in PERMUTATIONS order, unmirrored first.
+# sha256 over write_instance of every relabeling and mirror image of the
+# shape, in PERMUTATIONS order, unmirrored first; and the same over the
+# atlas reprs, which hold the clause gadgets, f_order and the vertex tags.
 DIGESTS = {
     ("2v1c", "path"):
-        "b59c68db48c93f10235c8a78eeeb3f6baa7b310cba8f1c873b2600ddccdc5dba",
+        "d6b64109b9040ea1a7f61a91dff6900e9c19bb74c146a74fac63e72533734193",
     ("2v1c", "matching"):
-        "c208f0018f59aad9e240be4685fd23d98aae764e354133a73c01a22396a1db67",
+        "71f2b4450ee8dd7feb8a47a1faafd6a8fbf23e5c1abd7a7f24d9e01c8c789b0d",
     ("3v1c", "path"):
-        "a3f44b2d34425cb913d2f583efc2bb9fba653ea4d5725665442477667637e80a",
+        "92a70cd69e0cb8331ccf1ae9bbe1f2367edf2de32c79437f80f82f791d62c824",
     ("3v1c", "matching"):
-        "724e1664f93b503aece34da310ff5ad1c23b6bd95dd9ed476dc3ec27fc5f6031",
+        "1765c66a81776e5884c436373479d032d42189f0972efd238e3b565c42e19846",
     ("2v2c", "path"):
-        "b79d2d124bc1e3861a681df60eceac88e316321b93b0df2f5a742fc2206eb1ab",
+        "b98d0cfba58147db6ebfb4cd4265a7a8d140f01f07185acea4e4c94563f57a91",
     ("2v2c", "matching"):
-        "e6efff4e35be0f003b994f53e2d2342ca5abedbee5e54413dcd0814ad5e3628e",
+        "a195c54ea97acee405581e2ce6cb61c661cc56de5513d0943243eefb8d19a429",
+}
+ATLAS_DIGESTS = {
+    ("2v1c", "path"):
+        "d46b7d4c4fd9be72940402fcd63ea352e20c823e19efbfb10ca8268b8b6bb16e",
+    ("2v1c", "matching"):
+        "5d67f178ed102abedc96bc44766d2b8a3590ed8abaaae360d0babe47260ff300",
+    ("3v1c", "path"):
+        "e399b84c267f3b88924dbabaceec1c21591654796f26cc04a80bd0a360f19c2b",
+    ("3v1c", "matching"):
+        "5d9ea8121b054bb549eb0c12feea191a3a712e947d954afc02ac18bb713b17ee",
+    ("2v2c", "path"):
+        "ab50ec31bff55b347c01c15776d18e9e06d8a68c19956eaafcc135f9bf8d1cc5",
+    ("2v2c", "matching"):
+        "051f822afc3e66e6cfc8cd37045f98574afdc763d4829cd7adefe36bd4001878",
 }
 
 
 @pytest.mark.parametrize("shape, variant", sorted(DIGESTS))
 def test_compiled_output_is_pinned(shape, variant):
-    h = hashlib.sha256()
+    texts, atlases = hashlib.sha256(), hashlib.sha256()
     for perm in PERMUTATIONS[SHAPES[shape][0]]:
         for mirror in (False, True):
             inst, atlas = compile_formula(relabeled(shape, perm, mirror),
                                           k=1, variant=variant)
-            h.update(write_instance(inst).encode())
-            h.update(repr(atlas).encode())
-    assert h.hexdigest() == DIGESTS[(shape, variant)]
+            texts.update(write_instance(inst).encode())
+            atlases.update(repr(atlas).encode())
+    assert texts.hexdigest() == DIGESTS[(shape, variant)]
+    assert atlases.hexdigest() == ATLAS_DIGESTS[(shape, variant)]
 
 
 def articulation_points(g: PlaneGraph) -> tuple[set[int], int]:

@@ -1,8 +1,10 @@
-"""Two standard-library AST scans of the package's modules.
+"""Three standard-library AST scans of the package's modules.
 
 - Every name a module imports is used in that module: an imported name
   counts as used when it is read anywhere in the module, also inside a
   quoted annotation.
+- Only geometry.py imports fractions: the exact coordinate form is its
+  Grid, and no other module holds a Fraction.
 - Every assert states an internal invariant, never an input check (those
   vanish under python -O): a "# Internal invariant:" comment sits within
   the three lines above it.  PlanarizedDrawing.validate, which only tests
@@ -69,6 +71,25 @@ def test_scan_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level package of every module an import names."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_only_geometry_imports_fractions():
+    assert imported_modules(ast.parse("import fractions as fr\n")) == {
+        "fractions"}
+    assert sorted(path.name for path in SRC.glob("*.py")
+                  if "fractions" in imported_modules(
+                      ast.parse(path.read_text()))) == ["geometry.py"]
 
 
 INVARIANT = "# Internal invariant:"
