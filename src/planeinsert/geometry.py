@@ -250,8 +250,9 @@ def coord_rows(grid: Grid) -> list[list[int]]:
 def check_coords(graph: PlaneGraph, grid: Grid) -> None:
     """Raise NonPlaneCoordinates unless the straight-line drawing of grid
     is plane and agrees with the graph's rotation system."""
-    check_plane(graph, grid.points)
-    check_rotation(graph, grid.points)
+    columns = _columns(grid.points)
+    check_plane(graph, grid.points, columns)
+    check_rotation(graph, grid.points, columns)
 
 
 def _columns(pts: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -326,16 +327,18 @@ def _conflicts(p1: Point, p2: Point, q1: Point, q2: Point) -> np.ndarray:
             | (~(p1_shared | p2_shared) & (proper | touch)))
 
 
-def check_plane(graph: PlaneGraph, pts: Sequence[tuple[int, int]]) -> None:
+def check_plane(graph: PlaneGraph, pts: Sequence[tuple[int, int]],
+                columns: tuple[np.ndarray, np.ndarray] | None = None) -> None:
     """Raise NonPlaneCoordinates when a vertex lies inside an edge segment,
     two edge segments meet beyond a shared endpoint, or two vertices are
-    drawn on one point.  The points are integers, as a Grid holds them.
+    drawn on one point.  The points are integers, as a Grid holds them;
+    columns, when given, are their _columns.
 
     Every vertex inside an edge also makes its own edges meet that edge;
     the vertex pass runs first so that the error names the vertex.  Two
     vertices on one point are looked for last, so that a drawing the
     other passes reject keeps their message."""
-    X, Y = _columns(pts)
+    X, Y = _columns(pts) if columns is None else columns
     eu, ev = graph.table("eu"), graph.table("ev")
     a, b = (X[eu], Y[eu]), (X[ev], Y[ev])
     x_lo, x_hi = np.minimum(a[0], b[0]), np.maximum(a[0], b[0])
@@ -384,12 +387,15 @@ def check_plane(graph: PlaneGraph, pts: Sequence[tuple[int, int]]) -> None:
             f"vertices {order[k]} and {order[k + 1]} are drawn on one point")
 
 
-def check_rotation(graph: PlaneGraph, pts: Sequence[tuple[int, int]]) -> None:
+def check_rotation(graph: PlaneGraph, pts: Sequence[tuple[int, int]],
+                   columns: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> None:
     """Raise NonPlaneCoordinates unless, at every vertex of degree >= 3, the
     counterclockwise order of the neighbors in the drawing equals the
     rotation row up to a cyclic shift.  Needs a plane drawing of integer
-    points: no two edges at a vertex may share a direction."""
-    X, Y = _columns(pts)
+    points, columns as for check_plane: no two edges at a vertex may share
+    a direction."""
+    X, Y = _columns(pts) if columns is None else columns
     offsets = graph.table("offsets")
     head, tail = graph.table("head"), graph.table("tail")
     d = np.arange(len(head))

@@ -51,6 +51,29 @@ static pass checks the routes in whole-array passes and, when one fails,
 names its rejection from the masks it built: the route's budget first,
 then its first failing event.
 
+After a static pass that succeeds, ``verify`` accepts without a replay
+when the routes keep to faces of their own.  Lemma: let every route cross
+exactly one graph edge, and let no face of the graph lie on either side
+of the crossed edges of two routes (nor on both sides of one edge, as at
+a bridge).  Then the routes have a joint realization exactly when each
+route's tail lies on one face of its edge and its head on the other.
+Necessity: a pinned route leaves a corner of its tail into a face of its
+edge and crosses into the face across, where it meets its head.
+Sufficiency: inserting a route splits its own edge and its own two faces
+and no other face, since the darts it replaces at the edge's ends and the
+corners it fills at its tail and head all lie on those two faces; so in
+any insertion order every other route finds its edge, its two faces and
+its ends on them as in the graph.  This is the disjoint-faces
+argument of the doubly connected edge list (Muller and Preparata, 1978).
+Every solver certificate on a triangulation meets it: two options that
+share a triangle would clash.  The check is one table of the route on
+each face and one pass over the darts: each face goes to one route that
+names it, so a route that shares a face keeps darts on at most one side
+and fails, and a dart on route i's face marks whether the tail or the
+head of route i lies there.  A certificate that fails any condition goes
+to the replay unchanged, so every rejection comes from the search or the
+static pass as before.
+
 ``insert`` writes the new edge in place and journals one record,
 ``(u, start_pos, v, end_pos, edges_before, vertices_before, splits)``,
 with one ``(d, a, pos_a, b, pos_b, owner, seg_idx, seg_dart)`` tuple per
@@ -364,18 +387,22 @@ class PlanarizedDrawing:
 def verify(inst: Instance, sol: Solution, seed: int | None = None,
            node_budget: int = 2_000_000) -> VerifyResult:
     """Replay a solution; Accepted iff some joint realization of all routes
-    exists and every edge ends with at most k crossings.  Raises
-    SearchBudgetExceeded past node_budget inserted realizations."""
+    exists and every edge ends with at most k crossings.  Routes on faces
+    of their own are accepted without a replay (see the module docstring).
+    Raises SearchBudgetExceeded past node_budget inserted realizations."""
     rng = None if seed is None else Lcg64(_int_arg("seed", seed))
     node_budget = _int_arg("node_budget", node_budget)
     m = len(inst.F)
     if len(sol.start) - 1 != m:
         return VerifyResult(False, "no_realization", None,
                             f"{len(sol.start) - 1} routes for {m} edges")
-    logical = _static_pass(inst, sol)
-    if isinstance(logical, VerifyResult):
-        return logical
-    start = sol.start.tolist()
+    static = _static_pass(inst, sol)
+    if isinstance(static, VerifyResult):
+        return static
+    logical, fuv = static
+    if _apart(inst.graph, sol, logical, fuv):
+        return VerifyResult(True)
+    start, logical = sol.start.tolist(), logical.tolist()
     pinned = [logical[s:e] for s, e in zip(start, start[1:])]
     pd = PlanarizedDrawing(inst)
     for _ in pd.search(inst.F, pinned, rng, node_budget):
@@ -388,12 +415,14 @@ def verify(inst: Instance, sol: Solution, seed: int | None = None,
                         "no joint realization of the routes")
 
 
-def _static_pass(inst: Instance, sol: Solution) -> list[int] | VerifyResult:
+def _static_pass(inst: Instance, sol: Solution
+                 ) -> tuple[np.ndarray, np.ndarray] | VerifyResult:
     """Every event's logical id (graph edge e is e, inserted edge i is
-    E + i), or the rejection of the first failing route, then of the first
-    logical edge crossed more than k times.  A route fails over its budget,
-    else at its first event naming a non-edge, an edge it already named,
-    or an edge sharing an endpoint with its own, checked in that order.
+    E + i) and the (u, v) rows of F, as int64 arrays, or the rejection of
+    the first failing route, then of the first logical edge crossed more
+    than k times.  A route fails over its budget, else at its first event
+    naming a non-edge, an edge it already named, or an edge sharing an
+    endpoint with its own, checked in that order.
 
     The checks are array passes; a graph-edge event is resolved by one
     sorted search over the edge codes, and a repeat is an event that a
@@ -442,4 +471,35 @@ def _static_pass(inst: Instance, sol: Solution) -> list[int] | VerifyResult:
                   else f"inserted edge {e - edges}")
         return VerifyResult(False, "crossing_budget_exceeded", None,
                             f"{detail} crossed {count[e]} > {k} times")
-    return logical.tolist()
+    return logical, fuv
+
+
+def _apart(g: PlaneGraph, sol: Solution, logical: np.ndarray,
+           fuv: np.ndarray) -> bool:
+    """Does the module docstring's lemma accept the routes that passed
+    the static pass, with their logical ids and F's rows?  False sends
+    them to the replay: a route that does not cross exactly one graph
+    edge, a face of two routes or on both sides of one edge, or an end
+    off its edge's faces."""
+    if not (np.diff(sol.start) == 1).all() or (logical >= g.edge_count).any():
+        return False
+    face, tail = g.table("face"), g.table("tail")
+    d = g.table("edge_dart")[logical]
+    # Route i's first face is sides[i], its second sides[m + i].
+    sides = np.concatenate((face[d], face[g.table("twin")[d]]))
+    m = len(fuv)
+    # Each face goes to one route that names it.  A route that shares a
+    # face, or whose edge has one face on both sides, keeps darts on at
+    # most one side and fails below.
+    route = np.full(g.face_count, -1)
+    route[sides] = np.tile(np.arange(m), 2)
+    at = route[face]  # each dart's route, or -1
+    on = np.flatnonzero(at >= 0)
+    r, t = at[on], tail[on]
+    second = face[on] != sides[r]
+    is_u, is_v = t == fuv[r, 0], t == fuv[r, 1]
+    # seen[i] = (u on the first face, v on it, u on the second, v on it).
+    seen = np.zeros(4 * m, bool)
+    seen[(4 * r + 2 * second + is_v)[is_u | is_v]] = True
+    seen = seen.reshape(m, 4)
+    return bool(((seen[:, 0] & seen[:, 3]) | (seen[:, 2] & seen[:, 1])).all())

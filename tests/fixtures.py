@@ -5,10 +5,11 @@ from __future__ import annotations
 import random
 
 from planeinsert import geometry
-from planeinsert.instance_io import (GRAPH_EDGE, INSERTED, Solution,
-                                     make_instance)
+from planeinsert.instance_io import (GRAPH_EDGE, INSERTED, Instance,
+                                     Solution, make_instance)
 from planeinsert.plane_graph import PlaneGraph, build_from_rotation
 from planeinsert.reduction import Clause, MonotoneFormula
+from planeinsert.verifier import VerifyResult, _static_pass
 
 # Octahedron: poles 0 and 5, equator cycle 1-2-3-4.  Antipodal (non-edge)
 # pairs: (0,5), (1,3), (2,4).
@@ -63,6 +64,17 @@ def solution(*routes) -> Solution:
                 b.append(max(ev))
         start.append(len(kind))
     return Solution(start, kind, a, b)
+
+
+def pinned_routes(inst: Instance, sol: Solution) -> list[list[int]] | None:
+    """The logical edges each route pins, as verify's static pass resolves
+    them (graph edge e is e, inserted edge i is E + i), or None when the
+    static pass rejects the solution."""
+    static = _static_pass(inst, sol)
+    if isinstance(static, VerifyResult):
+        return None
+    start, logical = sol.start.tolist(), static[0].tolist()
+    return [logical[s:e] for s, e in zip(start, start[1:])]
 
 
 def route_events(sol: Solution) -> list[list]:
@@ -140,6 +152,15 @@ def stacked_octahedron() -> PlaneGraph:
 
 def cube() -> PlaneGraph:
     return build_from_rotation(8, CUBE_ROTATION)
+
+
+def shared_face_certificate():
+    """A cube instance and an accepted certificate whose two routes both
+    pass through the top face 0-1-2-3: 2 -> 4 across (0, 1) and 0 -> 6
+    across (2, 3).  verify cannot take its no-replay path on it, so the
+    search decides it, one node per route."""
+    inst = make_instance(cube(), [(2, 4), (0, 6)], k=1)
+    return inst, solution([(0, 1)], [(2, 3)])
 
 
 def apollonian7() -> PlaneGraph:

@@ -16,7 +16,8 @@ from planeinsert import reduction, tri_insert, verifier  # noqa: E402
 from planeinsert.instance_io import Solution, make_instance  # noqa: E402
 from planeinsert.reduction import Clause, MonotoneFormula  # noqa: E402
 
-from fixtures import bipyramid, bipyramid_chords  # noqa: E402
+from fixtures import (bipyramid, bipyramid_chords,  # noqa: E402
+                      shared_face_certificate)
 
 
 def test_every_target_is_an_attribute_of_its_owner():
@@ -38,6 +39,9 @@ def test_traced_solve_certify_and_compile_fill_the_counters():
         sol = tri_insert.solve(inst)
         assert isinstance(sol, Solution)
         assert verifier.verify(inst, sol).accepted
+        # The solver's routes keep to faces of their own, so verify accepts
+        # them without a search; this certificate reaches the search.
+        assert verifier.verify(*shared_face_certificate()).accepted
         reduction.compile_formula(formula, k=1)
     assert [owner.__dict__[attr]
             for owner, attr, _, _ in tracing.TARGETS] == originals

@@ -1,4 +1,4 @@
-"""Three standard-library AST scans of the package's modules.
+"""Four standard-library AST scans of the package's modules.
 
 - Every name a module imports is used in that module: an imported name
   counts as used when it is read anywhere in the module, also inside a
@@ -8,7 +8,9 @@
 - Every assert states an internal invariant, never an input check (those
   vanish under python -O): a "# Internal invariant:" comment sits within
   the three lines above it.  PlanarizedDrawing.validate, which only tests
-  call, is exempt."""
+  call, is exempt.
+- No module calls np.unique: its hash path measured about 20x slower than
+  a sort on dart codes (see NO_UNIQUE)."""
 
 from __future__ import annotations
 
@@ -137,3 +139,46 @@ def test_scan_finds_an_unlabelled_assert():
                          ids=lambda p: p.name)
 def test_every_assert_is_a_labelled_invariant(path):
     assert unlabelled_asserts(path.read_text()) == []
+
+
+NO_UNIQUE = (
+    "np.unique's hash path took 1.33-1.42 ms on 11,988 int64 codes (the "
+    "darts of the 1,100-route benchmark certificate), where np.sort took "
+    "0.066-0.069 ms (numpy 2.4.6, Python 3.11, 2-core Xeon); sort and "
+    "compare neighbours, as tri_insert._distinct does")
+
+
+def unique_calls(source: str) -> list[str]:
+    """The line of each call of an attribute named unique on np or numpy,
+    or of a bare unique imported from numpy."""
+    tree = ast.parse(source)
+    bare = {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+            for alias in node.names if alias.name == "unique"}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr == "unique"
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("np", "numpy")
+                or isinstance(f, ast.Name) and f.id in bare):
+            out.append(f"line {node.lineno}")
+    return out
+
+
+def test_scan_finds_a_unique_call():
+    source = ("import numpy as np\n"
+              "from numpy import unique as u\n"
+              "a = np.unique([2, 1])\n"
+              "b = np.sort([2, 1])\n"
+              "c = u(b)\n"
+              "d = {1}.union({2})\n")
+    assert unique_calls(source) == ["line 3", "line 5"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unique_call(path):
+    assert unique_calls(path.read_text()) == [], NO_UNIQUE

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import islice, product
 
 import pytest
 
@@ -12,6 +14,8 @@ from planeinsert.errors import (
     SearchBudgetExceeded,
 )
 from planeinsert.instance_io import Solution, make_instance, parse_solution
+from planeinsert.oracle import iter_solutions
+from planeinsert.plane_graph import build_from_rotation
 from planeinsert.tri_insert import solve
 from planeinsert.verifier import (
     PlanarizedDrawing,
@@ -20,8 +24,9 @@ from planeinsert.verifier import (
     verify,
 )
 
-from fixtures import cube, octahedron, route_events, solution
-from instance_gen import planted_instance
+from fixtures import (cube, delete_edge_rotation, octahedron, pinned_routes,
+                      route_events, shared_face_certificate, solution)
+from instance_gen import instance_stream, planted_instance
 
 
 OCTA_F = [(0, 5), (1, 3), (2, 4)]
@@ -115,8 +120,8 @@ class TestVerify:
             assert not verify(inst, bad, seed=seed).accepted
 
     def test_node_budget_raises(self):
-        inst = octa_instance()
-        good = solution([(1, 2)], [(0, 4)], [(5, 3)])
+        inst, good = shared_face_certificate()
+        assert verify(inst, good).accepted
         with pytest.raises(SearchBudgetExceeded):
             verify(inst, good, node_budget=1)
 
@@ -327,10 +332,150 @@ def test_static_pass_matches_reference_scan():
         inst = make_instance(inst.graph, inst.F, k=rng.choice((1, 1, 2, 3)))
         sol = random_solution(inst, rng)
         want = reference_static_pass(inst, sol)
-        assert _static_pass(inst, sol) == want, trial
+        got = _static_pass(inst, sol)
+        if not isinstance(got, VerifyResult):
+            logical, fuv = got
+            assert fuv.tolist() == [list(p) for p in inst.F], trial
+            got = logical.tolist()
+        assert got == want, trial
         details.append(want.detail if isinstance(want, VerifyResult)
                        else "passed")
     # Every outcome of the scan occurs.
     for part in ("passed", "would cross", "is not a graph edge", "twice",
                  "adjacent edge", "graph edge (", "inserted edge 0 crossed"):
         assert any(part in d for d in details), part
+
+
+# --- verify's no-replay path against the search alone --------------------
+
+
+def replay_result(inst, sol) -> VerifyResult:
+    """verify's answer from its static pass and its search alone."""
+    pinned = pinned_routes(inst, sol)
+    if pinned is None:
+        return _static_pass(inst, sol)
+    pd = PlanarizedDrawing(inst)
+    if next(pd.search(inst.F, pinned, None, 2_000_000), None) is not None:
+        return VerifyResult(True)
+    return VerifyResult(False, "no_realization", pd.deepest,
+                        "no joint realization of the routes")
+
+
+def repointed(inst, sol, rng: random.Random) -> Solution:
+    """sol with one route re-pointed to cross one graph edge that no other
+    route names and that does not touch the route's ends."""
+    g = inst.graph
+    routes = route_events(sol)
+    i = rng.randrange(len(routes))
+    u, v = inst.F[i]
+    named = {ev for j, r in enumerate(routes) if j != i for ev in r}
+    free = [p for p in map(g.edge_endpoints, range(g.edge_count))
+            if p not in named and not {u, v} & set(p)]
+    routes[i] = [rng.choice(free)]
+    return solution(*routes)
+
+
+def swapped(sol, rng: random.Random) -> Solution:
+    """sol with the events of two routes i < j swapped, less the inserted
+    edges from i on that route i would then name."""
+    routes = route_events(sol)
+    i, j = sorted(rng.sample(range(len(routes)), 2))
+    routes[i], routes[j] = [e for e in routes[j]
+                            if isinstance(e, tuple) or e < i], routes[i]
+    return solution(*routes)
+
+
+def certificates():
+    """(family, variant, instance, solution): the solver's certificates of
+    planted stacked triangulations and of a seeded stream, and answers of
+    the exhaustive oracle on the cube, the octahedron at k = 2 and
+    triangulations with one edge deleted; each as found, then re-pointed
+    and swapped twice.  Then, on the cube and the octahedron, every
+    solution whose routes cross one graph edge or earlier inserted edge
+    each."""
+    rng = random.Random(29)
+    cases = []
+    for s in range(3):
+        inst = planted_instance(3000, s)
+        cases.append(("planted", inst, [solve(inst)]))
+    for inst in instance_stream(300):
+        sol = solve(inst)
+        if isinstance(sol, Solution):
+            cases.append(("stream", inst, [sol]))
+    small = [make_instance(cube(), [(2, 4), (0, 6)], k=1),
+             make_instance(cube(), [(0, 2), (1, 3)], k=1),
+             make_instance(cube(), [(0, 6), (1, 7), (2, 4)], k=1),
+             octa_instance(k=2),
+             make_instance(octahedron(), [(0, 5), (1, 3)], k=2)]
+    hand_built = list(small)
+    for inst in islice(instance_stream(40), 0, None, 4):
+        g = inst.graph
+        u, v = g.edge_endpoints(rng.randrange(g.edge_count))
+        rot = delete_edge_rotation(g, u, v)
+        small.append(make_instance(build_from_rotation(len(rot), rot),
+                                   [*inst.F, (u, v)], k=1))
+    for inst in small:
+        cases.append(("oracle", inst, list(islice(iter_solutions(inst), 40))))
+    for family, inst, sols in cases:
+        for sol in sols:
+            yield family, "as found", inst, sol
+            if len(inst.F) >= 2:
+                for _ in range(2):
+                    yield family, "re-pointed", inst, repointed(inst, sol,
+                                                                rng)
+                    yield family, "swapped", inst, swapped(sol, rng)
+    for inst in hand_built:
+        g = inst.graph
+        edges = list(map(g.edge_endpoints, range(g.edge_count)))
+        for routes in product(*([[e] for e in [*edges, *range(i)]]
+                                for i in range(len(inst.F)))):
+            yield "oracle", "one event each", inst, solution(*routes)
+
+
+def counted_drawings(monkeypatch) -> list:
+    """Wrap PlanarizedDrawing.__init__; the list grows by one per drawing
+    built."""
+    built = []
+    init = PlanarizedDrawing.__init__
+
+    def counted_init(self, inst):
+        built.append(inst)
+        init(self, inst)
+
+    monkeypatch.setattr(PlanarizedDrawing, "__init__", counted_init)
+    return built
+
+
+def test_no_replay_path_agrees_with_the_search(monkeypatch):
+    built = counted_drawings(monkeypatch)
+    seen = Counter()
+    for family, variant, inst, sol in certificates():
+        before = len(built)
+        got = verify(inst, sol)
+        seen[family, variant, got.accepted, len(built) > before] += 1
+        assert got == replay_result(inst, sol), (family, variant,
+                                                 route_events(sol))
+    # (family, variant, accepted, replayed): the solver's certificates all
+    # take the no-replay path, corrupted ones reach the search and fail
+    # there, and each path accepts some of the oracle's answers.
+    assert {key for key in seen if key[1] == "as found"
+            and key[0] != "oracle"} == {("planted", "as found", True, False),
+                                        ("stream", "as found", True, False)}
+    assert ("planted", "swapped", False, True) in seen
+    assert ("planted", "re-pointed", False, True) in seen
+    assert ("oracle", "as found", True, True) in seen
+    assert ("oracle", "as found", True, False) in seen
+    assert {key[2:] for key in seen if key[1] == "one event each"} == {
+        (True, True), (True, False), (False, True), (False, False)}
+
+
+def test_solver_certificate_builds_no_drawing(monkeypatch):
+    # verify of a planted certificate is linear: it builds no working
+    # drawing, where a replay builds one and inserts every route.
+    inst = planted_instance(3000, 1)
+    sol = solve(inst)
+    built = counted_drawings(monkeypatch)
+    assert verify(inst, sol).accepted
+    assert built == []
+    assert verify(*shared_face_certificate()).accepted
+    assert len(built) == 1

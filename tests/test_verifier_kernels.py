@@ -5,7 +5,7 @@ seeded inserts and undos, and after every insert and undo the same drawing
 as a twin changed by the reference surgery, with adjacent_logicals equal
 to the twin's incidence lists; also under ``python -O``.  A seeded
 enumeration returns a permutation of the unseeded list.  The face memo is
-also pinned by its work: face walks per route while verify accepts a
+also pinned by its work: face walks per route while the search replays a
 planted certificate."""
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from planeinsert.instance_io import make_instance
 from planeinsert.plane_graph import complement_pairs
 from planeinsert.reduction import Clause, MonotoneFormula, compile_formula
 from planeinsert.tri_insert import solve
-from planeinsert.verifier import PlanarizedDrawing, verify
+from planeinsert.verifier import PlanarizedDrawing
 
-from fixtures import cube, octahedron
+from fixtures import cube, octahedron, pinned_routes
 from instance_gen import instance_stream, planted_instance
 
 STATE = ("rot", "ends", "owner", "segments", "journal", "base_vertices",
@@ -196,7 +196,11 @@ def test_pinned_route_walks_at_most_two_faces(monkeypatch):
     monkeypatch.setattr(PlanarizedDrawing, "face_cycle", counted_face_cycle)
     monkeypatch.setattr(PlanarizedDrawing, "enumerate_realizations",
                         counted_enumerate)
-    assert verify(inst, sol).accepted
+    # verify accepts this certificate without a search, so drive the
+    # search itself with the routes verify would pin.
+    pinned = pinned_routes(inst, sol)
+    assert next(PlanarizedDrawing(inst).search(inst.F, pinned, None,
+                                               2_000_000), None) is not None
     assert len(per_call) == len(inst.F) >= 1100
     assert {crossings for crossings, _ in per_call} == {1}
     assert max(w for _, w in per_call) <= 2
