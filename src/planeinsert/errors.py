@@ -30,14 +30,6 @@ class NotTriangulation(PlaneInsertError):
     """Operation requires a maximal planar graph (all faces triangles)."""
 
 
-class NotIncident(PlaneInsertError):
-    """Edge and face are not incident."""
-
-
-class NotTriangle(PlaneInsertError):
-    """Face is not a triangle."""
-
-
 class InvalidArgument(PlaneInsertError, ValueError):
     """A generator or builder argument is out of its domain (too few
     vertices, an unknown structure, a negative count, a vertex position off

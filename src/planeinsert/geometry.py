@@ -114,14 +114,7 @@ def angle_cmp(a: Point, b: Point) -> int:
     """Compare direction vectors by counterclockwise angle from the
     positive x axis, in [0, 2*pi).  Returns 0 exactly when a and b point
     the same way."""
-    def half(v):
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    ha, hb = half(a), half(b)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    cross = a[0] * b[1] - a[1] * b[0]
-    return (cross < 0) - (cross > 0)
+    return int(_angle_sign(a[0], a[1], b[0], b[1]))
 
 
 def _angle_sign(ax, ay, bx, by) -> np.ndarray:

@@ -417,9 +417,10 @@ def _coord_grid(coords) -> Grid | None:
     a float, a string or a bool)."""
     if coords is None:
         return None
-    if not isinstance(coords, list) or any(
-            not isinstance(row, list) or len(row) != 4
-            or not all(type(x) is int for x in row) for row in coords):
+    if (not isinstance(coords, list)
+            or any(not isinstance(row, list) or len(row) != 4
+                   for row in coords)
+            or not set(map(type, chain.from_iterable(coords))) <= {int}):
         raise SchemaError("coords must be rows of 4 integers")
     return rows_to_grid(coords)
 

@@ -57,15 +57,13 @@ from .errors import (
     InsufficientComplementPairs,
     InvalidArgument,
     InvalidRotation,
-    NotIncident,
     NotPlanarEmbedding,
-    NotTriangle,
     SamplerGaveUp,
     SearchBudgetExceeded,
 )
 from .search import backtrack
 
-# A plane rotation of K4: faces (0,1,2), (0,2,3), (0,3,1) and outer (2,1,3).
+# A plane rotation of K4: faces (0,1,2), (0,2,3), (0,3,1) and (2,1,3).
 K4_ROTATION: list[list[int]] = [[1, 3, 2], [0, 2, 3], [1, 0, 3], [2, 0, 1]]
 
 # The most candidates a complement-sampler search may enter: about 20 times
@@ -81,7 +79,6 @@ class PlaneGraph:
         "vertex_count",
         "edge_count",
         "face_count",
-        "outer_face",
         "_offsets",
         "_head",
         "_tail",
@@ -101,13 +98,12 @@ class PlaneGraph:
     )
 
     def __init__(self, offsets, head, tail, twin, edge, face, eu, ev,
-                 edge_dart, face_dart, succ, edge_order, outer_face=0):
+                 edge_dart, face_dart, succ, edge_order):
         """The tables as array("q") buffers, succ as _dart_table makes it
         and edge_order as _narrow makes it."""
         self.vertex_count = len(offsets) - 1
         self.edge_count = len(eu)
         self.face_count = len(face_dart)
-        self.outer_face = outer_face
         self._offsets = offsets
         self._head = head
         self._tail = tail
@@ -123,28 +119,12 @@ class PlaneGraph:
 
     # -- dart primitives ---------------------------------------------------
 
-    @property
-    def dart_count(self) -> int:
-        return len(self._head)
-
-    def tail(self, d: int) -> int:
-        return self._tail[d]
-
     def head(self, d: int) -> int:
         return self._head[d]
-
-    def twin(self, d: int) -> int:
-        return self._twin[d]
 
     def succ(self, d: int) -> int:
         """Next dart along the face of d (next of twin)."""
         return self._succ[d]
-
-    def edge_of(self, d: int) -> int:
-        return self._edge[d]
-
-    def face_of(self, d: int) -> int:
-        return self._face[d]
 
     def table(self, name: str) -> np.ndarray:
         """Read-only view of a dart or edge table ("head", "twin", "edge",
@@ -233,33 +213,6 @@ class PlaneGraph:
     def edges(self) -> Iterable[tuple[int, int, int]]:
         for e in range(self.edge_count):
             yield e, self._eu[e], self._ev[e]
-
-    def faces_of_edge(self, e: int) -> tuple[int, int]:
-        d = self._edge_dart[e]
-        return self._face[d], self._face[self._twin[d]]
-
-    # -- faces ---------------------------------------------------------------
-
-    def face_boundary(self, f: int) -> list[int]:
-        start = self._face_dart[f]
-        out = [start]
-        d = self.succ(start)
-        while d != start:
-            out.append(d)
-            d = self.succ(d)
-        return out
-
-    def face_degree(self, f: int) -> int:
-        return len(self.face_boundary(f))
-
-    def face_vertices(self, f: int) -> list[int]:
-        return [self._tail[d] for d in self.face_boundary(f)]
-
-    def with_outer_face(self, f: int) -> "PlaneGraph":
-        return PlaneGraph(self._offsets, self._head, self._tail, self._twin,
-                          self._edge, self._face, self._eu, self._ev,
-                          self._edge_dart, self._face_dart, self._succ,
-                          self.edge_order, outer_face=f)
 
 
 def build_from_rotation(vertex_count: int, rotation: Sequence[Sequence[int]]) -> PlaneGraph:
@@ -524,7 +477,7 @@ def _narrow(ids: np.ndarray) -> np.ndarray:
 
 
 def is_triangulation(g: PlaneGraph) -> bool:
-    """True iff every face, outer included, is a triangle and V >= 4."""
+    """True iff every face is a triangle and V >= 4."""
     if g.vertex_count < 4:
         return False
     if g.edge_count != 3 * g.vertex_count - 6:
@@ -532,20 +485,6 @@ def is_triangulation(g: PlaneGraph) -> bool:
     # succ has no fixed point, so succ^3 = id means all orbits have length 3.
     succ = g.table("succ")
     return bool((succ[succ[succ]] == np.arange(len(succ))).all())
-
-
-def apex(g: PlaneGraph, e: int, f: int) -> int:
-    """The vertex of triangular face f opposite edge e."""
-    if f not in g.faces_of_edge(e):
-        raise NotIncident(f"edge {e} not on face {f}")
-    verts = g.face_vertices(f)
-    if len(verts) != 3:
-        raise NotTriangle(f"face {f} has degree {len(verts)}")
-    u, v = g.edge_endpoints(e)
-    for w in verts:
-        if w != u and w != v:
-            return w
-    raise NotTriangle(f"face {f} degenerate around edge {e}")
 
 
 def apex_pair(g: PlaneGraph, e: int) -> tuple[int, int]:
@@ -561,8 +500,8 @@ def apex_pair(g: PlaneGraph, e: int) -> tuple[int, int]:
 def generate_stacked_triangulation(n: int, seed: int) -> PlaneGraph:
     """Random stacked triangulation: K4 plus repeated degree-3 insertions.
 
-    Starting from K4, a uniformly random inner face (never the designated
-    outer face) receives a new vertex joined to its three corners.  The
+    Starting from K4, a uniformly random face other than K4's face
+    (2, 1, 3) receives a new vertex joined to its three corners.  The
     result is deterministic for a given (n, seed).  Raises InvalidArgument
     for n < 4, and for an n or seed that is not an integer or is a bool.
     """
@@ -571,7 +510,7 @@ def generate_stacked_triangulation(n: int, seed: int) -> PlaneGraph:
         raise InvalidArgument("stacked triangulation needs n >= 4")
     rng = Lcg64(_int_arg("seed", seed))
     rot: list[list[int]] = [list(row) for row in K4_ROTATION]
-    # Inner faces in orbit order; the outer face (2,1,3) is never stacked.
+    # The stackable faces in orbit order; face (2,1,3) is never stacked.
     faces: list[tuple[int, int, int]] = [(0, 1, 2), (0, 2, 3), (0, 3, 1)]
     for x in range(4, n):
         i = rng.below(len(faces))
@@ -583,11 +522,7 @@ def generate_stacked_triangulation(n: int, seed: int) -> PlaneGraph:
         faces[i] = (a, b, x)
         faces.append((b, c, x))
         faces.append((c, a, x))
-    g = build_from_rotation(n, rot)
-    d = g.dart_between(2, 1)
-    # Internal invariant: (1, 2) is a K4 edge, and stacking removes none.
-    assert d is not None
-    return g.with_outer_face(g.face_of(d))
+    return build_from_rotation(n, rot)
 
 
 def _int_arg(name: str, value) -> int:

@@ -159,9 +159,6 @@ class ClashGraph:
         """adj[o] is the sequence of o's clash partners."""
         return _Rows(self.start, self.to)
 
-    def degree(self, o: int) -> int:
-        return self.start[o + 1] - self.start[o]
-
 
 @dataclass
 class OptionClassification:

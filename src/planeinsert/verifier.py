@@ -123,7 +123,6 @@ class PlanarizedDrawing:
     def __init__(self, inst: Instance):
         g: PlaneGraph = inst.graph
         n = g.vertex_count
-        self.base_vertices = n
         self.k = inst.k
         # Logical edges: 0..E-1 are graph edges, E+i is inserted edge i.
         self.graph_edges = g.edge_count
@@ -144,9 +143,6 @@ class PlanarizedDrawing:
 
     # -- dart primitives ---------------------------------------------------
 
-    def tail(self, d: int) -> int:
-        return self.ends[d >> 1][d & 1]
-
     def face_cycle(self, c: int) -> list[int]:
         """The darts of c's face, in succ order from c."""
         rot, ends = self.rot, self.ends
@@ -160,12 +156,6 @@ class PlanarizedDrawing:
             row = rot[ends[t >> 1][t & 1]]
             d = row[(row.index(t) + 1) % len(row)]
         return out
-
-    def vertex_count(self) -> int:
-        return len(self.rot)
-
-    def edge_count(self) -> int:
-        return sum(len(r) for r in self.rot) // 2
 
     # -- realization search ----------------------------------------------------
 
@@ -350,35 +340,6 @@ class PlanarizedDrawing:
 
         for _ in backtrack(len(F), choices, enter, leave, node_budget):
             yield reals
-
-    # -- validation (tests) -------------------------------------------------------
-
-    def validate(self) -> None:
-        """Euler check and structural sanity of the working drawing."""
-        all_darts = [d for row in self.rot for d in row]
-        assert len(all_darts) == len(set(all_darts)), "duplicate dart"
-        dart_set = set(all_darts)
-        for d in dart_set:
-            assert d ^ 1 in dart_set, f"missing twin of {d}"
-            assert d in self.rot[self.tail(d)]
-        n = len(self.rot)
-        e = len(all_darts) // 2
-        seen: set[int] = set()
-        faces = 0
-        for d in dart_set:
-            if d in seen:
-                continue
-            faces += 1
-            seen.update(self.face_cycle(d))
-        assert n - e + faces == 2, f"Euler violated: {n}-{e}+{faces}"
-        for m in range(self.base_vertices, len(self.rot)):
-            assert len(self.rot[m]) in (2, 4), f"dummy {m} degree"
-        # A logical edge's segments run end to end, one dummy vertex at
-        # each crossing.
-        for logical, segs in enumerate(self.segments):
-            assert all(self.owner[s >> 1] == logical for s in segs)
-            for s, t in zip(segs, segs[1:]):
-                assert self.tail(s ^ 1) == self.tail(t) >= self.base_vertices
 
 
 # --- verify -------------------------------------------------------------------

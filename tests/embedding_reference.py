@@ -184,7 +184,7 @@ def is_triangulation(g: PlaneGraph) -> bool:
 def _edge_id(g: PlaneGraph, u: int, v: int) -> int:
     for d in g.darts_at(u):
         if g.head(d) == v:
-            return g.edge_of(d)
+            return g._edge[d]
     raise AssertionError(f"quad edge ({u},{v}) missing")
 
 

@@ -53,7 +53,7 @@ def outcome(read, text: str):
     tables = tuple((getattr(g, s).typecode, getattr(g, s).tolist())
                    for s in SLOTS)
     return ("ok", tables, g.vertex_count, g.edge_count, g.face_count,
-            g.outer_face, inst.F, [tuple(map(type, p)) for p in inst.F],
+            inst.F, [tuple(map(type, p)) for p in inst.F],
             inst.k, inst.coords, inst.f_structure)
 
 

@@ -16,9 +16,7 @@ from planeinsert.errors import (
     InsufficientComplementPairs,
     InvalidArgument,
     InvalidRotation,
-    NotIncident,
     NotPlanarEmbedding,
-    NotTriangle,
     PlaneInsertError,
     SamplerGaveUp,
 )
@@ -26,7 +24,6 @@ from planeinsert import plane_graph
 from planeinsert.plane_graph import (
     K4_ROTATION,
     SAMPLER_NODE_BUDGET,
-    apex,
     apex_pair,
     build_from_rotation,
     build_from_rows,
@@ -50,6 +47,14 @@ from instance_gen import instance_stream
 
 def euler(g):
     return g.vertex_count - g.edge_count + g.face_count
+
+
+def face_degrees(g) -> np.ndarray:
+    """The dart count of every face, after checking that the face labels
+    are constant along succ."""
+    face = g.table("face")
+    assert (face[g.table("succ")] == face).all()
+    return np.bincount(face, minlength=g.face_count)
 
 
 class TestBuild:
@@ -115,12 +120,12 @@ class TestBuild:
 
     def test_twin_involution_and_face_partition(self):
         g = octahedron()
-        for d in range(g.dart_count):
-            assert g.twin(g.twin(d)) == d
-            assert g.twin(d) != d
-            assert g.edge_of(d) == g.edge_of(g.twin(d))
-        total = sum(g.face_degree(f) for f in range(g.face_count))
-        assert total == 2 * g.edge_count
+        twin, edge = g.table("twin"), g.table("edge")
+        darts = np.arange(len(twin))
+        assert (twin[twin] == darts).all()
+        assert (twin != darts).all()
+        assert (edge[twin] == edge).all()
+        assert face_degrees(g).sum() == 2 * g.edge_count
 
 
 class TestTriangulation:
@@ -143,7 +148,7 @@ class TestTriangulation:
             g = generate_stacked_triangulation(5 + seed % 8, seed)
             assert is_triangulation(g)
             assert g.edge_count == 3 * g.vertex_count - 6
-            assert all(g.face_degree(f) == 3 for f in range(g.face_count))
+            assert (face_degrees(g) == 3).all()
         for seed in range(20):
             g = generate_stacked_triangulation(6 + seed % 6, seed)
             u = g.edge_endpoints(seed % g.edge_count)
@@ -151,7 +156,7 @@ class TestTriangulation:
             h = build_from_rotation(g.vertex_count, rot)
             assert not is_triangulation(h)
             assert h.edge_count != 3 * h.vertex_count - 6
-            assert not all(h.face_degree(f) == 3 for f in range(h.face_count))
+            assert not (face_degrees(h) == 3).all()
 
 
 def test_edges_between_matches_edge_between():
@@ -171,11 +176,9 @@ def test_edges_between_matches_edge_between():
 
 
 def stream_graphs():
-    """instance_stream's graphs and a with_outer_face copy of each."""
+    """instance_stream's graphs."""
     for inst in instance_stream(60):
-        g = inst.graph
-        yield g
-        yield g.with_outer_face(g.face_count - 1)
+        yield inst.graph
 
 
 def test_edge_order_is_the_sorted_edge_codes():
@@ -192,7 +195,7 @@ def test_succ_is_a_read_only_table():
         succ = g.table("succ")
         want = _succ(g.table("offsets"), g.table("twin"))
         assert succ.tolist() == want.tolist()
-        assert [g.succ(d) for d in range(g.dart_count)] == want.tolist()
+        assert [g.succ(d) for d in range(len(succ))] == want.tolist()
         assert not succ.flags.writeable
         with pytest.raises(ValueError):
             succ[0] = 0
@@ -202,15 +205,11 @@ class TestApex:
     def test_triangle(self):
         g = build_from_rotation(3, [[1, 2], [2, 0], [0, 1]])
         e = g.edge_between(0, 1)
-        f1, f2 = g.faces_of_edge(e)
-        assert apex(g, e, f1) == 2
-        assert apex(g, e, f2) == 2
+        assert apex_pair(g, e) == (2, 2)
 
     def test_k4_apexes(self):
         g = build_from_rotation(4, K4_ROTATION)
         e = g.edge_between(0, 1)
-        f1, f2 = g.faces_of_edge(e)
-        assert {apex(g, e, f1), apex(g, e, f2)} == {2, 3}
         assert set(apex_pair(g, e)) == {2, 3}
 
     def test_octahedron_equator_apexes_are_poles(self):
@@ -218,20 +217,6 @@ class TestApex:
         for (x, w) in [(1, 2), (2, 3), (3, 4), (4, 1)]:
             e = g.edge_between(x, w)
             assert set(apex_pair(g, e)) == {0, 5}
-
-    def test_not_incident(self):
-        g = octahedron()
-        e = g.edge_between(1, 2)
-        other = [f for f in range(g.face_count)
-                 if f not in g.faces_of_edge(e)][0]
-        with pytest.raises(NotIncident):
-            apex(g, e, other)
-
-    def test_not_triangle(self):
-        g = cube()
-        e = g.edge_between(0, 1)
-        with pytest.raises(NotTriangle):
-            apex(g, e, g.faces_of_edge(e)[0])
 
 
 class TestStackedGenerator:
@@ -285,16 +270,21 @@ class TestStackedGenerator:
                                  "7035e33237e1ed0784b2ef0abdaf0429")
 
     def test_outer_face_is_triangle(self):
+        # K4's face (2, 1, 3) is never stacked, so the face of dart 2 -> 1
+        # is still that triangle.
         g = generate_stacked_triangulation(25, 5)
-        assert g.face_degree(g.outer_face) == 3
-        assert set(g.face_vertices(g.outer_face)) == {1, 2, 3}
+        d = g.dart_between(2, 1)
+        face = g.table("face")
+        on = np.flatnonzero(face == face[d])
+        assert len(on) == 3
+        assert set(g.table("tail")[on].tolist()) == {1, 2, 3}
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(4, 30), st.integers(0, 10_000))
     def test_euler_and_twins_always_hold(self, n, seed):
         g = generate_stacked_triangulation(n, seed)
         assert euler(g) == 2
-        assert sum(g.face_degree(f) for f in range(g.face_count)) == 2 * g.edge_count
+        assert face_degrees(g).sum() == 2 * g.edge_count
 
 
 class TestComplementSampler:

@@ -1,4 +1,4 @@
-"""Four standard-library AST scans of the package's modules.
+"""Five standard-library AST scans of the package's modules.
 
 - Every name a module imports is used in that module: an imported name
   counts as used when it is read anywhere in the module, also inside a
@@ -7,19 +7,24 @@
   Grid, and no other module holds a Fraction.
 - Every assert states an internal invariant, never an input check (those
   vanish under python -O): a "# Internal invariant:" comment sits within
-  the three lines above it.  PlanarizedDrawing.validate, which only tests
-  call, is exempt.
+  the three lines above it.  No function is exempt.
 - No module calls np.unique: its hash path measured about 20x slower than
-  a sort on dart codes (see NO_UNIQUE)."""
+  a sort on dart codes (see NO_UNIQUE).
+- No dangling entry points: every function, class and method is read by
+  the package or the benchmark, or is listed in ENTRY_POINTS (see
+  unread_names)."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "planeinsert"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "planeinsert"
+BENCH = ROOT / "bench"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -95,12 +100,11 @@ def test_only_geometry_imports_fractions():
 
 
 INVARIANT = "# Internal invariant:"
-EXEMPT = {"PlanarizedDrawing.validate"}
 
 
 def unlabelled_asserts(source: str) -> list[str]:
-    """The qualified name and line of each assert outside EXEMPT with no
-    INVARIANT comment within the three lines above it."""
+    """The qualified name and line of each assert with no INVARIANT
+    comment within the three lines above it."""
     lines = source.splitlines()
     out: list[str] = []
 
@@ -113,8 +117,7 @@ def unlabelled_asserts(source: str) -> list[str]:
             if isinstance(child, ast.Assert):
                 name = ".".join(scope) or "<module>"
                 above = lines[max(child.lineno - 4, 0):child.lineno - 1]
-                if name not in EXEMPT and not any(
-                        INVARIANT in line for line in above):
+                if not any(INVARIANT in line for line in above):
                     out.append(f"{name} (line {child.lineno})")
             visit(child, scope)
 
@@ -132,7 +135,8 @@ def test_scan_finds_an_unlabelled_assert():
               "class PlanarizedDrawing:\n"
               "    def validate(self):\n"
               "        assert self\n")
-    assert unlabelled_asserts(source) == ["f (line 6)"]
+    assert unlabelled_asserts(source) == [
+        "f (line 6)", "PlanarizedDrawing.validate (line 9)"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
@@ -182,3 +186,132 @@ def test_scan_finds_a_unique_call():
                          ids=lambda p: p.name)
 def test_no_unique_call(path):
     assert unique_calls(path.read_text()) == [], NO_UNIQUE
+
+
+# Public names that no package module and no benchmark file reads, kept on
+# purpose.
+ENTRY_POINTS = {
+    "instance_io.render_svg": "draws an answer; the CLI's render "
+                              "(ROADMAP item 10)",
+    "oracle.exact_solve_general": "the exact oracle for any k (ROADMAP "
+                                  "items 7, 8 and 15)",
+    "oracle.iter_solutions": "every joint realization, for gadget lemmas "
+                             "(ROADMAP items 8 and 9)",
+    "plane_graph.sample_complement_edges": "seeded matching and path F; "
+                                           "the CLI's generate (item 10)",
+    "reduction.parse_formula": "reads a formula's JSON; the CLI's compile "
+                               "(ROADMAP item 10)",
+    "reduction.formula_satisfiable": "brute-force truth of a formula "
+                                     "(ROADMAP item 8)",
+    "twosat.TwoSatFormula.add_clause": "tests/reducer_reference.py builds "
+                                       "its own formula with it",
+    "twosat.TwoSatFormula.evaluate": "tests/reducer_reference.py checks "
+                                     "its own formula with it",
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def read_names(node: ast.AST, skip: list[ast.AST]) -> set[str]:
+    """The names node reads outside the subtrees in skip: loaded names,
+    loaded attributes, and strings that are identifiers (getattr and
+    setattr take names as strings)."""
+    names: set[str] = set()
+    stack = [c for c in ast.iter_child_nodes(node) if c not in skip]
+    while stack:
+        sub = stack.pop()
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.attr)
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and sub.value.isidentifier()):
+            names.add(sub.value)
+        stack.extend(c for c in ast.iter_child_nodes(sub) if c not in skip)
+    return names
+
+
+def regions(module: str, source: str
+            ) -> Iterator[tuple[tuple[str, ...], set[str]]]:
+    """One (qualified names of the definitions it lies in, names read)
+    per region of a module: the module outside its top-level definitions,
+    each top-level function or class outside its methods, and each method
+    of a top-level class."""
+    tree = ast.parse(source)
+    tops = [n for n in tree.body if isinstance(n, _DEFS)]
+    yield (), read_names(tree, tops)
+    for top in tops:
+        q = f"{module}.{top.name}"
+        subs = ([n for n in top.body if isinstance(n, _DEFS)]
+                if isinstance(top, ast.ClassDef) else [])
+        yield (q,), read_names(top, subs)
+        for sub in subs:
+            yield (q, f"{q}.{sub.name}"), read_names(sub, [])
+
+
+def unread_names(package: dict[str, str], readers: list[str],
+                 roots=()) -> list[str]:
+    """The functions, classes and methods of the package's modules (name to
+    source) that nothing reads, but for roots, which count as read.
+
+    A definition is read when its name is read outside its own body, in a
+    package module or in one of the reader sources.  Dunder methods are
+    always read.  The scan runs to a fixpoint: the bodies of definitions
+    already found unread are ignored, so a name read only from unread code
+    is found too.
+
+    It matches by name alone, and it scans definitions, not attributes.
+    So it could not see PlaneGraph.tail and twin, ClashGraph.degree and
+    PlanarizedDrawing.validate, whose names other code reads, nor the
+    unread attribute PlaneGraph.outer_face; those were deleted by hand."""
+    regs = [r for module, source in package.items()
+            for r in regions(module, source)]
+    regs += [((), names) for source in readers
+             for _, names in regions("", source)]
+    nodes = {inside[-1] for inside, _ in regs if inside} - set(roots)
+    nodes = {q for q in nodes if not q.rsplit(".", 1)[1].startswith("__")}
+    unread: set[str] = set()
+    while True:
+        found = {q for q in nodes
+                 if not any(q.rsplit(".", 1)[1] in names
+                            for inside, names in regs
+                            if q not in inside
+                            and unread.isdisjoint(inside))}
+        if found == unread:
+            return sorted(unread)
+        unread = found
+
+
+def test_scan_finds_unread_names():
+    package = {
+        "m": ("class A:\n"
+              "    def __init__(self):\n"
+              "        self.used()\n"
+              "    def used(self):\n"
+              "        return helper()\n"
+              "    def alone(self):\n"
+              "        return self.alone()\n"
+              "def helper():\n"
+              "    return Chained()\n"
+              "def dead():\n"
+              "    return chained_only()\n"
+              "def chained_only():\n"
+              "    return 1\n"
+              "class Chained:\n"
+              "    pass\n"
+              "def kept():\n"
+              "    return chained_only()\n"),
+    }
+    readers = ["from m import A\nA()\ngetattr(A, 'used')\n"]
+    assert unread_names(package, readers) == [
+        "m.A.alone", "m.chained_only", "m.dead", "m.kept"]
+    assert unread_names(package, readers, roots=["m.kept"]) == [
+        "m.A.alone", "m.dead"]
+
+
+def test_no_dangling_entry_points():
+    package = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text() for p in sorted(BENCH.glob("**/*.py"))]
+    assert unread_names(package, readers, ENTRY_POINTS) == []
+    # Every listed entry point is still unread without the list.
+    assert set(ENTRY_POINTS) <= set(unread_names(package, readers))

@@ -27,6 +27,7 @@ from planeinsert.verifier import (
 from fixtures import (cube, delete_edge_rotation, octahedron, pinned_routes,
                       route_events, shared_face_certificate, solution)
 from instance_gen import instance_stream, planted_instance
+from verifier_reference import validate_drawing
 
 
 OCTA_F = [(0, 5), (1, 3), (2, 4)]
@@ -111,13 +112,18 @@ class TestVerify:
         res = verify(inst, solution([]))
         assert not res.accepted
 
-    def test_order_robustness_seeds(self):
+    def test_order_robustness_seeds(self, monkeypatch):
+        # Each seeded verify must reach the search: the octahedron's
+        # accepted certificate takes the no-replay path, so the accepted
+        # case is one whose routes share a face.
+        shared, good = shared_face_certificate()
         inst = octa_instance()
-        good = solution([(1, 2)], [(0, 4)], [(5, 3)])
         bad = solution([(1, 2)], [(0, 2)], [(5, 3)])
+        built = counted_drawings(monkeypatch)
         for seed in range(10):
-            assert verify(inst, good, seed=seed).accepted
+            assert verify(shared, good, seed=seed).accepted
             assert not verify(inst, bad, seed=seed).accepted
+            assert len(built) == 2 * (seed + 1)
 
     def test_node_budget_raises(self):
         inst, good = shared_face_certificate()
@@ -157,34 +163,39 @@ class TestVerify:
         assert not verify(inst, sol).accepted
 
 
+def edge_count(pd: PlanarizedDrawing) -> int:
+    """The working drawing's edge count: half its darts."""
+    return sum(map(len, pd.rot)) // 2
+
+
 class TestEngine:
     def test_chord_insert_euler(self):
         inst = make_instance(cube(), [(0, 2)], k=1)
         pd = PlanarizedDrawing(inst)
-        v0, e0 = pd.vertex_count(), pd.edge_count()
+        v0, e0 = len(pd.rot), edge_count(pd)
         reals = pd.enumerate_realizations(0, 2, [], 0)
         assert reals
         pd.insert(0, 2, reals[0])
-        pd.validate()
-        assert pd.vertex_count() == v0
-        assert pd.edge_count() == e0 + 1
+        validate_drawing(pd, inst.graph.vertex_count)
+        assert len(pd.rot) == v0
+        assert edge_count(pd) == e0 + 1
 
     def test_crossing_insert_euler(self):
         inst = octa_instance(F=[(0, 5)])
         pd = PlanarizedDrawing(inst)
-        v0, e0 = pd.vertex_count(), pd.edge_count()
+        v0, e0 = len(pd.rot), edge_count(pd)
         e12 = inst.graph.edge_between(1, 2)
         reals = pd.enumerate_realizations(0, 5, [e12], 1)
         assert reals
         tok = pd.insert(0, 5, reals[0])
-        pd.validate()
-        assert pd.vertex_count() == v0 + 1
-        assert pd.edge_count() == e0 + 3
+        validate_drawing(pd, inst.graph.vertex_count)
+        assert len(pd.rot) == v0 + 1
+        assert edge_count(pd) == e0 + 3
         assert len(pd.rot[v0]) == 4  # dummy has degree 4
         pd.undo(tok)
-        pd.validate()
-        assert pd.vertex_count() == v0
-        assert pd.edge_count() == e0
+        validate_drawing(pd, inst.graph.vertex_count)
+        assert len(pd.rot) == v0
+        assert edge_count(pd) == e0
 
     def test_undo_restores_exactly(self):
         inst = octa_instance()

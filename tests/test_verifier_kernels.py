@@ -26,8 +26,7 @@ from planeinsert.verifier import PlanarizedDrawing
 from fixtures import cube, octahedron, pinned_routes
 from instance_gen import instance_stream, planted_instance
 
-STATE = ("rot", "ends", "owner", "segments", "journal", "base_vertices",
-         "graph_edges", "k")
+STATE = ("rot", "ends", "owner", "segments", "journal", "graph_edges", "k")
 # What inserts and undos change; the journals' records differ by design.
 SURGERY_STATE = ("rot", "ends", "owner", "segments")
 
@@ -60,7 +59,7 @@ def incidence_mismatches(pd: PlanarizedDrawing,
     out = []
     if pd.adjacent_logicals(u, v) != {*inc[u], *inc[v]}:
         out.append(f"adjacent_logicals({u},{v})")
-    for w in range(pd.base_vertices):
+    for w in range(len(inc)):
         if pd.adjacent_logicals(w, w) != set(inc[w]):
             out.append(f"adjacent_logicals({w},{w})")
     return out

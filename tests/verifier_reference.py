@@ -6,7 +6,8 @@ an insert that journals every change through a method, one record each.
 Kept as the reference that test_verifier_kernels.py compares
 PlanarizedDrawing with; the functions take the drawing as ``self`` and
 ReferenceDrawing holds the old surgery methods, so their bodies are the
-old methods' bodies unchanged."""
+old methods' bodies unchanged.  validate_drawing checks a drawing's
+structure and its Euler count."""
 
 from __future__ import annotations
 
@@ -18,6 +19,40 @@ from planeinsert.plane_graph import PlaneGraph
 from planeinsert.verifier import PlanarizedDrawing, Realization
 
 
+def tail(pd: PlanarizedDrawing, d: int) -> int:
+    """The vertex that working dart d leaves."""
+    return pd.ends[d >> 1][d & 1]
+
+
+def validate_drawing(pd: PlanarizedDrawing, base_vertices: int) -> None:
+    """Euler check and structural sanity of a working drawing whose
+    first base_vertices vertices are the graph's."""
+    all_darts = [d for row in pd.rot for d in row]
+    assert len(all_darts) == len(set(all_darts)), "duplicate dart"
+    dart_set = set(all_darts)
+    for d in dart_set:
+        assert d ^ 1 in dart_set, f"missing twin of {d}"
+        assert d in pd.rot[tail(pd, d)]
+    n = len(pd.rot)
+    e = len(all_darts) // 2
+    seen: set[int] = set()
+    faces = 0
+    for d in dart_set:
+        if d in seen:
+            continue
+        faces += 1
+        seen.update(pd.face_cycle(d))
+    assert n - e + faces == 2, f"Euler violated: {n}-{e}+{faces}"
+    for m in range(base_vertices, len(pd.rot)):
+        assert len(pd.rot[m]) in (2, 4), f"dummy {m} degree"
+    # A logical edge's segments run end to end, one dummy vertex at each
+    # crossing.
+    for logical, segs in enumerate(pd.segments):
+        assert all(pd.owner[s >> 1] == logical for s in segs)
+        for s, t in zip(segs, segs[1:]):
+            assert tail(pd, s ^ 1) == tail(pd, t) >= base_vertices
+
+
 def drawing(inst: Instance) -> ReferenceDrawing:
     """A ReferenceDrawing whose state is laid out by `init`."""
     pd = ReferenceDrawing.__new__(ReferenceDrawing)
@@ -27,7 +62,6 @@ def drawing(inst: Instance) -> ReferenceDrawing:
 
 def init(self, inst: Instance):
     g: PlaneGraph = inst.graph
-    self.base_vertices = g.vertex_count
     self.k = inst.k
     self.rot: list[list[int]] = []
     self.ends: list[tuple[int, int]] = []
@@ -51,7 +85,7 @@ def init(self, inst: Instance):
     for v in range(g.vertex_count):
         row = []
         for d in g.darts_at(v):
-            e = g.edge_of(d)
+            e = g._edge[d]
             a, _ = g.edge_endpoints(e)
             row.append(2 * e if v == a else 2 * e + 1)
         self.rot.append(row)
@@ -78,7 +112,7 @@ def enumerate_realizations(self, u: int, v: int,
             done = True  # may stop in any face
         if done:
             for d in cycle:
-                if self.tail(d) == v:
+                if tail(self, d) == v:
                     results.append(Realization(
                         start_pos=-1, crossings=tuple(crossed),
                         end_pos=self.rot[v].index(d)))
@@ -201,7 +235,7 @@ class ReferenceDrawing(PlanarizedDrawing):
         exit_corner: list[int] = []
         for d in real.crossings:
             eid = d >> 1
-            a, b = self.tail(d), self.head(d)
+            a, b = tail(self, d), self.head(d)
             owner_l = self.owner[eid]
             e1 = self._new_edge(a, -1, owner_l)  # (a, m); m patched below
             e2 = self._new_edge(-1, b, owner_l)  # (m, b)
@@ -223,7 +257,7 @@ class ReferenceDrawing(PlanarizedDrawing):
             entry_corner.append(2 * e2)      # dart m->b, on the entry face
             exit_corner.append(2 * e1 + 1)   # dart m->a, on the exit face
 
-        points = [u] + [self.tail(c) for c in entry_corner] + [v]
+        points = [u] + [tail(self, c) for c in entry_corner] + [v]
         for j in range(len(points) - 1):
             x, y = points[j], points[j + 1]
             if j == 0:
