@@ -332,7 +332,8 @@ def check_plane(graph: PlaneGraph, pts: Sequence[tuple[int, int]],
     vertices on one point are looked for last, so that a drawing the
     other passes reject keeps their message."""
     X, Y = _columns(pts) if columns is None else columns
-    eu, ev = graph.table("eu"), graph.table("ev")
+    head, d = graph.table("head"), graph.table("edge_dart")
+    eu, ev = head[graph.table("twin")[d]], head[d]
     a, b = (X[eu], Y[eu]), (X[ev], Y[ev])
     x_lo, x_hi = np.minimum(a[0], b[0]), np.maximum(a[0], b[0])
     y_lo, y_hi = np.minimum(a[1], b[1]), np.maximum(a[1], b[1])
@@ -390,7 +391,8 @@ def check_rotation(graph: PlaneGraph, pts: Sequence[tuple[int, int]],
     a direction."""
     X, Y = _columns(pts) if columns is None else columns
     offsets = graph.table("offsets")
-    head, tail = graph.table("head"), graph.table("tail")
+    head = graph.table("head")
+    tail = head[graph.table("twin")]
     d = np.arange(len(head))
     nxt = np.where(d + 1 == offsets[tail + 1], offsets[tail], d + 1)
     dx, dy = X[head] - X[tail], Y[head] - Y[tail]

@@ -23,9 +23,21 @@ numbering is fixed:
   dart is the f-th smallest of all orbit minima.  The builder finds each
   dart's orbit minimum by pointer doubling over succ.
 
-The graph keeps two derived tables from its build: succ for every dart,
-and edge_order, the edge ids in the order of their codes eu*n + ev, which
-the twin-pairing sort has already found (edges_between searches them).
+The graph keeps seven tables, each for a reader, plus one order:
+
+- offsets and head: the rotation itself;
+- twin: the dart pairing, which the gathers below go through;
+- edge and edge_dart: dart to edge, edge to its u -> v dart (solver kernels);
+- face: read by the verifier's _apart on every accepted certificate, where
+  recomputing it would cost a pointer doubling per verify;
+- succ: the face walks;
+- edge_order: the edge ids in code order eu*n + ev, found by the
+  twin-pairing sort, which keeps edges_between to one sorted search.
+
+The rest is read from head and twin by the half-edge identity of the
+doubly connected edge list (Muller and Preparata, 1978), the tail of a
+dart is the head of its twin: tail = head[twin], eu = head[twin[edge_dart]]
+and ev = head[edge_dart].
 
 There is one array builder, build_from_rows, over (n, row lengths, head).
 build_from_rotation flattens neighbor lists into those arrays;
@@ -81,14 +93,10 @@ class PlaneGraph:
         "face_count",
         "_offsets",
         "_head",
-        "_tail",
         "_twin",
         "_edge",
         "_face",
-        "_eu",
-        "_ev",
         "_edge_dart",
-        "_face_dart",
         # Derived from offsets and twin: succ(d) for every dart, as 32-bit
         # dart ids below 2**31 darts.
         "_succ",
@@ -97,23 +105,18 @@ class PlaneGraph:
         "edge_order",
     )
 
-    def __init__(self, offsets, head, tail, twin, edge, face, eu, ev,
-                 edge_dart, face_dart, succ, edge_order):
-        """The tables as array("q") buffers, succ as _dart_table makes it
-        and edge_order as _narrow makes it."""
+    def __init__(self, offsets, head, twin, edge, face, edge_dart, succ,
+                 edge_order, face_count):
+        """The tables as array("q") buffers, succ as _dart_table makes it."""
         self.vertex_count = len(offsets) - 1
-        self.edge_count = len(eu)
-        self.face_count = len(face_dart)
+        self.edge_count = len(edge_dart)
+        self.face_count = face_count
         self._offsets = offsets
         self._head = head
-        self._tail = tail
         self._twin = twin
         self._edge = edge
         self._face = face
-        self._eu = eu
-        self._ev = ev
         self._edge_dart = edge_dart
-        self._face_dart = face_dart
         self._succ = succ
         self.edge_order = edge_order
 
@@ -128,7 +131,7 @@ class PlaneGraph:
 
     def table(self, name: str) -> np.ndarray:
         """Read-only view of a dart or edge table ("head", "twin", "edge",
-        "edge_dart", "eu", ...), for whole-array kernels: int64, but for
+        "edge_dart", "face", ...), for whole-array kernels: int64, but for
         "succ" int32 below 2**31 darts."""
         buf = getattr(self, "_" + name)
         view = np.frombuffer(buf, dtype=buf.typecode)
@@ -153,7 +156,8 @@ class PlaneGraph:
     # -- edges ---------------------------------------------------------------
 
     def edge_endpoints(self, e: int) -> tuple[int, int]:
-        return self._eu[e], self._ev[e]
+        d = self._edge_dart[e]
+        return self._head[self._twin[d]], self._head[d]
 
     def edge_darts(self, e: int) -> tuple[int, int]:
         d = self._edge_dart[e]
@@ -189,14 +193,15 @@ class PlaneGraph:
         or -1 where there is none, also where u[i] or v[i] is no vertex.
 
         One sorted search over the codes lo*n + hi of the edges.  The
-        graph keeps the edge ids in code order from its build; eu does not
-        decrease, so eu*n + ev[order] are the codes in order."""
+        graph keeps the edge ids in code order from its build, so the
+        codes of their darts' ends come out sorted."""
         n = self.vertex_count
-        eu, ev = self.table("eu"), self.table("ev")
+        head = self.table("head")
         ids = self.edge_order
+        d = self.table("edge_dart")[ids]
         # A sentinel above every vertex pair's code ends the codes, so
         # every search lands on an entry.
-        codes = np.append(eu * n + ev[ids], n * n)
+        codes = np.append(head[self.table("twin")[d]] * n + head[d], n * n)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         # A pair outside the vertices gets code -1, found nowhere; its
         # lo*n may have wrapped, and np.where drops it.
@@ -211,8 +216,9 @@ class PlaneGraph:
         return found
 
     def edges(self) -> Iterable[tuple[int, int, int]]:
-        for e in range(self.edge_count):
-            yield e, self._eu[e], self._ev[e]
+        head, twin = self._head, self._twin
+        for e, d in enumerate(self._edge_dart):
+            yield e, head[twin[d]], head[d]
 
 
 def build_from_rotation(vertex_count: int, rotation: Sequence[Sequence[int]]) -> PlaneGraph:
@@ -273,8 +279,7 @@ def _build(n: int, lengths: np.ndarray, head: array,
     offsets, off = _zeros(n + 1)
     np.cumsum(lengths, out=off[1:])
     hd = np.frombuffer(head, dtype=np.int64)
-    tail, tl = _zeros(m2)
-    tl[:] = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    tl = np.repeat(np.arange(n, dtype=np.int64), lengths)
 
     def fail() -> NoReturn:
         _raise_rotation_error(
@@ -309,13 +314,11 @@ def _build(n: int, lengths: np.ndarray, head: array,
     n_edges = m2 // 2
     edge_dart, ed = _zeros(n_edges)
     ed[:] = np.flatnonzero(tl < hd)
-    eu, lo = _zeros(n_edges)
-    np.take(tl, ed, out=lo)
-    ev, hi = _zeros(n_edges)
-    np.take(hd, ed, out=hi)
+    lo, hi = tl[ed], hd[ed]
+    del tl
     edge, eg = _zeros(m2)
     eg[ed] = eg[tw[ed]] = np.arange(n_edges, dtype=np.int64)
-    edge_order = _narrow(eg[a])
+    edge_order = eg[a].astype(np.min_scalar_type(n_edges))
     del order, a
 
     # Connectivity: vertex 0's component must hold every vertex.
@@ -323,7 +326,7 @@ def _build(n: int, lengths: np.ndarray, head: array,
     reached = int(np.count_nonzero(root == root[0]))
     if reached != n:
         raise Disconnected(f"reached {reached} of {n} vertices")
-    del root
+    del root, lo, hi
 
     # Face orbits under succ.  Pointer doubling gives each dart the least
     # dart of its orbit; faces are numbered in order of that dart.
@@ -341,8 +344,6 @@ def _build(n: int, lengths: np.ndarray, head: array,
     if n - n_edges + n_faces != 2:
         raise NotPlanarEmbedding(
             f"V - E + F = {n} - {n_edges} + {n_faces} != 2")
-    face_dart, fd = _zeros(n_faces)
-    fd[:] = firsts
     face, fc = _zeros(m2)
     fc[firsts] = np.arange(n_faces, dtype=np.int64)
     fc[:] = fc[lab]
@@ -350,8 +351,8 @@ def _build(n: int, lengths: np.ndarray, head: array,
     succ = _dart_table(sc)
     del sc
 
-    return PlaneGraph(offsets, head, tail, twin, edge, face, eu, ev,
-                      edge_dart, face_dart, succ, edge_order)
+    return PlaneGraph(offsets, head, twin, edge, face, edge_dart, succ,
+                      edge_order, n_faces)
 
 
 def _components(n: int, lo: np.ndarray,
@@ -426,8 +427,11 @@ def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[array, array]:
 def _raise_rotation_error(n: int, rotation) -> NoReturn:
     """Raise the error of the first defect of a rotation that failed a
     vector check: a bad, looping or repeated neighbor in the first such
-    row, then an empty or odd dart set, then a dart with no reverse."""
+    row, then an empty or odd dart set, then a dart with no reverse.  A
+    row that is no list of neighbours, such as a number, is a bad row."""
     for v, row in enumerate(rotation):
+        if not isinstance(row, Iterable):
+            raise InvalidRotation(f"vertex {v}: row {row!r} is not a list")
         seen: set[int] = set()
         for w in row:
             # Any __index__ integer but a bool is a neighbour, as in the
@@ -469,11 +473,6 @@ def _dart_table(ids: np.ndarray) -> array:
     fits."""
     code = "i" if len(ids) < 2**31 else "q"
     return array(code, ids.astype(code).tobytes())
-
-
-def _narrow(ids: np.ndarray) -> np.ndarray:
-    """Edge ids in the smallest unsigned type that holds them."""
-    return ids.astype(np.min_scalar_type(len(ids)))
 
 
 def is_triangulation(g: PlaneGraph) -> bool:
@@ -535,15 +534,10 @@ def _int_arg(name: str, value) -> int:
 
 def complement_pairs(g: PlaneGraph) -> list[tuple[int, int]]:
     """All non-adjacent vertex pairs (u < v), lexicographically sorted."""
-    out = []
     n = g.vertex_count
-    adj: list[set[int]] = [set(g.neighbors(v)) for v in range(n)]
-    for u in range(n):
-        au = adj[u]
-        for v in range(u + 1, n):
-            if v not in au:
-                out.append((u, v))
-    return out
+    adj = [set(g.neighbors(v)) for v in range(n)]
+    return [(u, v) for u in range(n) for v in range(u + 1, n)
+            if v not in adj[u]]
 
 
 def sample_complement_edges(g: PlaneGraph, m: int, seed: int,

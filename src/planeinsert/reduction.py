@@ -74,7 +74,10 @@ def validate_formula(f: MonotoneFormula) -> None:
     the literals are exact ints in range (a bool is not one)."""
     if type(f.variables) is not int or f.variables < 1:
         raise InvalidFormula("need at least one variable")
-    if (any(type(v) is not int for v in f.order)
+    # The length first: range(f.variables) is as long as the order only
+    # then, however large the count.
+    if (len(f.order) != f.variables
+            or any(type(v) is not int for v in f.order)
             or sorted(f.order) != list(range(f.variables))):
         raise InvalidFormula("order must be a permutation of the variables")
     for c in f.clauses:

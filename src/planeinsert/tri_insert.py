@@ -586,10 +586,11 @@ def solve(inst: Instance) -> Solution | Verdict:
 def certificate(g: PlaneGraph, crossed: np.ndarray) -> Solution:
     """The k = 1 solution whose route f crosses graph edge crossed[f], as
     its columns: event f is route f's one event, a graph edge whose
-    endpoints are gathered from eu < ev."""
+    endpoints u < v are the ends of its u -> v dart."""
     m = len(crossed)
+    head, d = g.table("head"), g.table("edge_dart")[crossed]
     return Solution(np.arange(m + 1), np.zeros(m, np.int8),
-                    g.table("eu")[crossed], g.table("ev")[crossed])
+                    head[g.table("twin")[d]], head[d])
 
 
 def clash_free_assignments(adj: Sequence[Sequence[int]],

@@ -126,15 +126,16 @@ class PlanarizedDrawing:
         self.k = inst.k
         # Logical edges: 0..E-1 are graph edges, E+i is inserted edge i.
         self.graph_edges = g.edge_count
+        head, twin = g.table("head"), g.table("twin")
+        tail, ed = head[twin], g.table("edge_dart")
         self.ends: list[tuple[int, int]] = list(
-            zip(g.table("eu").tolist(), g.table("ev").tolist()))
+            zip(tail[ed].tolist(), head[ed].tolist()))
         self.owner: list[int] = list(range(g.edge_count))
         self.segments: list[list[int]] = [
             [d] for d in range(0, 2 * g.edge_count, 2)]
         # Graph dart d becomes working dart 2*edge + (tail > head), since
         # every graph edge runs from its lower end; rows keep g's rotation.
-        tail, head, edge = g.table("tail"), g.table("head"), g.table("edge")
-        off = g.table("offsets").tolist()
+        edge, off = g.table("edge"), g.table("offsets").tolist()
         darts = (2 * edge + (tail > head)).tolist()
         self.rot: list[list[int]] = [darts[off[v]:off[v + 1]]
                                      for v in range(n)]
@@ -444,10 +445,10 @@ def _apart(g: PlaneGraph, sol: Solution, logical: np.ndarray,
     off its edge's faces."""
     if not (np.diff(sol.start) == 1).all() or (logical >= g.edge_count).any():
         return False
-    face, tail = g.table("face"), g.table("tail")
+    face, twin = g.table("face"), g.table("twin")
     d = g.table("edge_dart")[logical]
     # Route i's first face is sides[i], its second sides[m + i].
-    sides = np.concatenate((face[d], face[g.table("twin")[d]]))
+    sides = np.concatenate((face[d], face[twin[d]]))
     m = len(fuv)
     # Each face goes to one route that names it.  A route that shares a
     # face, or whose edge has one face on both sides, keeps darts on at
@@ -456,7 +457,7 @@ def _apart(g: PlaneGraph, sol: Solution, logical: np.ndarray,
     route[sides] = np.tile(np.arange(m), 2)
     at = route[face]  # each dart's route, or -1
     on = np.flatnonzero(at >= 0)
-    r, t = at[on], tail[on]
+    r, t = at[on], g.table("head")[twin[on]]
     second = face[on] != sides[r]
     is_u, is_v = t == fuv[r, 0], t == fuv[r, 1]
     # seen[i] = (u on the first face, v on it, u on the second, v on it).

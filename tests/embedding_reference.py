@@ -30,7 +30,10 @@ from planeinsert.tri_insert import ClashGraph, OptionCatalog
 
 
 def build_from_rotation(vertex_count: int,
-                        rotation: Sequence[Sequence[int]]) -> PlaneGraph:
+                        rotation: Sequence[Sequence[int]]
+                        ) -> tuple[PlaneGraph, tuple[array, array, array]]:
+    """The graph, and the dart tails and edge ends (tail, eu, ev) that the
+    graph does not keep, as this build finds them."""
     n = vertex_count
     if n < 2:
         raise InvalidRotation("need at least 2 vertices")
@@ -39,6 +42,11 @@ def build_from_rotation(vertex_count: int,
 
     offsets = array("q", bytes(8 * (n + 1)))
     for v, row in enumerate(rotation):
+        try:
+            iter(row)
+        except TypeError:
+            raise InvalidRotation(
+                f"vertex {v}: row {row!r} is not a list") from None
         seen: set[int] = set()
         for w in row:
             if not isinstance(w, int) or w < 0 or w >= n:
@@ -144,8 +152,9 @@ def build_from_rotation(vertex_count: int,
     codes = [eu[e] * n + ev[e] for e in range(n_edges)]
     edge_order = np.array(sorted(range(n_edges), key=codes.__getitem__),
                           dtype=np.min_scalar_type(n_edges))
-    return PlaneGraph(offsets, head, tail, twin, edge, face, eu, ev,
-                      edge_dart, face_dart, succ, edge_order)
+    graph = PlaneGraph(offsets, head, twin, edge, face, edge_dart, succ,
+                       edge_order, n_faces)
+    return graph, (tail, eu, ev)
 
 
 def check_f(graph: PlaneGraph, F) -> list[tuple[int, int]]:
@@ -174,9 +183,8 @@ def is_triangulation(g: PlaneGraph) -> bool:
         return False
     if g.edge_count != 3 * g.vertex_count - 6:
         return False
-    for f in range(g.face_count):
-        d0 = g._face_dart[f]
-        if g.succ(g.succ(g.succ(d0))) != d0 or g.succ(d0) == d0:
+    for d in range(2 * g.edge_count):
+        if g.succ(g.succ(g.succ(d))) != d or g.succ(d) == d:
             return False
     return True
 

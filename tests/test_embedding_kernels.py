@@ -42,8 +42,16 @@ from instance_gen import instance_stream, planted_single_options
 SLOTS = tuple(s for s in PlaneGraph.__slots__ if s.startswith("_"))
 
 
-def assert_same_graph(got: PlaneGraph, want: PlaneGraph) -> None:
-    assert len(SLOTS) == 11
+def assert_same_graph(got: PlaneGraph, want) -> None:
+    """got against the reference's (graph, (tail, eu, ev)): equal tables,
+    and the tails and edge ends the reference finds its own way equal to
+    head[twin], head[twin[edge_dart]] and head[edge_dart] of got."""
+    want, (tail, eu, ev) = want
+    assert len(SLOTS) == 7
+    head, twin, ed = (got.table(s) for s in ("head", "twin", "edge_dart"))
+    assert head[twin].tolist() == tail.tolist()
+    assert head[twin[ed]].tolist() == eu.tolist()
+    assert head[ed].tolist() == ev.tolist()
     for slot in SLOTS:
         a, b = getattr(got, slot), getattr(want, slot)
         assert (a.typecode, a) == (b.typecode, b), slot

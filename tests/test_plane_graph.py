@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from array import array
 
 import numpy as np
@@ -21,6 +22,7 @@ from planeinsert.errors import (
     SamplerGaveUp,
 )
 from planeinsert import plane_graph
+from planeinsert.instance_io import parse_instance
 from planeinsert.plane_graph import (
     K4_ROTATION,
     SAMPLER_NODE_BUDGET,
@@ -91,13 +93,25 @@ class TestBuild:
                            match="^vertex 0: bad neighbor True$"):
             build_from_rotation(2, [[True], [0]])
 
+    @pytest.mark.parametrize("row", [5, None, True, 1.5])
+    def test_row_that_is_no_list_rejected(self, row):
+        # It raised a bare TypeError from the per-row diagnosis.
+        rotation = [[1, 2, 3], row, [0, 1, 3], [0, 2, 1]]
+        message = f"^vertex 1: row {row!r} is not a list$"
+        with pytest.raises(InvalidRotation, match=message):
+            build_from_rotation(4, rotation)
+        text = json.dumps({"k": 1, "n": 4, "rotation": rotation,
+                           "coords": None, "F": [], "f_structure": "none"})
+        with pytest.raises(InvalidRotation, match=message):
+            parse_instance(text)
+
     def test_rows_build_the_same_graph(self):
         g = build_from_rotation(6, OCTA_ROTATION)
         lengths = np.array([len(row) for row in OCTA_ROTATION])
         head = array("q", [w for row in OCTA_ROTATION for w in row])
         h = build_from_rows(6, lengths, head)
         assert h.rotation() == OCTA_ROTATION
-        for slot in ("_offsets", "_twin", "_edge", "_face", "_eu", "_ev"):
+        for slot in ("_offsets", "_twin", "_edge", "_face", "_edge_dart"):
             assert getattr(h, slot) == getattr(g, slot)
         with pytest.raises(InvalidRotation, match="rotation has 5 rows"):
             build_from_rows(6, lengths[:5], head)
@@ -185,7 +199,8 @@ def test_edge_order_is_the_sorted_edge_codes():
     # The build reads the order off its twin-pairing sort.
     for g in (*stream_graphs(), cube(), octahedron()):
         n = g.vertex_count
-        want = np.argsort(g.table("eu") * n + g.table("ev"))
+        head, d = g.table("head"), g.table("edge_dart")
+        want = np.argsort(head[g.table("twin")[d]] * n + head[d])
         assert g.edge_order.tolist() == want.tolist()
         assert g.edge_order.dtype == np.min_scalar_type(g.edge_count)
 
@@ -277,7 +292,8 @@ class TestStackedGenerator:
         face = g.table("face")
         on = np.flatnonzero(face == face[d])
         assert len(on) == 3
-        assert set(g.table("tail")[on].tolist()) == {1, 2, 3}
+        tail = g.table("head")[g.table("twin")]
+        assert set(tail[on].tolist()) == {1, 2, 3}
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(4, 30), st.integers(0, 10_000))

@@ -158,6 +158,16 @@ def test_formula_values_must_be_exact_integers(old, new, error, message):
         parse_formula(FORMULA_TEXT.replace(old, new))
 
 
+@pytest.mark.parametrize("variables", [2**70, 10**10])
+def test_huge_variable_count_is_invalid_formula(variables):
+    # The order check built list(range(variables)) before comparing
+    # anything: 2**70 raised a bare OverflowError, and 10**10 asked for
+    # 10**10 list entries.
+    text = FORMULA_TEXT.replace('"variables":2', f'"variables":{variables}')
+    with pytest.raises(InvalidFormula, match="permutation"):
+        parse_formula(text)
+
+
 def test_over_long_formula_integer_is_schema_error():
     # json.loads raises a plain ValueError past Python's digit limit.
     if not hasattr(sys, "set_int_max_str_digits"):

@@ -1,4 +1,4 @@
-"""Five standard-library AST scans of the package's modules.
+"""Six standard-library AST scans of the package's modules.
 
 - Every name a module imports is used in that module: an imported name
   counts as used when it is read anywhere in the module, also inside a
@@ -12,7 +12,10 @@
   a sort on dart codes (see NO_UNIQUE).
 - No dangling entry points: every function, class and method is read by
   the package or the benchmark, or is listed in ENTRY_POINTS (see
-  unread_names)."""
+  unread_names).
+- No unread graph table: every table PlaneGraph keeps is read by the
+  package outside its constructor, and not only for its length (see
+  unread_slots)."""
 
 from __future__ import annotations
 
@@ -315,3 +318,66 @@ def test_no_dangling_entry_points():
     assert unread_names(package, readers, ENTRY_POINTS) == []
     # Every listed entry point is still unread without the list.
     assert set(ENTRY_POINTS) <= set(unread_names(package, readers))
+
+
+def slot_reads(tree: ast.AST) -> set[str]:
+    """The names read as an attribute ._name or as table("name") (giving
+    _name), outside PlaneGraph.__init__ and other than as len's argument."""
+    skip: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "PlaneGraph":
+            skip.update(id(sub) for f in node.body
+                        if isinstance(f, ast.FunctionDef)
+                        and f.name == "__init__" for sub in ast.walk(f))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "len"):
+            skip.update(map(id, node.args))
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "table" and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and isinstance(node.args[0].value, str)):
+            out.add("_" + node.args[0].value)
+    return out
+
+
+def unread_slots(package: dict[str, str]) -> list[str]:
+    """The underscore slots of PlaneGraph, a class of one of the package's
+    modules (name to source), that no module reads as slot_reads counts."""
+    trees = [ast.parse(source) for source in package.values()]
+    slots = {elt.value for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) and node.name == "PlaneGraph"
+             for stmt in node.body if isinstance(stmt, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                     for t in stmt.targets)
+             for elt in stmt.value.elts if elt.value.startswith("_")}
+    assert slots, "no PlaneGraph.__slots__ found"
+    return sorted(slots - set().union(*map(slot_reads, trees)))
+
+
+def test_scan_finds_unread_slots():
+    package = {
+        "m": ("class PlaneGraph:\n"
+              "    __slots__ = ('count', '_a', '_b', '_c', '_d')\n"
+              "    def __init__(self, a, b, c, d):\n"
+              "        self._a, self._b, self._c, self._d = a, b, c, d\n"
+              "        self.count = len(self._d) + self._d[0]\n"
+              "    def first(self):\n"
+              "        return self._a[0]\n"),
+        "n": ("def size(g):\n"
+              "    return len(g._c) + len(g.table('c'))\n"
+              "def view(g):\n"
+              "    return g.table('b')\n"),
+    }
+    assert unread_slots(package) == ["_c", "_d"]
+
+
+def test_every_graph_table_is_read():
+    package = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_slots(package) == []

@@ -197,6 +197,16 @@ class TestEngine:
         assert len(pd.rot) == v0
         assert edge_count(pd) == e0
 
+    def test_reference_check_fires_on_a_corrupted_drawing(self):
+        # validate_drawing checks by assert; tests/conftest.py has pytest
+        # rewrite it, so it fires under python -O too.
+        inst = make_instance(cube(), [(0, 2)], k=1)
+        pd = PlanarizedDrawing(inst)
+        validate_drawing(pd, inst.graph.vertex_count)
+        pd.rot[0].append(pd.rot[0][0])
+        with pytest.raises(AssertionError, match="duplicate dart"):
+            validate_drawing(pd, inst.graph.vertex_count)
+
     def test_undo_restores_exactly(self):
         inst = octa_instance()
         pd = PlanarizedDrawing(inst)
