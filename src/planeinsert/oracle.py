@@ -51,7 +51,7 @@ def exact_solve_triangulation(inst: Instance, guard: int = 10_000_000
     first = first_clash_free(clashes.adj, catalog.f_options)
     if first is None:
         return Verdict.INFEASIBLE
-    sol = certificate(inst.graph, catalog.crossed[first])
+    sol = certificate(inst.graph, catalog.options[first])
     check = verify(inst, sol)
     # Internal invariant: enumerate_options has already rejected inputs that
     # are not k = 1 triangulations, and on those a clash-free choice is

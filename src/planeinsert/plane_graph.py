@@ -228,11 +228,15 @@ def build_from_rotation(vertex_count: int, rotation: Sequence[Sequence[int]]) ->
     lists are not symmetric, Disconnected for a disconnected graph, and
     NotPlanarEmbedding when the face count violates Euler's formula.  A
     neighbor may be any integer but a bool, including an object with
-    ``__index__``.  The lists are flattened here and built by the array
-    builder behind build_from_rows.
+    ``__index__``.  A row must be a sequence: a set or a dict has no
+    neighbor order, and an iterator no length.  The lists are flattened
+    here and built by the array builder behind build_from_rows.
     """
     n = vertex_count
     _check_row_count(n, rotation)
+    # One subclass check per row type, before the flatten consumes a row.
+    if not all(issubclass(t, Sequence) for t in set(map(type, rotation))):
+        _raise_rotation_error(n, rotation)
     try:
         # Filling from a list is faster than from the chain iterator, and
         # accepts and rejects the same values.
@@ -413,24 +417,24 @@ def _zeros(count: int) -> tuple[array, np.ndarray]:
     return buf, np.frombuffer(buf, dtype=np.int64)
 
 
-def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[array, array]:
-    """The pairs (rows[i], cols[i]), rows in 0 .. n - 1, as a CSR pair of
-    array("q") buffers: row r is to[start[r]:start[r + 1]], its cols in
-    pair order (a stable sort by row)."""
-    start, st = _zeros(n + 1)
-    np.cumsum(np.bincount(rows, minlength=n), out=st[1:])
-    to, t = _zeros(len(cols))
-    t[:] = cols[np.argsort(rows, kind="stable")]
-    return start, to
+def _csr(rows: np.ndarray, cols: np.ndarray,
+         n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (rows[i], cols[i]) of int64 arrays, rows in 0 .. n - 1, as
+    a CSR pair of int64 arrays: row r is to[start[r]:start[r + 1]], its
+    cols in pair order (a stable sort by row)."""
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=start[1:])
+    return start, cols[np.argsort(rows, kind="stable")]
 
 
 def _raise_rotation_error(n: int, rotation) -> NoReturn:
     """Raise the error of the first defect of a rotation that failed a
     vector check: a bad, looping or repeated neighbor in the first such
     row, then an empty or odd dart set, then a dart with no reverse.  A
-    row that is no list of neighbours, such as a number, is a bad row."""
+    row that is no sequence of neighbours, such as a number, a set or an
+    iterator, is a bad row."""
     for v, row in enumerate(rotation):
-        if not isinstance(row, Iterable):
+        if not isinstance(row, Sequence):
             raise InvalidRotation(f"vertex {v}: row {row!r} is not a list")
         seen: set[int] = set()
         for w in row:

@@ -26,17 +26,14 @@ in reduce_instance.
 
 Catalog layout.  Option ids follow crossed-edge order: option o crosses
 the o-th graph edge, in edge order, whose two apexes form a pair of F.
-OptionCatalog keeps two int64 columns, f_edge and crossed, that the array
-kernels read, and Python-int lists of them for scalar reads: options[o] is
-the graph edge option o crosses and f_of[o] its insertion edge.  The
-options of insertion edge f, in increasing order, are
-by_f[f_start[f]:f_start[f + 1]], a CSR pair in array("q") buffers that
-plane_graph._csr builds, as it builds the clash store below.  The live
-state is two more buffers: alive, one flag byte per option, and
-live_count, one int64 per insertion edge.  Scalar code indexes the
-buffers, and whole-array code writes through numpy views of the same
-memory, with no copy either way, as PlaneGraph.table does.  committed maps
-each committed edge to its option; a committed edge has no live option.
+Every column is one numpy array, which the whole-array kernels and the
+scalar case steps index alike: options[o] is the graph edge option o
+crosses and f_edge[o] its insertion edge, both int64.  The options of
+insertion edge f, in increasing order, are by_f[f_start[f]:f_start[f + 1]],
+a CSR pair that plane_graph._csr builds, as it builds the clash store
+below.  The live state is alive, one uint8 flag per option, and
+live_count, one int64 per insertion edge.  committed maps each committed
+edge to its option; a committed edge has no live option.
 
 ClashGraph holds the clash relation in one CSR store built from
 compute_clashes's pair arrays: the partners of option o are
@@ -83,7 +80,7 @@ import numpy as np
 from .errors import (KNotOne, NotTriangulation, ReductionStuck,
                      SearchSpaceTooLarge)
 from .instance_io import Instance, Solution
-from .plane_graph import PlaneGraph, _csr, _zeros, is_triangulation
+from .plane_graph import PlaneGraph, _csr, is_triangulation
 from .search import backtrack
 from .twosat import TwoSatFormula
 from .twosat import solve as twosat_solve
@@ -97,25 +94,19 @@ class OptionCatalog:
     all options in id order (see the module docstring for the layout)."""
 
     def __init__(self, inst: Instance, f_edge: np.ndarray,
-                 crossed: np.ndarray):
+                 options: np.ndarray):
         self.instance = inst
         self.f_edge = f_edge
-        self.crossed = crossed
-        self.options: list[int] = crossed.tolist()
-        self.f_of: list[int] = f_edge.tolist()
-        m = len(inst.F)
+        self.options = options
         self.f_start, self.by_f = _csr(
-            f_edge, np.arange(len(crossed), dtype=np.int64), m)
-        self.alive: bytearray = bytearray(b"\x01") * len(crossed)
-        self.live_count, live = _zeros(m)
-        live[:] = np.diff(np.frombuffer(self.f_start, dtype=np.int64))
+            f_edge, np.arange(len(options), dtype=np.int64), len(inst.F))
+        self.alive = np.ones(len(options), dtype=np.uint8)
+        self.live_count = np.diff(self.f_start)
         self.committed: dict[int, int] = {}
 
-    def alive_options(self, f_edge: int) -> list[int]:
-        alive = self.alive
-        return [o for o in self.by_f[self.f_start[f_edge]:
-                                     self.f_start[f_edge + 1]]
-                if alive[o]]
+    def alive_options(self, f_edge: int) -> np.ndarray:
+        opts = self.by_f[self.f_start[f_edge]:self.f_start[f_edge + 1]]
+        return opts[self.alive[opts] != 0]
 
     @property
     def f_options(self) -> list[list[int]]:
@@ -138,8 +129,8 @@ class _Rows(Sequence):
     def __len__(self) -> int:
         return len(self._start) - 1
 
-    def __getitem__(self, i: int):
-        return self._to[self._start[i]:self._start[i + 1]]
+    def __getitem__(self, i: int) -> list[int]:
+        return self._to[self._start[i]:self._start[i + 1]].tolist()
 
 
 class ClashGraph:
@@ -156,7 +147,7 @@ class ClashGraph:
 
     @property
     def adj(self) -> Sequence:
-        """adj[o] is the sequence of o's clash partners."""
+        """adj[o] is the list of o's clash partners."""
         return _Rows(self.start, self.to)
 
 
@@ -218,7 +209,7 @@ def enumerate_options(inst: Instance) -> OptionCatalog:
 
 def compute_clashes(catalog: OptionCatalog) -> ClashGraph:
     """Pairs of options of distinct insertion edges that cannot coexist."""
-    crossed = catalog.crossed
+    crossed = catalog.options
     f_edge = catalog.f_edge
     k = len(crossed)
     g = catalog.instance.graph
@@ -247,8 +238,7 @@ def compute_clashes(catalog: OptionCatalog) -> ClashGraph:
     clashes = ClashGraph(k, rows, other[rows, cols])
     # Internal invariant: F is duplicate-free in a simple triangulation, so
     # each quad edge hosts at most one option.
-    assert (np.diff(np.frombuffer(clashes.start, dtype=np.int64)) <= 4
-            ).all(), "clash degree exceeds 4"
+    assert (np.diff(clashes.start) <= 4).all(), "clash degree exceeds 4"
     return clashes
 
 
@@ -267,25 +257,25 @@ def classify_options(catalog: OptionCatalog, f_edge: int) -> OptionClassificatio
     slot order, a walk's order up to direction; callers read only members,
     ends and minima.  O(L log L) for L live options, whatever deg(u)."""
     opts = catalog.alive_options(f_edge)
-    # Internal invariant: the reducer classifies edges with three or more
-    # live options only.
+    # Internal invariant: callers classify edges with two or more live
+    # options; the reducer's case steps pass three or more.
     assert len(opts) >= 2, "classification needs >= 2 live options"
     g = catalog.instance.graph
     u = catalog.instance.F[f_edge][0]
-    base, deg = g.darts_at(u).start, g.degree(u)
-    at_slot: dict[int, int] = {}
-    for o in opts:
-        d, t = g.edge_darts(catalog.options[o])
-        d = d if g.head(g.succ(d)) == u else t
-        at_slot[g.succ(g.succ(d)) - base] = o
-    dead = next((p for p in range(deg) if p not in at_slot), 0)
-    slots = sorted(at_slot, key=lambda p: (p - dead) % deg)
-    groups = [[at_slot[slots[0]]]]
-    for p, q in zip(slots, slots[1:]):
-        if (q - p) % deg != 1:
-            groups.append([])
-        groups[-1].append(at_slot[q])
-    runs, cycles = ([], groups) if len(slots) == deg else (groups, [])
+    deg = g.degree(u)
+    succ, head = g.table("succ"), g.table("head")
+    d = g.table("edge_dart")[catalog.options[opts]]
+    d = np.where(head[succ[d]] == u, d, g.table("twin")[d])
+    slot = succ[succ[d]] - g.darts_at(u).start
+    at = np.argsort(slot)
+    slot = slot[at]
+    # Read from the first dead slot on: the slots 0, 1, ... before it go
+    # last, so that a run through slot 0 stays whole.
+    first = int(np.argmin(slot == np.arange(len(slot))))
+    at, slot = np.roll(at, -first), np.roll(slot, -first)
+    cuts = np.flatnonzero(np.diff(slot) % deg != 1) + 1
+    groups = [r.tolist() for r in np.split(opts[at], cuts)]
+    runs, cycles = ([], groups) if len(opts) == deg else (groups, [])
 
     if len(opts) == 2:
         label = "two_consecutive" if len(runs) == 1 else "two_isolated"
@@ -328,14 +318,14 @@ class _Reducer:
         self.cat = catalog
         self.clashes = clashes
         self.trace = trace
-        # Views of the catalog's live buffers and of both CSR stores, for
-        # the drain's whole-array rounds.
-        self.alive = np.frombuffer(catalog.alive, dtype=np.uint8)
-        self.live = np.frombuffer(catalog.live_count, dtype=np.int64)
-        self.by_f = np.frombuffer(catalog.by_f, dtype=np.int64)
-        self.f_start = np.frombuffer(catalog.f_start, dtype=np.int64)
-        self.clash_start = np.frombuffer(clashes.start, dtype=np.int64)
-        self.clash_to = np.frombuffer(clashes.to, dtype=np.int64)
+        # The arrays the drain's whole-array rounds read, by their own
+        # names, so that a test can count the drain's reads alone.
+        self.alive = catalog.alive
+        self.live = catalog.live_count
+        self.by_f = catalog.by_f
+        self.f_start = catalog.f_start
+        self.clash_start = clashes.start
+        self.clash_to = clashes.to
         # Edges a case step has left with at most one live option: the
         # frontier of the drain that follows it.
         self.pending: list[int] = []
@@ -401,7 +391,7 @@ class _Reducer:
         assert cat.alive[o]
         self.log(("delete", o))
         cat.alive[o] = 0
-        f = cat.f_of[o]
+        f = cat.f_edge[o]
         cat.live_count[f] -= 1
         if cat.live_count[f] <= 1:
             self.pending.append(f)
@@ -413,9 +403,8 @@ class _Reducer:
         # Internal invariant: callers commit a live option of an
         # uncommitted edge only.
         assert cat.alive[o] and f not in cat.committed
-        for other in cat.alive_options(f):
-            if other != o:
-                cat.alive[other] = 0
+        cat.alive[cat.by_f[cat.f_start[f]:cat.f_start[f + 1]]] = 0
+        cat.alive[o] = 1
         cat.live_count[f] = 1
         self.pending.append(f)
 
@@ -504,16 +493,14 @@ class _Reducer:
                 self.vertex_to_f.setdefault(b, []).append(f2)
         u, v = cat.instance.F[f]
         core = {u, v}
-        for o in cat.alive_options(f):
-            x, w = cat.instance.graph.edge_endpoints(cat.options[o])
-            core.add(x)
-            core.add(w)
+        for e in cat.options[cat.alive_options(f)].tolist():
+            core.update(cat.instance.graph.edge_endpoints(e))
         inside = sorted({
             f2 for vx in core for f2 in self.vertex_to_f.get(vx, ())
             if f2 not in cat.committed
             and cat.instance.F[f2][0] in core and cat.instance.F[f2][1] in core
         })
-        choice_lists = [cat.alive_options(f2) for f2 in inside]
+        choice_lists = [cat.alive_options(f2).tolist() for f2 in inside]
         product = 1
         for lst in choice_lists:
             product *= max(len(lst), 1)
@@ -530,12 +517,12 @@ class _Reducer:
         unused = [o for lst in choice_lists for o in lst if o not in used]
         for o in unused:
             self.delete(o)
-        alive, f_of = cat.alive, cat.f_of
+        alive, f_edge = cat.alive, cat.f_edge
         in_core = set(inside)
 
         def settles(o: int) -> bool:
             return o in used and not any(
-                alive[p] and f_of[p] not in in_core for p in adj[o])
+                alive[p] and f_edge[p] not in in_core for p in adj[o])
 
         assignment = first_clash_free(
             adj, [[o for o in lst if settles(o)] for lst in choice_lists])
@@ -564,7 +551,7 @@ def reduce_instance(catalog: OptionCatalog, clashes: ClashGraph,
         return verdict
     # Internal invariant: run() returns None only once no uncommitted edge
     # has 0, 1 or 3+ live options; committed edges have none.
-    live = np.frombuffer(catalog.live_count, dtype=np.int64)
+    live = catalog.live_count
     assert (np.count_nonzero(live == 2)
             == len(live) - len(catalog.committed)), "reduction left an edge"
     return catalog
@@ -580,7 +567,7 @@ def solve(inst: Instance) -> Solution | Verdict:
     chosen = _choose_options(catalog, clashes)
     if chosen is None:
         return Verdict.INFEASIBLE
-    return certificate(inst.graph, catalog.crossed[chosen])
+    return certificate(inst.graph, catalog.options[chosen])
 
 
 def certificate(g: PlaneGraph, crossed: np.ndarray) -> Solution:
@@ -633,14 +620,13 @@ def _formula(catalog: OptionCatalog,
     its negation 2i + 1 the other.  The clauses are, for each literal in
     order and each clash partner p of its option, in row order, that is
     live with a larger id, (not the option or not p)."""
-    by_f = np.frombuffer(catalog.by_f, dtype=np.int64)
-    alive = np.frombuffer(catalog.alive, dtype=np.uint8)
+    by_f, alive = catalog.by_f, catalog.alive
     lit_options = by_f[alive[by_f] != 0]
     lit = np.full(len(alive), -1, dtype=np.int64)
     lit[lit_options] = np.arange(len(lit_options), dtype=np.int64)
-    start = np.frombuffer(clashes.start, dtype=np.int64)
+    start = clashes.start
     lo, hi = start[lit_options], start[lit_options + 1]
-    partner = np.frombuffer(clashes.to, dtype=np.int64)[_ranges(lo, hi)]
+    partner = clashes.to[_ranges(lo, hi)]
     option = np.repeat(lit_options, hi - lo)
     keep = partner > option
     keep &= lit[partner] >= 0

@@ -171,7 +171,9 @@ class PlanarizedDrawing:
                                rng: Lcg64 | None = None) -> list[Realization]:
         """All ways to route u -> v; `pinned` fixes the crossed logical
         edges in order, otherwise anything within budgets goes.  Fewer
-        crossings come first, as the module docstring describes."""
+        crossings come first, as the module docstring describes.  A pinned
+        list names no edge twice: verify's static pass rejects such a
+        route before any replay."""
         # Pinned routes cross only what they name, and verify's static pass
         # has already rejected a named edge that shares an endpoint.
         forbidden = self.adjacent_logicals(u, v) if pinned is None else ()
@@ -209,8 +211,6 @@ class PlanarizedDrawing:
             stop = pinned is None or j == last  # may end in this face
             if j < last and pinned is not None:
                 want = pinned[j]
-                if j and want in pinned[:j]:
-                    want = -1  # a route crosses an edge at most once
             grown = []
             for p, crossed, corner in level:
                 cyc = faces.get(corner)

@@ -249,7 +249,7 @@ def compute_clashes(catalog: OptionCatalog
             other = option_of_edge.get(_edge_id(g, a, b))
             if other is None or other <= o:
                 continue
-            if catalog.f_of[other] == catalog.f_of[o]:
+            if catalog.f_edge[other] == catalog.f_edge[o]:
                 continue
             pairs.append((o, other))
             adj[o].append(other)

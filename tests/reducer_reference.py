@@ -31,8 +31,8 @@ class State:
 
     def __init__(self, catalog: OptionCatalog, clashes: ClashGraph):
         self.instance = catalog.instance
-        self.options = catalog.options
-        self.f_of = catalog.f_of
+        self.options = catalog.options.tolist()
+        self.f_of = catalog.f_edge.tolist()
         self.f_options = catalog.f_options
         self.adj = [list(row) for row in clashes.adj]
         self.alive = bytearray(b"\x01") * len(self.options)

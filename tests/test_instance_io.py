@@ -38,7 +38,8 @@ from planeinsert.plane_graph import (
     sample_complement_edges,
 )
 
-from fixtures import OCTA_COORDS, OCTA_ROTATION, octahedron, solution
+from fixtures import (OCTA_COORDS, OCTA_ROTATION, bipyramid, octahedron,
+                      solution)
 
 K4_COORDS = [(0, 0), (4, 0), (2, 4), (2, 1)]
 
@@ -92,6 +93,20 @@ class TestInstance:
         make_instance(g, pairs, f_structure="path")
         with pytest.raises(StructureMismatch):
             make_instance(g, [pairs[0], pairs[2]], f_structure="path")
+
+    @pytest.mark.parametrize("F, message", [
+        ([(2, 4), (4, 6), (3, 5)], r"^F\[2\] does not extend the path$"),
+        ([(2, 4), (4, 6), (6, 2)], "^path revisits a vertex$"),
+    ], ids=["broken", "closed"])
+    def test_path_that_breaks_or_closes_is_mismatch(self, F, message):
+        # Chords of the equator cycle 2, 3, ..., 7 of bipyramid(6).
+        with pytest.raises(StructureMismatch, match=message):
+            make_instance(bipyramid(6), F, f_structure="path")
+
+    def test_instance_text_must_be_an_object(self):
+        with pytest.raises(SchemaError,
+                           match="^instance must be a JSON object$"):
+            parse_instance("[1, 2]")
 
     def test_duplicate_f_pair(self):
         with pytest.raises(SchemaError):

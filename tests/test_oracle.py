@@ -69,6 +69,12 @@ class TestGeneralOracle:
         assert isinstance(sol, Solution)
         assert route_events(sol) == [[]]
 
+    def test_empty_f_is_the_empty_solution(self):
+        # The search runs backtrack at depth 0, which yields once.
+        inst = make_instance(octahedron(), [])
+        assert exact_solve_general(inst) == solution()
+        assert list(iter_solutions(inst)) == [solution()]
+
     def test_budget_exceeded(self):
         inst = make_instance(octahedron(), [(0, 5), (1, 3), (2, 4)])
         assert exact_solve_general(inst, node_budget=1) \

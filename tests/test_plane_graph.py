@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from array import array
 
 import numpy as np
@@ -104,6 +105,14 @@ class TestBuild:
                            "coords": None, "F": [], "f_structure": "none"})
         with pytest.raises(InvalidRotation, match=message):
             parse_instance(text)
+
+    def test_row_with_no_neighbour_order_rejected(self):
+        # An iterator raised a bare TypeError after the flatten had used it
+        # up; a set and a dict were accepted in their iteration order.
+        for row in (iter([1]), {1}, {1: 0}):
+            message = f"^vertex 0: row {re.escape(repr(row))} is not a list$"
+            with pytest.raises(InvalidRotation, match=message):
+                build_from_rotation(2, [row, [0]])
 
     def test_rows_build_the_same_graph(self):
         g = build_from_rotation(6, OCTA_ROTATION)
@@ -386,6 +395,22 @@ class TestComplementSampler:
         assert all(pairs[i][1] == pairs[i + 1][0] for i in range(999))
         assert len(set(verts)) == 1001
         assert not any(g.has_edge(u, v) for u, v in pairs)
+
+    @pytest.mark.parametrize("structure", ["matching", "path"])
+    def test_rejection_samplers_above_1024_vertices(self, structure):
+        # Past n = 1,024 the samplers draw by rejection, not from a
+        # shuffled complement.
+        g = generate_stacked_triangulation(2000, 3)
+        pairs = sample_complement_edges(g, 300, 7, structure=structure)
+        assert len(pairs) == 300
+        assert not any(g.has_edge(u, v) for u, v in pairs)
+        if structure == "matching":
+            assert len({x for p in pairs for x in p}) == 600
+        else:
+            assert all(pairs[i][1] == pairs[i + 1][0] for i in range(299))
+            assert len({pairs[0][0], *(v for _, v in pairs)}) == 301
+        assert sample_complement_edges(g, 300, 7,
+                                       structure=structure) == pairs
 
     def test_deterministic(self):
         g = generate_stacked_triangulation(14, 2)

@@ -84,8 +84,8 @@ def mismatches(reached: Counter | None = None) -> list[str]:
         if got is not cat:
             out.append(f"{name}: verdict {got!r}, want the reduced catalog")
             continue
-        if ((cat.committed, cat.alive, cat.live_count.tolist())
-                != (state.committed, state.alive, state.live_count)):
+        if ((cat.committed, cat.alive.tolist(), cat.live_count.tolist())
+                != (state.committed, list(state.alive), state.live_count)):
             out.append(f"{name}: reduced state differs")
             continue
         formula, lit_options = _formula(cat, cl)

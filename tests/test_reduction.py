@@ -158,6 +158,17 @@ def test_formula_values_must_be_exact_integers(old, new, error, message):
         parse_formula(FORMULA_TEXT.replace(old, new))
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ('"polarity":"pos"', '"polarity":"both"', "^bad polarity 'both'$"),
+    ('"literals":[0,1]', '"literals":[]', "^clauses carry 1..3 literals$"),
+    ('"literals":[0,1]', '"literals":[0,1,0,1]',
+     "^clauses carry 1..3 literals$"),
+], ids=["bad polarity", "no literals", "four literals"])
+def test_formula_clause_shape_is_checked(old, new, message):
+    with pytest.raises(InvalidFormula, match=message):
+        parse_formula(FORMULA_TEXT.replace(old, new))
+
+
 @pytest.mark.parametrize("variables", [2**70, 10**10])
 def test_huge_variable_count_is_invalid_formula(variables):
     # The order check built list(range(variables)) before comparing
