@@ -189,12 +189,15 @@ class PlaneGraph:
         return self.dart_between(u, v) is not None
 
     def edges_between(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """edge_between over int64 arrays: the edge between u[i] and v[i],
-        or -1 where there is none, also where u[i] or v[i] is no vertex.
+        """edge_between over integer arrays: the edge between u[i] and
+        v[i], or -1 where there is none, also where u[i] or v[i] is no
+        vertex.
 
-        One sorted search over the codes lo*n + hi of the edges.  The
-        graph keeps the edge ids in code order from its build, so the
-        codes of their darts' ends come out sorted."""
+        One sorted search over the codes lo*n + hi of the edges, computed
+        in int64 whatever the inputs' type.  The graph keeps the edge ids
+        in code order from its build, so the codes of their darts' ends
+        come out sorted."""
+        u, v = np.asarray(u, np.int64), np.asarray(v, np.int64)
         n = self.vertex_count
         head = self.table("head")
         ids = self.edge_order

@@ -71,8 +71,29 @@ each face and one pass over the darts: each face goes to one route that
 names it, so a route that shares a face keeps darts on at most one side
 and fails, and a dart on route i's face marks whether the tail or the
 head of route i lies there.  A certificate that fails any condition goes
-to the replay unchanged, so every rejection comes from the search or the
-static pass as before.
+on to the rejection lemma.
+
+Rejection lemma: let route i be the least route that crosses exactly one
+graph edge e while its tail and head do not lie one on each face of e in
+the graph, and let routes 0 to i - 1 meet the lemma above on their own.
+Then the replay rejects with "no_realization" at route i, and ``verify``
+returns that rejection without building a drawing.  Necessity holds in
+every state of the drawing: inserts only split faces, so each face of a
+later drawing lies inside one face of the graph, on the same side of each
+segment of e as of e.  A realization of route i leaves a corner of its
+tail on one side of a segment of e and meets its head on the other side,
+so its tail and head lie one on each face of e in the graph; no state
+realizes route i.  The replay reaches level i and stops there: by the
+first lemma's sufficiency half routes 0 to i - 1 have a joint
+realization, so the complete depth-first replay finds one and asks level
+i for its realizations, in any order of its choices; it finds none in any
+state, so it never enters level i + 1, and its deepest level is i.  The
+one answer that differs is a replay that would pass its node budget: it
+raises where the static answer is the rejection, which is correct.  The
+check is one sorted table of (tail, face) codes over the darts, searched
+once per one-event route.  Any other certificate goes to the replay
+unchanged, so every other rejection comes from the search or the static
+pass as before.
 
 ``insert`` writes the new edge in place and journals one record,
 ``(u, start_pos, v, end_pos, edges_before, vertices_before, splits)``,
@@ -96,6 +117,9 @@ from ._rng import Lcg64
 from .instance_io import INSERTED, Instance, Solution
 from .plane_graph import PlaneGraph, _int_arg
 from .search import backtrack
+
+
+_NO_JOINT = "no joint realization of the routes"
 
 
 @dataclass(frozen=True)
@@ -350,8 +374,11 @@ def verify(inst: Instance, sol: Solution, seed: int | None = None,
            node_budget: int = 2_000_000) -> VerifyResult:
     """Replay a solution; Accepted iff some joint realization of all routes
     exists and every edge ends with at most k crossings.  Routes on faces
-    of their own are accepted without a replay (see the module docstring).
-    Raises SearchBudgetExceeded past node_budget inserted realizations."""
+    of their own are accepted without a replay, and a route that no state
+    can realize after such routes is rejected without one (see the module
+    docstring's two lemmas).  Raises SearchBudgetExceeded past node_budget
+    inserted realizations of a replay; a certificate settled without a
+    replay never raises it."""
     rng = None if seed is None else Lcg64(_int_arg("seed", seed))
     node_budget = _int_arg("node_budget", node_budget)
     m = len(inst.F)
@@ -362,9 +389,14 @@ def verify(inst: Instance, sol: Solution, seed: int | None = None,
     if isinstance(static, VerifyResult):
         return static
     logical, fuv = static
-    if _apart(inst.graph, sol, logical, fuv):
+    g, start = inst.graph, sol.start
+    if _apart(g, start, logical, fuv):
         return VerifyResult(True)
-    start, logical = sol.start.tolist(), logical.tolist()
+    i = _unrealizable(g, start, logical, fuv)
+    if i is not None and _apart(g, start[:i + 1], logical[:start[i]],
+                                fuv[:i]):
+        return VerifyResult(False, "no_realization", i, _NO_JOINT)
+    start, logical = start.tolist(), logical.tolist()
     pinned = [logical[s:e] for s, e in zip(start, start[1:])]
     pd = PlanarizedDrawing(inst)
     for _ in pd.search(inst.F, pinned, rng, node_budget):
@@ -373,8 +405,7 @@ def verify(inst: Instance, sol: Solution, seed: int | None = None,
         # crossing count, len(segments) - 1, and it is at most k.
         assert max(map(len, pd.segments), default=1) <= inst.k + 1
         return VerifyResult(True)
-    return VerifyResult(False, "no_realization", pd.deepest,
-                        "no joint realization of the routes")
+    return VerifyResult(False, "no_realization", pd.deepest, _NO_JOINT)
 
 
 def _static_pass(inst: Instance, sol: Solution
@@ -436,14 +467,14 @@ def _static_pass(inst: Instance, sol: Solution
     return logical, fuv
 
 
-def _apart(g: PlaneGraph, sol: Solution, logical: np.ndarray,
+def _apart(g: PlaneGraph, start: np.ndarray, logical: np.ndarray,
            fuv: np.ndarray) -> bool:
     """Does the module docstring's lemma accept the routes that passed
-    the static pass, with their logical ids and F's rows?  False sends
-    them to the replay: a route that does not cross exactly one graph
-    edge, a face of two routes or on both sides of one edge, or an end
-    off its edge's faces."""
-    if not (np.diff(sol.start) == 1).all() or (logical >= g.edge_count).any():
+    the static pass, with their route offsets, logical ids and F's rows
+    (or a prefix of the three)?  False sends them on: a route that does
+    not cross exactly one graph edge, a face of two routes or on both
+    sides of one edge, or an end off its edge's faces."""
+    if not (np.diff(start) == 1).all() or (logical >= g.edge_count).any():
         return False
     face, twin = g.table("face"), g.table("twin")
     d = g.table("edge_dart")[logical]
@@ -465,3 +496,35 @@ def _apart(g: PlaneGraph, sol: Solution, logical: np.ndarray,
     seen[(4 * r + 2 * second + is_v)[is_u | is_v]] = True
     seen = seen.reshape(m, 4)
     return bool(((seen[:, 0] & seen[:, 3]) | (seen[:, 2] & seen[:, 1])).all())
+
+
+def _unrealizable(g: PlaneGraph, start: np.ndarray, logical: np.ndarray,
+                  fuv: np.ndarray) -> int | None:
+    """The least route that crosses exactly one graph edge e while its
+    tail and head are not one on each face of e, or None.  It has no
+    realization in any state of the drawing (the module docstring's
+    rejection lemma).  One sorted table of (tail, face) codes over the
+    darts answers whether a vertex lies on a face."""
+    one = np.flatnonzero(np.diff(start) == 1)
+    e = logical[start[one]]
+    keep = e < g.edge_count
+    one, e = one[keep], e[keep]
+    if not len(one):
+        return None
+    faces = g.face_count
+    face, twin = g.table("face"), g.table("twin")
+    # The darts are stored by tail, so the codes come nearly sorted.
+    codes = np.sort(g.table("head")[twin] * faces + face)
+    d = g.table("edge_dart")[e]
+    f1, f2 = face[d], face[twin[d]]
+    u, v = fuv[one].T * faces
+    # The codes of (u, f1), (v, f2), (u, f2) and (v, f1).  Searching in
+    # increasing order is several times faster.
+    query = np.concatenate((u + f1, v + f2, u + f2, v + f1))
+    order = np.argsort(query)
+    pos = np.minimum(np.searchsorted(codes, query[order]), len(codes) - 1)
+    on = np.empty(len(query), bool)
+    on[order] = codes[pos] == query[order]
+    on = on.reshape(4, -1)
+    bad = one[~((on[0] & on[1]) | (on[2] & on[3]))]
+    return int(bad[0]) if len(bad) else None

@@ -198,6 +198,16 @@ def test_edges_between_matches_edge_between():
         assert g.edges_between(u, v).tolist() == want  # the kept order
 
 
+def test_edges_between_widens_int32_ends():
+    # Past n = 46,341 the code lo*n + hi of an int32 pair wraps in int32;
+    # the codes are computed in int64 whatever the inputs' type.
+    g = generate_stacked_triangulation(60000, 1)
+    d = g.table("edge_dart")
+    tail, head = g.table("head")[g.table("twin")[d]], g.table("head")[d]
+    found = g.edges_between(tail.astype(np.int32), head.astype(np.int32))
+    assert (found == np.arange(g.edge_count)).all()
+
+
 def stream_graphs():
     """instance_stream's graphs."""
     for inst in instance_stream(60):

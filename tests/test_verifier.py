@@ -382,12 +382,15 @@ def replay_result(inst, sol) -> VerifyResult:
                         "no joint realization of the routes")
 
 
-def repointed(inst, sol, rng: random.Random) -> Solution:
-    """sol with one route re-pointed to cross one graph edge that no other
-    route names and that does not touch the route's ends."""
+def repointed(inst, sol, rng: random.Random, i: int | None = None
+              ) -> Solution:
+    """sol with route i (a random one by default) re-pointed to cross one
+    graph edge that no other route names and that does not touch the
+    route's ends."""
     g = inst.graph
     routes = route_events(sol)
-    i = rng.randrange(len(routes))
+    if i is None:
+        i = rng.randrange(len(routes))
     u, v = inst.F[i]
     named = {ev for j, r in enumerate(routes) if j != i for ev in r}
     free = [p for p in map(g.edge_endpoints, range(g.edge_count))
@@ -411,9 +414,11 @@ def certificates():
     planted stacked triangulations and of a seeded stream, and answers of
     the exhaustive oracle on the cube, the octahedron at k = 2 and
     triangulations with one edge deleted; each as found, then re-pointed
-    and swapped twice.  Then, on the cube and the octahedron, every
-    solution whose routes cross one graph edge or earlier inserted edge
-    each."""
+    and swapped twice, then with its middle route re-pointed.  Then the
+    shared-face certificate with a third route that no state realizes,
+    which verify must leave to the search.  Then, on the cube and the
+    octahedron, every solution whose routes cross one graph edge or
+    earlier inserted edge each."""
     rng = random.Random(29)
     cases = []
     for s in range(3):
@@ -445,12 +450,24 @@ def certificates():
                     yield family, "re-pointed", inst, repointed(inst, sol,
                                                                 rng)
                     yield family, "swapped", inst, swapped(sol, rng)
+                yield family, "middle re-pointed", inst, repointed(
+                    inst, sol, rng, len(inst.F) // 2)
+    yield "shared", "bad after a shared prefix", *shared_prefix_then_bad()
     for inst in hand_built:
         g = inst.graph
         edges = list(map(g.edge_endpoints, range(g.edge_count)))
         for routes in product(*([[e] for e in [*edges, *range(i)]]
                                 for i in range(len(inst.F)))):
             yield "oracle", "one event each", inst, solution(*routes)
+
+
+def shared_prefix_then_bad():
+    """The shared-face certificate's cube instance with F edge 5 -> 7
+    added, routed across (0, 3): neither face of (0, 3) holds 5.  The two
+    routes before it share the top face, so no lemma settles the prefix."""
+    inst, sol = shared_face_certificate()
+    return (make_instance(inst.graph, [*inst.F, (5, 7)], k=inst.k),
+            solution(*route_events(sol), [(0, 3)]))
 
 
 def counted_drawings(monkeypatch) -> list:
@@ -477,13 +494,16 @@ def test_no_replay_path_agrees_with_the_search(monkeypatch):
         assert got == replay_result(inst, sol), (family, variant,
                                                  route_events(sol))
     # (family, variant, accepted, replayed): the solver's certificates all
-    # take the no-replay path, corrupted ones reach the search and fail
-    # there, and each path accepts some of the oracle's answers.
+    # take the no-replay path, and so does every rejection of a corrupted
+    # planted one.  A bad route after a shared-face prefix still fails in
+    # the search, and each path accepts some of the oracle's answers.
     assert {key for key in seen if key[1] == "as found"
             and key[0] != "oracle"} == {("planted", "as found", True, False),
                                         ("stream", "as found", True, False)}
-    assert ("planted", "swapped", False, True) in seen
-    assert ("planted", "re-pointed", False, True) in seen
+    assert {key for key in seen if key[0] == "planted" and not key[2]} == {
+        ("planted", variant, False, False)
+        for variant in ("re-pointed", "swapped", "middle re-pointed")}
+    assert seen["shared", "bad after a shared prefix", False, True] == 1
     assert ("oracle", "as found", True, True) in seen
     assert ("oracle", "as found", True, False) in seen
     assert {key[2:] for key in seen if key[1] == "one event each"} == {
@@ -499,4 +519,20 @@ def test_solver_certificate_builds_no_drawing(monkeypatch):
     assert verify(inst, sol).accepted
     assert built == []
     assert verify(*shared_face_certificate()).accepted
+    assert len(built) == 1
+
+
+def test_corrupted_certificate_builds_no_drawing(monkeypatch):
+    # The planted certificate with its last route re-pointed to an edge
+    # whose faces do not hold both its ends: verify rejects it in array
+    # passes, where a replay inserts every route before it and undoes them.
+    inst = planted_instance(3000, 1)
+    sol = solve(inst)
+    bad = repointed(inst, sol, random.Random(1), len(inst.F) - 1)
+    built = counted_drawings(monkeypatch)
+    assert verify(inst, bad) == VerifyResult(
+        False, "no_realization", len(inst.F) - 1,
+        "no joint realization of the routes")
+    assert built == []
+    assert not verify(*shared_prefix_then_bad()).accepted
     assert len(built) == 1
