@@ -53,6 +53,24 @@ they give the same Instance or raise the same error.  On either path a
 JSON integer must be exactly an int: true is neither a vertex nor a
 coordinate.
 
+parse_solution has two readers too, and the second is the first check of
+the first.  Canonical text goes through _read_canonical_solution: byte
+passes find the numbers and read them as the instance tokenizer does (one
+number reader, _numbers, serves both); the bytes between numbers must be
+the separators that write_solution emits, in an order it can emit, each
+known by its length alone; the columns built from them must pass
+Solution's checks; and the reader takes the text only when write_solution
+of that Solution gives the text back byte for byte.  Any other text goes
+through json.loads (_read_json_solution).  The two agree on every text.
+write_solution(s) is, byte for byte, json.dumps of s's routes; so when a
+text writes back exactly, json.loads of it gives those routes, and the
+JSON path builds an equal Solution from them.  Every text the fast reader
+declines goes to the JSON path itself.  So parse_solution returns the same
+Solution, or raises the same error, as the JSON path alone.  A graph edge
+written larger end first, whitespace, another key order or a leading zero
+does not write back and goes through json.loads, as does any text that
+is not ASCII or holds a number of more than 17 digits.
+
 Seeded generators elsewhere in the package all derive randomness from the
 64-bit linear congruential generator documented in planeinsert._rng, so
 generated instances are reproducible across implementations.
@@ -513,9 +531,8 @@ def _int_rows(data: bytes, lo: int,
     - no number has a leading zero or more than _MAX_DIGITS digits.
 
     So the rows are [] or [N(,N)*] and the whole is [] or [ROW(,ROW)*].
-    Each number's last eight bytes are read as one word, which may reach
-    back before lo (those bytes are masked off), so lo must be at least 8:
-    in the canonical text a key always precedes the value."""
+    The numbers are read by _numbers, so lo must be at least 8: in the
+    canonical text a key always precedes the value."""
     b = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
     size = len(b)
     if size < 2 or b[0] != _OPEN or b[-1] != _CLOSE:
@@ -536,21 +553,38 @@ def _int_rows(data: bytes, lo: int,
             or (row_open[1:] - row_close[:-1] != 2).any()
             or (b[row_close[:-1] + 1] != _COMMA).any()):
         return None
-    # Numbers are the maximal digit runs [start, end): digit and non-digit
-    # bytes alternate at the run ends, and b[0], b[-1] are brackets.
-    ends = np.flatnonzero(digit[1:] != digit[:-1])
-    del digit
-    ends += 1
-    start, end = ends[0::2], ends[1::2]
+    numbers = _numbers(data, lo, b, digit)
+    if numbers is None:
+        return None
+    start, end, values = numbers
     filled = row_close - row_open > 1
     if len(start) != commas - (rows - 1) + np.count_nonzero(filled):
         return None
+    # A number is the last of its row when ']' follows it.
+    lengths = np.zeros(rows, dtype=np.int64)
+    lengths[filled] = np.diff(np.flatnonzero(b[end] == _CLOSE), prepend=-1)
+    return lengths, values
+
+
+def _numbers(data: bytes, lo: int, b: np.ndarray, digit: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, array] | None:
+    """The numbers of b = data[lo:lo + len(b)], whose first and last bytes
+    are no digits, with digit = the mask of b's ASCII digits: (start, end,
+    values), the maximal digit runs [start, end) as offsets into b and
+    their values as an int64 array("q"); None when a number has a leading
+    zero or more than _MAX_DIGITS digits.  Each number's last eight bytes
+    are read as one word, which may reach back before lo (those bytes are
+    masked off), so lo must be at least 8."""
+    # Digit and non-digit bytes alternate at the run ends.
+    ends = np.flatnonzero(digit[1:] != digit[:-1])
+    ends += 1
+    start, end = ends[0::2], ends[1::2]
     width = end - start
     if len(width) and (width.max() > _MAX_DIGITS
                        or ((b[start] == _ZERO) & (width > 1)).any()):
         return None
     # words[e] is the eight bytes that end at b[e].
-    words = np.ndarray((size,), dtype="<u8", buffer=data, offset=lo - 8,
+    words = np.ndarray((len(b),), dtype="<u8", buffer=data, offset=lo - 8,
                        strides=(1,))
     values = array("q", [0]) * len(start)
     acc = np.frombuffer(values, dtype=np.int64)
@@ -567,10 +601,7 @@ def _int_rows(data: bytes, lo: int,
         if chunk:
             x *= np.uint64(10**chunk)
         acc += x.view(np.int64)
-    # A number is the last of its row when ']' follows it.
-    lengths = np.zeros(rows, dtype=np.int64)
-    lengths[filled] = np.diff(np.flatnonzero(b[end] == _CLOSE), prepend=-1)
-    return lengths, values
+    return start, end, values
 
 
 def write_instance(inst: Instance) -> str:
@@ -586,6 +617,105 @@ def write_instance(inst: Instance) -> str:
 
 
 def parse_solution(text: str) -> Solution:
+    """Parse a solution file.  Canonical text goes through
+    _read_canonical_solution; any text it declines goes through
+    _read_json_solution.  Both give the same Solution, or raise the same
+    error (see the module docstring)."""
+    sol = _read_canonical_solution(text)
+    return _read_json_solution(text) if sol is None else sol
+
+
+# The numbers of a canonical solution text are route ids (f_edge), graph
+# edge ends (u, v) and inserted edges' indices (index).  Between and around
+# them stand only these separators, each with the numbers it may follow
+# and the number it comes before (None: the text's start or end).  Their
+# lengths differ, so a separator is known by its length.
+_F_EDGE, _V, _U, _INDEX = 0, 1, 2 + GRAPH_EDGE, 2 + INSERTED
+_SOLUTION_HEAD = '{"routes":[{"f_edge":'
+_NO_ROUTES = '{"routes":[]}\n'
+_SEPARATORS = {
+    _SOLUTION_HEAD: ((), _F_EDGE),
+    ',"events":[{"kind":"graph_edge","u":': ((_F_EDGE,), _U),
+    ',"events":[{"kind":"inserted","index":': ((_F_EDGE,), _INDEX),
+    ',"events":[]},{"f_edge":': ((_F_EDGE,), _F_EDGE),
+    ',"events":[]}]}\n': ((_F_EDGE,), None),
+    ',"v":': ((_U,), _V),
+    '},{"kind":"graph_edge","u":': ((_V, _INDEX), _U),
+    '},{"kind":"inserted","index":': ((_V, _INDEX), _INDEX),
+    '}]},{"f_edge":': ((_V, _INDEX), _F_EDGE),
+    '}]}]}\n': ((_V, _INDEX), None),
+}
+
+
+def _separator_tables() -> tuple[np.ndarray, np.ndarray]:
+    """By separator length s: next[s], the number after the separator, or
+    -1 at the end and for a length no separator has; follows[s, t], may a
+    separator of length t follow one of length s."""
+    size = max(map(len, _SEPARATORS)) + 1
+    nxt = np.full(size, -1)
+    follows = np.zeros((size, size), dtype=bool)
+    for s, (_, number) in _SEPARATORS.items():
+        if number is not None:
+            nxt[len(s)] = number
+            for t, (after, _) in _SEPARATORS.items():
+                follows[len(s), len(t)] = number in after
+    return nxt, follows
+
+
+_NEXT, _FOLLOWS = _separator_tables()
+
+
+def _read_canonical_solution(text: str) -> Solution | None:
+    """The Solution of a text that write_solution emits, or None for any
+    other text; it never raises.  Whole-array passes read the numbers
+    (_numbers) and take each separator between them by its length; the
+    separators must follow one another as _FOLLOWS allows, and the columns
+    built from them must pass Solution's checks and write back to the text
+    byte for byte: the reader proposes, the writer checks."""
+    if text == _NO_ROUTES:
+        return Solution([0], (), (), ())
+    if not (isinstance(text, str) and text.startswith(_SOLUTION_HEAD)
+            and text.endswith("\n") and text.isascii()):
+        return None  # json.loads also reads bytes
+    data = text.encode("ascii")
+    lo = len(_SOLUTION_HEAD) - 1  # the ':' before the first number
+    view = np.frombuffer(data, dtype=np.uint8, offset=lo)
+    numbers = _numbers(data, lo, view, view - _ZERO < 10)
+    if numbers is None or not len(numbers[0]):
+        return None
+    start, end, values = numbers
+    # gap[j] is the length of the separator before number j; gap[-1] is
+    # that of the text's end.
+    gap = np.empty(len(start) + 1, dtype=np.int64)
+    gap[0] = lo + start[0]
+    gap[1:-1] = start[1:] - end[:-1]
+    gap[-1] = len(view) - end[-1]
+    if (gap.max() >= len(_NEXT) or gap[0] != len(_SOLUTION_HEAD)
+            or _NEXT[gap[-1]] >= 0
+            or not _FOLLOWS[gap[:-1], gap[1:]].all()):
+        return None
+    number = _NEXT[gap[:-1]]
+    value = np.frombuffer(values, dtype=np.int64)
+    route = np.flatnonzero(number == _F_EDGE)
+    if (value[route] != np.arange(len(route))).any():
+        return None
+    # An event starts at its u or its index, numbers 2 + its kind.
+    event = np.flatnonzero(number >= _U)
+    kind = (number[event] - 2).astype(np.int8)
+    b = np.full(len(event), -1)
+    edge = kind == GRAPH_EDGE
+    b[edge] = value[event[edge] + 1]  # the v after the u
+    try:
+        sol = Solution(np.append(np.searchsorted(event, route), len(event)),
+                       kind, value[event], b)
+    except SchemaError:
+        return None
+    return sol if write_solution(sol) == text else None
+
+
+def _read_json_solution(text: str) -> Solution:
+    """Parse any solution text with json.loads, checking each value's JSON
+    type: an integer must be exactly int, and true is not 1."""
     obj = _load_json(text)
     if not isinstance(obj, dict) or "routes" not in obj:
         raise SchemaError("solution must be an object with routes")
@@ -631,7 +761,7 @@ def write_solution(sol: Solution) -> str:
     start, kind = sol.start, sol.kind
     routes = len(start) - 1
     if not routes:
-        return '{"routes":[]}\n'
+        return _NO_ROUTES
     # Each event's text opens with what comes before it: "," within a
     # route, or at a route's first event "]}," closing the route before and
     # the route's head.  An empty route is its opening alone.

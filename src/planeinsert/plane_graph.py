@@ -424,10 +424,22 @@ def _csr(rows: np.ndarray, cols: np.ndarray,
          n: int) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (rows[i], cols[i]) of int64 arrays, rows in 0 .. n - 1, as
     a CSR pair of int64 arrays: row r is to[start[r]:start[r + 1]], its
-    cols in pair order (a stable sort by row)."""
+    cols in pair order.  That is a stable sort by row, done as one sort of
+    the keys row * 2**bits + i: the position i breaks ties in pair order.
+    np.argsort(kind="stable") is a timsort on int64 keys, about ten times
+    slower at 8,000 keys."""
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=start[1:])
-    return start, cols[np.argsort(rows, kind="stable")]
+    bits = max(len(rows) - 1, 0).bit_length()
+    # Internal invariant: rows < n and positions < 2**bits, so every key
+    # is below n * 2**bits, which fits in int64.
+    assert n << bits <= 2**63
+    key = rows.astype(np.int64)
+    key <<= bits
+    key |= np.arange(len(rows))
+    key.sort()
+    key &= (1 << bits) - 1
+    return start, cols[key]
 
 
 def _raise_rotation_error(n: int, rotation) -> NoReturn:
@@ -483,14 +495,17 @@ def _dart_table(ids: np.ndarray) -> array:
 
 
 def is_triangulation(g: PlaneGraph) -> bool:
-    """True iff every face is a triangle and V >= 4."""
-    if g.vertex_count < 4:
-        return False
-    if g.edge_count != 3 * g.vertex_count - 6:
-        return False
-    # succ has no fixed point, so succ^3 = id means all orbits have length 3.
-    succ = g.table("succ")
-    return bool((succ[succ[succ]] == np.arange(len(succ))).all())
+    """True iff every face is a triangle and V >= 4, decided by counting.
+
+    The builder accepts only simple, connected plane graphs.  In such a
+    graph on V >= 3 vertices every face walk has at least 3 darts: a
+    1-dart walk needs a loop and a 2-dart walk a lone edge, which on V >= 3
+    connected vertices would have another edge at one of its ends.  So
+    2E = (the darts of all faces) >= 3F, and by Euler F = 2 - V + E.
+    With E = 3V - 6 that is F = 2V - 4 and 3F = 6V - 12 = 2E: every face
+    has exactly 3 darts, and 3 darts of a simple graph close a triangle.
+    Conversely all faces triangles give 2E = 3F, so E = 3V - 6."""
+    return g.vertex_count >= 4 and g.edge_count == 3 * g.vertex_count - 6
 
 
 def apex_pair(g: PlaneGraph, e: int) -> tuple[int, int]:

@@ -67,11 +67,15 @@ its ends on them as in the graph.  This is the disjoint-faces
 argument of the doubly connected edge list (Muller and Preparata, 1978).
 Every solver certificate on a triangulation meets it: two options that
 share a triangle would clash.  The check is one table of the route on
-each face and one pass over the darts: each face goes to one route that
-names it, so a route that shares a face keeps darts on at most one side
-and fails, and a dart on route i's face marks whether the tail or the
-head of route i lies there.  A certificate that fails any condition goes
-on to the rejection lemma.
+each face and one pass over the darts: each face goes to the least route
+that names it, so a later route that shares it keeps darts on at most one
+side and fails, and a dart on route i's face marks whether the tail or
+the head of route i lies there.  So whether route i passes reads routes 0
+to i alone: its own edge and ends, and which of its faces an earlier
+route names.  The check returns the least route that fails, and routes 0
+to i - 1 meet the lemma on their own exactly when that route is at least
+i.  A certificate that fails any condition goes on to the rejection
+lemma.
 
 Rejection lemma: let route i be the least route that crosses exactly one
 graph edge e while its tail and head do not lie one on each face of e in
@@ -91,9 +95,11 @@ state, so it never enters level i + 1, and its deepest level is i.  The
 one answer that differs is a replay that would pass its node budget: it
 raises where the static answer is the rejection, which is correct.  The
 check is one sorted table of (tail, face) codes over the darts, searched
-once per one-event route.  Any other certificate goes to the replay
-unchanged, so every other rejection comes from the search or the static
-pass as before.
+once per one-event route.  Route i fails the first lemma's check, so the
+routes before it meet that lemma exactly when route i is the least route
+the check fails, and no second pass over the prefix is needed.  Any other
+certificate goes to the replay unchanged, so every other rejection comes
+from the search or the static pass as before.
 
 ``insert`` writes the new edge in place and journals one record,
 ``(u, start_pos, v, end_pos, edges_before, vertices_before, splits)``,
@@ -390,11 +396,13 @@ def verify(inst: Instance, sol: Solution, seed: int | None = None,
         return static
     logical, fuv = static
     g, start = inst.graph, sol.start
-    if _apart(g, start, logical, fuv):
+    bad = _apart(g, start, logical, fuv)
+    if bad is None:
         return VerifyResult(True)
+    # Route i fails the lemma itself, so the routes before it pass exactly
+    # when it is the least failing route.
     i = _unrealizable(g, start, logical, fuv)
-    if i is not None and _apart(g, start[:i + 1], logical[:start[i]],
-                                fuv[:i]):
+    if i == bad:
         return VerifyResult(False, "no_realization", i, _NO_JOINT)
     start, logical = start.tolist(), logical.tolist()
     pinned = [logical[s:e] for s, e in zip(start, start[1:])]
@@ -468,34 +476,44 @@ def _static_pass(inst: Instance, sol: Solution
 
 
 def _apart(g: PlaneGraph, start: np.ndarray, logical: np.ndarray,
-           fuv: np.ndarray) -> bool:
-    """Does the module docstring's lemma accept the routes that passed
-    the static pass, with their route offsets, logical ids and F's rows
-    (or a prefix of the three)?  False sends them on: a route that does
-    not cross exactly one graph edge, a face of two routes or on both
-    sides of one edge, or an end off its edge's faces."""
-    if not (np.diff(start) == 1).all() or (logical >= g.edge_count).any():
-        return False
-    face, twin = g.table("face"), g.table("twin")
-    d = g.table("edge_dart")[logical]
-    # Route i's first face is sides[i], its second sides[m + i].
-    sides = np.concatenate((face[d], face[twin[d]]))
+           fuv: np.ndarray) -> int | None:
+    """The least route at which the module docstring's lemma fails, for
+    routes that passed the static pass, with their route offsets, logical
+    ids and F's rows; None when the lemma accepts them all.  Route i fails
+    when it does not cross exactly one graph edge, when an earlier route
+    names one of its faces or its edge has one face on both sides, or when
+    its tail and head are not one on each face.  Each condition reads
+    routes 0 to i alone, so the routes before i all pass exactly when the
+    least failing route is at least i."""
     m = len(fuv)
-    # Each face goes to one route that names it.  A route that shares a
-    # face, or whose edge has one face on both sides, keeps darts on at
-    # most one side and fails below.
-    route = np.full(g.face_count, -1)
-    route[sides] = np.tile(np.arange(m), 2)
-    at = route[face]  # each dart's route, or -1
-    on = np.flatnonzero(at >= 0)
+    one = np.diff(start) == 1
+    one[one] = logical[start[:-1][one]] < g.edge_count
+    # No route after the first that fails here can be the least failing
+    # one; the routes before it have one event each.
+    cut = m if one.all() else int(one.argmin())
+    face, twin = g.table("face"), g.table("twin")
+    d = g.table("edge_dart")[logical[:cut]]
+    # Route i's first face is sides[i], its second sides[cut + i].
+    sides = np.concatenate((face[d], face[twin[d]]))
+    # Each face goes to the least route that names it.  A later route that
+    # names it, or a route whose edge has one face on both sides, keeps
+    # darts on at most one side and fails below.
+    route = np.full(g.face_count, cut)
+    np.minimum.at(route, sides, np.tile(np.arange(cut), 2))
+    at = route[face]  # each dart's route, or cut
+    on = np.flatnonzero(at < cut)
     r, t = at[on], g.table("head")[twin[on]]
     second = face[on] != sides[r]
     is_u, is_v = t == fuv[r, 0], t == fuv[r, 1]
     # seen[i] = (u on the first face, v on it, u on the second, v on it).
-    seen = np.zeros(4 * m, bool)
+    seen = np.zeros(4 * cut, bool)
     seen[(4 * r + 2 * second + is_v)[is_u | is_v]] = True
-    seen = seen.reshape(m, 4)
-    return bool(((seen[:, 0] & seen[:, 3]) | (seen[:, 2] & seen[:, 1])).all())
+    seen = seen.reshape(cut, 4)
+    bad = np.flatnonzero(~((seen[:, 0] & seen[:, 3])
+                           | (seen[:, 2] & seen[:, 1])))
+    if len(bad):
+        return int(bad[0])
+    return None if cut == m else cut
 
 
 def _unrealizable(g: PlaneGraph, start: np.ndarray, logical: np.ndarray,

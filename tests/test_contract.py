@@ -3,7 +3,10 @@
 A valid solution text is mutated at one JSON path, to one value of a fixed
 menu of wrong types and extreme numbers, and run through parse_solution
 and verify.  Each must return or raise a PlaneInsertError; no other
-exception may escape, and no example may pass the deadline."""
+exception may escape, and no example may pass the deadline.  Half the
+texts are written in write_solution's layout, and parse_solution must
+read each as its JSON path alone does: the same Solution or the same
+error."""
 
 from __future__ import annotations
 
@@ -14,7 +17,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from planeinsert.errors import PlaneInsertError
-from planeinsert.instance_io import make_instance, parse_solution, write_solution
+from planeinsert.instance_io import (
+    _read_json_solution,
+    make_instance,
+    parse_solution,
+    write_solution,
+)
 from planeinsert.tri_insert import solve
 from planeinsert.verifier import VerifyResult, verify
 
@@ -68,7 +76,19 @@ def mutated_solutions(draw):
     inst, obj = draw(st.sampled_from(CERTIFICATES))
     path = draw(st.sampled_from(list(json_paths(obj))))
     value = draw(st.sampled_from(MENU))
-    return inst, json.dumps(replaced(obj, path, value))
+    obj = replaced(obj, path, value)
+    if draw(st.booleans()):
+        return inst, json.dumps(obj, separators=(",", ":")) + "\n"
+    return inst, json.dumps(obj)
+
+
+def read(parse, text: str):
+    """parse(text), or the type and message of the typed error it
+    raised."""
+    try:
+        return parse(text)
+    except PlaneInsertError as exc:
+        return type(exc).__name__, str(exc)
 
 
 @seed(20)
@@ -77,8 +97,12 @@ def mutated_solutions(draw):
 @given(mutated_solutions())
 def test_mutated_solution_texts_raise_only_typed_errors(case):
     inst, text = case
+    sol = read(parse_solution, text)
+    assert sol == read(_read_json_solution, text)
+    if isinstance(sol, tuple):
+        return
     try:
-        result = verify(inst, parse_solution(text), node_budget=20_000)
+        result = verify(inst, sol, node_budget=20_000)
     except PlaneInsertError:
         return
     assert isinstance(result, VerifyResult)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import re
+import sys
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from planeinsert.plane_graph import (
     build_from_rows,
     complement_pairs,
     generate_stacked_triangulation,
+    _csr,
     _succ,
     is_triangulation,
     sample_complement_edges,
@@ -45,7 +49,12 @@ from fixtures import (
     delete_edge_rotation,
     octahedron,
 )
+import embedding_reference
 from instance_gen import instance_stream
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from families import grid_graph  # noqa: E402
 
 
 def euler(g):
@@ -181,6 +190,25 @@ class TestTriangulation:
             assert h.edge_count != 3 * h.vertex_count - 6
             assert not (face_degrees(h) == 3).all()
 
+    def test_counting_agrees_with_the_reference_walk(self):
+        # The reference walks succ three times from every dart.  The graphs:
+        # the benchmark's grid plus cone, instance_stream's graphs, each
+        # with one edge deleted, and small graphs that are not
+        # triangulations.
+        graphs = [grid_graph(k, random.Random(k)) for k in (2, 3, 12)]
+        graphs += stream_graphs()
+        graphs += [build_from_rotation(g.vertex_count, delete_edge_rotation(
+            g, *g.edge_endpoints(i % g.edge_count)))
+            for i, g in enumerate(graphs)]
+        graphs += [cube(), build_from_rotation(3, [[1, 2], [2, 0], [0, 1]]),
+                   build_from_rotation(2, [[1], [0]])]
+        seen = set()
+        for g in graphs:
+            want = embedding_reference.is_triangulation(g)
+            assert is_triangulation(g) == want
+            seen.add(want)
+        assert seen == {True, False}
+
 
 def test_edges_between_matches_edge_between():
     # Every vertex pair of small graphs, both orders, plus pairs outside
@@ -222,6 +250,23 @@ def test_edge_order_is_the_sorted_edge_codes():
         want = np.argsort(head[g.table("twin")[d]] * n + head[d])
         assert g.edge_order.tolist() == want.tolist()
         assert g.edge_order.dtype == np.min_scalar_type(g.edge_count)
+
+
+@pytest.mark.parametrize("rows, n", [
+    ([], 0), ([], 3), ([0], 1), ([2], 3), ([4, 4, 4, 4], 5),
+    ([1, 0, 1, 0, 2, 1, 0], 3),
+    (np.random.default_rng(5).integers(0, 40, 9_000), 40),
+    (np.random.default_rng(6).integers(0, 9_000, 9_000), 9_000),
+], ids=["empty", "empty rows", "one", "one row of three", "ties",
+        "mixed", "many ties", "few ties"])
+def test_csr_is_the_stable_sort_by_row(rows, n):
+    # The packed-key sort against the stable argsort it replaces.
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.arange(len(rows), dtype=np.int64) * 7 + 3
+    start, to = _csr(rows, cols, n)
+    assert start.dtype == to.dtype == np.int64
+    assert start.tolist() == [0, *np.cumsum(np.bincount(rows, minlength=n))]
+    assert to.tolist() == cols[np.argsort(rows, kind="stable")].tolist()
 
 
 def test_succ_is_a_read_only_table():

@@ -416,7 +416,8 @@ def certificates():
     triangulations with one edge deleted; each as found, then re-pointed
     and swapped twice, then with its middle route re-pointed.  Then the
     shared-face certificate with a third route that no state realizes,
-    which verify must leave to the search.  Then, on the cube and the
+    which verify must leave to the search, and the same routes with the
+    bad one second, which it must not.  Then, on the cube and the
     octahedron, every solution whose routes cross one graph edge or
     earlier inserted edge each."""
     rng = random.Random(29)
@@ -453,6 +454,7 @@ def certificates():
                 yield family, "middle re-pointed", inst, repointed(
                     inst, sol, rng, len(inst.F) // 2)
     yield "shared", "bad after a shared prefix", *shared_prefix_then_bad()
+    yield "shared", "bad before a shared face", *bad_before_a_shared_face()
     for inst in hand_built:
         g = inst.graph
         edges = list(map(g.edge_endpoints, range(g.edge_count)))
@@ -468,6 +470,17 @@ def shared_prefix_then_bad():
     inst, sol = shared_face_certificate()
     return (make_instance(inst.graph, [*inst.F, (5, 7)], k=inst.k),
             solution(*route_events(sol), [(0, 3)]))
+
+
+def bad_before_a_shared_face():
+    """shared_prefix_then_bad with the bad route moved second: routes 0
+    and 2 share the top face.  The least route that names a face owns it,
+    so route 0 keeps to faces of its own, route 1 is the least route the
+    no-replay lemma fails, and verify rejects it without a replay."""
+    inst, sol = shared_prefix_then_bad()
+    (a, b, c), routes = inst.F, route_events(sol)
+    return (make_instance(inst.graph, [a, c, b], k=inst.k),
+            solution(routes[0], routes[2], routes[1]))
 
 
 def counted_drawings(monkeypatch) -> list:
@@ -496,7 +509,8 @@ def test_no_replay_path_agrees_with_the_search(monkeypatch):
     # (family, variant, accepted, replayed): the solver's certificates all
     # take the no-replay path, and so does every rejection of a corrupted
     # planted one.  A bad route after a shared-face prefix still fails in
-    # the search, and each path accepts some of the oracle's answers.
+    # the search, one before a route sharing a face does not, and each
+    # path accepts some of the oracle's answers.
     assert {key for key in seen if key[1] == "as found"
             and key[0] != "oracle"} == {("planted", "as found", True, False),
                                         ("stream", "as found", True, False)}
@@ -504,6 +518,7 @@ def test_no_replay_path_agrees_with_the_search(monkeypatch):
         ("planted", variant, False, False)
         for variant in ("re-pointed", "swapped", "middle re-pointed")}
     assert seen["shared", "bad after a shared prefix", False, True] == 1
+    assert seen["shared", "bad before a shared face", False, False] == 1
     assert ("oracle", "as found", True, True) in seen
     assert ("oracle", "as found", True, False) in seen
     assert {key[2:] for key in seen if key[1] == "one event each"} == {
