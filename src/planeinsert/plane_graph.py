@@ -28,8 +28,9 @@ The graph keeps seven tables, each for a reader, plus one order:
 - offsets and head: the rotation itself;
 - twin: the dart pairing, which the gathers below go through;
 - edge and edge_dart: dart to edge, edge to its u -> v dart (solver kernels);
-- face: read by the verifier's _apart on every accepted certificate, where
-  recomputing it would cost a pointer doubling per verify;
+- face: read by the verifier's _apart on every accepted certificate and
+  by its one-route test _unrealizable, two rows of it, on a rejected one,
+  where recomputing it would cost a pointer doubling per verify;
 - succ: the face walks;
 - edge_order: the edge ids in code order eu*n + ev, found by the
   twin-pairing sort, which keeps edges_between to one sorted search.
@@ -260,11 +261,16 @@ def build_from_rows(vertex_count: int, lengths: np.ndarray,
     """Build the embedding for a rotation given as arrays: row v is the
     next lengths[v] entries of head, an array("q") the graph keeps as its
     head table.  Raises what build_from_rotation raises for those rows,
-    type and message.  Raises InvalidArgument when the lengths are not
-    non-negative int64 counts that add up to len(head)."""
+    type and message.  Raises InvalidArgument unless lengths is an int64
+    ndarray of non-negative counts that add up to len(head) and head is an
+    array("q")."""
+    if (not isinstance(lengths, np.ndarray) or lengths.dtype != np.int64
+            or lengths.ndim != 1):
+        raise InvalidArgument("row lengths are not a 1-d int64 ndarray")
+    if not isinstance(head, array) or head.typecode != "q":
+        raise InvalidArgument("head is not an array('q')")
     _check_row_count(vertex_count, lengths)
-    if (lengths.dtype != np.int64 or lengths.ndim != 1
-            or (len(lengths) and lengths.min() < 0)
+    if ((len(lengths) and lengths.min() < 0)
             or int(lengths.sum()) != len(head)):
         raise InvalidArgument("row lengths do not cut head into rows")
     return _build(vertex_count, lengths, head, None)

@@ -93,6 +93,15 @@ def validate_formula(f: MonotoneFormula) -> None:
 
 
 def evaluate_formula(f: MonotoneFormula, assignment: list[bool]) -> bool:
+    """Whether the assignment, one bool per variable, satisfies f.  Raises
+    InvalidFormula as validate_formula does, and InvalidArgument unless
+    the assignment holds exactly f.variables bools."""
+    validate_formula(f)
+    if (not isinstance(assignment, (list, tuple))
+            or len(assignment) != f.variables
+            or any(type(x) is not bool for x in assignment)):
+        raise InvalidArgument(
+            f"assignment must hold exactly {f.variables} bools")
     for c in f.clauses:
         want = c.polarity == "pos"
         if not any(assignment[v] == want for v in c.literals):
@@ -101,6 +110,9 @@ def evaluate_formula(f: MonotoneFormula, assignment: list[bool]) -> bool:
 
 
 def formula_satisfiable(f: MonotoneFormula) -> bool:
+    """Whether some assignment satisfies f, by trying all of them.  Raises
+    InvalidFormula as validate_formula does."""
+    validate_formula(f)
     return any(evaluate_formula(f, [bool(bits >> v & 1)
                                     for v in range(f.variables)])
                for bits in range(1 << f.variables))

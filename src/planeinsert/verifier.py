@@ -51,55 +51,51 @@ static pass checks the routes in whole-array passes and, when one fails,
 names its rejection from the masks it built: the route's budget first,
 then its first failing event.
 
-After a static pass that succeeds, ``verify`` accepts without a replay
-when the routes keep to faces of their own.  Lemma: let every route cross
-exactly one graph edge, and let no face of the graph lie on either side
-of the crossed edges of two routes (nor on both sides of one edge, as at
-a bridge).  Then the routes have a joint realization exactly when each
-route's tail lies on one face of its edge and its head on the other.
-Necessity: a pinned route leaves a corner of its tail into a face of its
-edge and crosses into the face across, where it meets its head.
-Sufficiency: inserting a route splits its own edge and its own two faces
+After a static pass that succeeds, ``verify`` settles a certificate
+without a replay by one lemma.  Call route i apart when it crosses exactly
+one graph edge e, no face on either side of e lies on either side of an
+earlier route's edge (nor on both sides of e, as at a bridge), and its
+tail lies on one face of e and its head on the other.  Lemma: let routes 0
+to i - 1 be apart.  Accept half: they have a joint realization, so when
+every route is apart ``verify`` accepts.  Reject half: when route i
+crosses exactly one graph edge e while its tail and head do not lie one on
+each face of e in the graph, the replay rejects with "no_realization" at
+route i, and ``verify`` returns that rejection without building a drawing.
+
+Accept half.  Inserting a route splits its own edge and its own two faces
 and no other face, since the darts it replaces at the edge's ends and the
 corners it fills at its tail and head all lie on those two faces; so in
 any insertion order every other route finds its edge, its two faces and
-its ends on them as in the graph.  This is the disjoint-faces
-argument of the doubly connected edge list (Muller and Preparata, 1978).
-Every solver certificate on a triangulation meets it: two options that
-share a triangle would clash.  The check is one table of the route on
-each face and one pass over the darts: each face goes to the least route
-that names it, so a later route that shares it keeps darts on at most one
-side and fails, and a dart on route i's face marks whether the tail or
-the head of route i lies there.  So whether route i passes reads routes 0
-to i alone: its own edge and ends, and which of its faces an earlier
-route names.  The check returns the least route that fails, and routes 0
-to i - 1 meet the lemma on their own exactly when that route is at least
-i.  A certificate that fails any condition goes on to the rejection
-lemma.
+its ends on them as in the graph.  This is the disjoint-faces argument of
+the doubly connected edge list (Muller and Preparata, 1978).  Every
+solver certificate on a triangulation has every route apart: two options
+that share a triangle would clash.
 
-Rejection lemma: let route i be the least route that crosses exactly one
-graph edge e while its tail and head do not lie one on each face of e in
-the graph, and let routes 0 to i - 1 meet the lemma above on their own.
-Then the replay rejects with "no_realization" at route i, and ``verify``
-returns that rejection without building a drawing.  Necessity holds in
-every state of the drawing: inserts only split faces, so each face of a
-later drawing lies inside one face of the graph, on the same side of each
-segment of e as of e.  A realization of route i leaves a corner of its
-tail on one side of a segment of e and meets its head on the other side,
-so its tail and head lie one on each face of e in the graph; no state
-realizes route i.  The replay reaches level i and stops there: by the
-first lemma's sufficiency half routes 0 to i - 1 have a joint
-realization, so the complete depth-first replay finds one and asks level
-i for its realizations, in any order of its choices; it finds none in any
-state, so it never enters level i + 1, and its deepest level is i.  The
-one answer that differs is a replay that would pass its node budget: it
-raises where the static answer is the rejection, which is correct.  The
-check is one sorted table of (tail, face) codes over the darts, searched
-once per one-event route.  Route i fails the first lemma's check, so the
-routes before it meet that lemma exactly when route i is the least route
-the check fails, and no second pass over the prefix is needed.  Any other
-certificate goes to the replay unchanged, so every other rejection comes
-from the search or the static pass as before.
+Reject half.  No state of the drawing realizes route i: inserts only split
+faces, so each face of a later drawing lies inside one face of the graph,
+on the same side of each segment of e as of e.  A realization of route i
+leaves a corner of its tail on one side of a segment of e and meets its
+head on the other side, so its tail and head lie one on each face of e in
+the graph.  The replay reaches level i and stops there: by the accept half
+routes 0 to i - 1 have a joint realization, so the complete depth-first
+replay finds one and asks level i for its realizations, in any order of
+its choices; it finds none in any state, so it never enters level i + 1,
+and its deepest level is i.  The one answer that differs is a replay that
+would pass its node budget: it raises where the static answer is the
+rejection, which is correct.
+
+The check.  ``_apart`` returns the least route that is not apart, ``bad``,
+from one table of the route on each face and one pass over the darts: each
+face goes to the least route that names it, so a later route that shares
+it keeps darts on at most one side and fails, and a dart on route i's face
+marks whether the tail or the head of route i lies there.  Whether route i
+is apart reads routes 0 to i alone, so routes 0 to bad - 1 are apart.  A
+route before ``bad`` has its ends one on each face of its edge, so the
+reject half can name no route but ``bad``, and ``_unrealizable`` tests
+that one route: a vertex lies on the faces of the darts that leave it, one
+row of the face table per end.  Any other certificate goes to the replay
+unchanged, so every other rejection comes from the search or the static
+pass.
 
 ``insert`` writes the new edge in place and journals one record,
 ``(u, start_pos, v, end_pos, edges_before, vertices_before, splits)``,
@@ -381,8 +377,8 @@ def verify(inst: Instance, sol: Solution, seed: int | None = None,
     """Replay a solution; Accepted iff some joint realization of all routes
     exists and every edge ends with at most k crossings.  Routes on faces
     of their own are accepted without a replay, and a route that no state
-    can realize after such routes is rejected without one (see the module
-    docstring's two lemmas).  Raises SearchBudgetExceeded past node_budget
+    can realize after such routes is rejected without one (the module
+    docstring's lemma).  Raises SearchBudgetExceeded past node_budget
     inserted realizations of a replay; a certificate settled without a
     replay never raises it."""
     rng = None if seed is None else Lcg64(_int_arg("seed", seed))
@@ -399,11 +395,8 @@ def verify(inst: Instance, sol: Solution, seed: int | None = None,
     bad = _apart(g, start, logical, fuv)
     if bad is None:
         return VerifyResult(True)
-    # Route i fails the lemma itself, so the routes before it pass exactly
-    # when it is the least failing route.
-    i = _unrealizable(g, start, logical, fuv)
-    if i == bad:
-        return VerifyResult(False, "no_realization", i, _NO_JOINT)
+    if _unrealizable(g, bad, start, logical, fuv):
+        return VerifyResult(False, "no_realization", bad, _NO_JOINT)
     start, logical = start.tolist(), logical.tolist()
     pinned = [logical[s:e] for s, e in zip(start, start[1:])]
     pd = PlanarizedDrawing(inst)
@@ -477,14 +470,14 @@ def _static_pass(inst: Instance, sol: Solution
 
 def _apart(g: PlaneGraph, start: np.ndarray, logical: np.ndarray,
            fuv: np.ndarray) -> int | None:
-    """The least route at which the module docstring's lemma fails, for
-    routes that passed the static pass, with their route offsets, logical
-    ids and F's rows; None when the lemma accepts them all.  Route i fails
-    when it does not cross exactly one graph edge, when an earlier route
-    names one of its faces or its edge has one face on both sides, or when
-    its tail and head are not one on each face.  Each condition reads
-    routes 0 to i alone, so the routes before i all pass exactly when the
-    least failing route is at least i."""
+    """The least route that is not apart (the module docstring's lemma),
+    for routes that passed the static pass, with their route offsets,
+    logical ids and F's rows; None when every route is apart.  Route i
+    fails when it does not cross exactly one graph edge, when an earlier
+    route names one of its faces or its edge has one face on both sides, or
+    when its tail and head are not one on each face.  Each condition reads
+    routes 0 to i alone, so the routes before the least failing one are all
+    apart."""
     m = len(fuv)
     one = np.diff(start) == 1
     one[one] = logical[start[:-1][one]] < g.edge_count
@@ -516,33 +509,17 @@ def _apart(g: PlaneGraph, start: np.ndarray, logical: np.ndarray,
     return None if cut == m else cut
 
 
-def _unrealizable(g: PlaneGraph, start: np.ndarray, logical: np.ndarray,
-                  fuv: np.ndarray) -> int | None:
-    """The least route that crosses exactly one graph edge e while its
-    tail and head are not one on each face of e, or None.  It has no
-    realization in any state of the drawing (the module docstring's
-    rejection lemma).  One sorted table of (tail, face) codes over the
-    darts answers whether a vertex lies on a face."""
-    one = np.flatnonzero(np.diff(start) == 1)
-    e = logical[start[one]]
-    keep = e < g.edge_count
-    one, e = one[keep], e[keep]
-    if not len(one):
-        return None
-    faces = g.face_count
-    face, twin = g.table("face"), g.table("twin")
-    # The darts are stored by tail, so the codes come nearly sorted.
-    codes = np.sort(g.table("head")[twin] * faces + face)
-    d = g.table("edge_dart")[e]
-    f1, f2 = face[d], face[twin[d]]
-    u, v = fuv[one].T * faces
-    # The codes of (u, f1), (v, f2), (u, f2) and (v, f1).  Searching in
-    # increasing order is several times faster.
-    query = np.concatenate((u + f1, v + f2, u + f2, v + f1))
-    order = np.argsort(query)
-    pos = np.minimum(np.searchsorted(codes, query[order]), len(codes) - 1)
-    on = np.empty(len(query), bool)
-    on[order] = codes[pos] == query[order]
-    on = on.reshape(4, -1)
-    bad = one[~((on[0] & on[1]) | (on[2] & on[3]))]
-    return int(bad[0]) if len(bad) else None
+def _unrealizable(g: PlaneGraph, i: int, start: np.ndarray,
+                  logical: np.ndarray, fuv: np.ndarray) -> bool:
+    """Whether route i crosses exactly one graph edge e while its tail and
+    head are not one on each face of e: no state of the drawing realizes
+    it (the module docstring's reject half).  Reads the face-table rows of
+    its two ends."""
+    if start[i + 1] - start[i] != 1 or logical[start[i]] >= g.edge_count:
+        return False
+    face, off = g.table("face"), g.table("offsets")
+    d = g.table("edge_dart")[logical[start[i]]]
+    f1, f2 = face[d], face[g.table("twin")[d]]
+    u, v = fuv[i]
+    at_u, at_v = face[off[u]:off[u + 1]], face[off[v]:off[v + 1]]
+    return not ((f1 in at_u and f2 in at_v) or (f2 in at_u and f1 in at_v))

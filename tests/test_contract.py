@@ -1,12 +1,13 @@
-"""The typed-error contract on solution texts.
+"""The typed-error contract on solution, instance and formula texts.
 
-A valid solution text is mutated at one JSON path, to one value of a fixed
-menu of wrong types and extreme numbers, and run through parse_solution
-and verify.  Each must return or raise a PlaneInsertError; no other
-exception may escape, and no example may pass the deadline.  Half the
-texts are written in write_solution's layout, and parse_solution must
-read each as its JSON path alone does: the same Solution or the same
-error."""
+A valid text is mutated at one JSON path, to one value of a fixed menu of
+wrong types and extreme numbers, and run through its parser and then the
+code that reads what it parsed: a solution through verify, an instance
+through solve, a formula through compile_formula.  Each must return or
+raise a PlaneInsertError; no other exception may escape, and no example
+may pass the deadline.  Half the texts are written in the writer's compact
+layout, and parse_solution and parse_instance must read each as their JSON
+paths alone do: the same answer or the same error."""
 
 from __future__ import annotations
 
@@ -18,15 +19,26 @@ from hypothesis import strategies as st
 
 from planeinsert.errors import PlaneInsertError
 from planeinsert.instance_io import (
+    _read_json,
     _read_json_solution,
     make_instance,
+    parse_instance,
     parse_solution,
+    write_instance,
     write_solution,
+)
+from planeinsert.reduction import (
+    Clause,
+    MonotoneFormula,
+    compile_formula,
+    parse_formula,
+    write_formula,
 )
 from planeinsert.tri_insert import solve
 from planeinsert.verifier import VerifyResult, verify
 
-from fixtures import octahedron, shared_face_certificate, solution
+from fixtures import (cube, laminar_formula, octahedron,
+                      shared_face_certificate, solution)
 from instance_gen import planted_instance
 
 MENU = (None, True, -1, 0, 2**70, 1.5, "x", [], {}, [0, 1])
@@ -46,6 +58,22 @@ def valid_certificates():
 
 
 CERTIFICATES = valid_certificates()
+
+ONE_CLAUSE = MonotoneFormula(1, (Clause("pos", 2, (0,)),), (0,))
+
+# The octahedron, the cube at k = 2 with a matching, small planted
+# instances, and a compiled instance with coordinates, as parsed texts.
+INSTANCES = [(None, json.loads(write_instance(inst))) for inst in (
+    make_instance(octahedron(), [(0, 5), (1, 3), (2, 4)], k=1),
+    make_instance(cube(), [(2, 4), (0, 6)], k=2, f_structure="matching"),
+    *(planted_instance(30, s) for s in range(3)),
+    compile_formula(ONE_CLAUSE, validate=False)[0])]
+
+FORMULAS = [(None, json.loads(write_formula(f))) for f in (
+    ONE_CLAUSE,
+    MonotoneFormula(3, (Clause("pos", 2, (0, 1)), Clause("neg", 2, (1, 2)),
+                        Clause("pos", 3, (1, 2))), (0, 1, 2)),
+    laminar_formula(3, 2, 1))]
 
 
 def json_paths(obj, path=()):
@@ -72,14 +100,17 @@ def replaced(obj, path, value):
 
 
 @st.composite
-def mutated_solutions(draw):
-    inst, obj = draw(st.sampled_from(CERTIFICATES))
+def mutated(draw, sources):
+    """(context, text) for one of sources' (context, JSON object) pairs:
+    the object with one path set to a MENU value, in the writers' compact
+    layout or json.dumps' spaced one."""
+    context, obj = draw(st.sampled_from(sources))
     path = draw(st.sampled_from(list(json_paths(obj))))
     value = draw(st.sampled_from(MENU))
     obj = replaced(obj, path, value)
     if draw(st.booleans()):
-        return inst, json.dumps(obj, separators=(",", ":")) + "\n"
-    return inst, json.dumps(obj)
+        return context, json.dumps(obj, separators=(",", ":")) + "\n"
+    return context, json.dumps(obj)
 
 
 def read(parse, text: str):
@@ -94,7 +125,7 @@ def read(parse, text: str):
 @seed(20)
 @settings(max_examples=500, deadline=timedelta(milliseconds=500),
           database=None)
-@given(mutated_solutions())
+@given(mutated(CERTIFICATES))
 def test_mutated_solution_texts_raise_only_typed_errors(case):
     inst, text = case
     sol = read(parse_solution, text)
@@ -106,3 +137,36 @@ def test_mutated_solution_texts_raise_only_typed_errors(case):
     except PlaneInsertError:
         return
     assert isinstance(result, VerifyResult)
+
+
+def written(answer):
+    """An instance as write_instance's text; a typed error as it is."""
+    return answer if isinstance(answer, tuple) else write_instance(answer)
+
+
+@seed(21)
+@settings(max_examples=500, deadline=timedelta(milliseconds=500),
+          database=None)
+@given(mutated(INSTANCES))
+def test_mutated_instance_texts_raise_only_typed_errors(case):
+    _, text = case
+    inst = read(parse_instance, text)
+    assert written(inst) == written(read(_read_json, text))
+    if isinstance(inst, tuple):
+        return
+    try:
+        solve(inst)
+    except PlaneInsertError:
+        pass
+
+
+@seed(22)
+@settings(max_examples=500, deadline=timedelta(milliseconds=500),
+          database=None)
+@given(mutated(FORMULAS))
+def test_mutated_formula_texts_raise_only_typed_errors(case):
+    _, text = case
+    try:
+        compile_formula(parse_formula(text), validate=False)
+    except PlaneInsertError:
+        pass

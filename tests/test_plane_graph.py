@@ -138,6 +138,18 @@ class TestBuild:
             with pytest.raises(InvalidArgument, match="row lengths"):
                 build_from_rows(6, bad, head)
 
+    def test_rows_of_the_wrong_type_rejected(self):
+        # A list of lengths raised AttributeError, a None head TypeError,
+        # and an array("i") head was read as int64 bytes and reported as
+        # AsymmetricAdjacency.
+        lengths = np.array([len(row) for row in OCTA_ROTATION])
+        head = array("q", [w for row in OCTA_ROTATION for w in row])
+        for bad, message in (((lengths.tolist(), head), "row lengths"),
+                             ((lengths, None), "head"),
+                             ((lengths, array("i", head)), "head")):
+            with pytest.raises(InvalidArgument, match=message):
+                build_from_rows(6, *bad)
+
     def test_loop_rejected(self):
         with pytest.raises(InvalidRotation):
             build_from_rotation(2, [[0, 1], [0]])

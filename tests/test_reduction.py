@@ -76,6 +76,22 @@ def test_mixed_formula_has_its_hand_checked_models():
     assert formula_satisfiable(f)
 
 
+def test_formula_helpers_raise_typed_errors():
+    # A huge count raised a bare OverflowError, a literal out of range a
+    # bare IndexError, and a bool count was answered.
+    for f in (MonotoneFormula(2**70, (), ()),
+              MonotoneFormula(2, (Clause("pos", 2, (0, 2)),), (0, 1)),
+              MonotoneFormula(True, (), (0,))):
+        with pytest.raises(InvalidFormula):
+            formula_satisfiable(f)
+        with pytest.raises(InvalidFormula):
+            evaluate_formula(f, [True, True])
+    # Too short raised IndexError; too long, a string and ints were read.
+    for assignment in ([], [True] * 3, "ab", [1, 0], None):
+        with pytest.raises(InvalidArgument, match="exactly 2 bools"):
+            evaluate_formula(TWO_VARS_ONE_CLAUSE, assignment)
+
+
 @pytest.mark.parametrize("variant, sizes", [
     ("path", (278, 451, 49)),
     ("matching", (266, 430, 12)),
